@@ -89,11 +89,13 @@ class CandidateSet:
     def mistake_bound(self) -> int:
         return math.ceil(math.log2(binom(self.n, self.k)))
 
-    def predict(self, a: BitVector) -> int:
-        return halving_predict(self, a)
-
-    def update(self, a: BitVector, y: int) -> None:
+    def step(self, a: BitVector, y: int) -> int:
+        """One protocol round: predict, count the mistake, update."""
+        guess = halving_predict(self, a)
+        if guess != y:
+            self.mistakes += 1
         halving_update(self, a, y)
+        return guess
 
     def status(self) -> Status:
         if len(self.survivors) == 1:

@@ -136,6 +136,36 @@ def dot(a: BitVector, b: BitVector) -> int:
     return a.dot(b)
 
 
+Row = tuple[int, int]
+
+
+def reduce_rows(rows: Sequence[Row], bits: int, rhs: int) -> Row:
+    """Eliminate ``bits`` against RREF (mask, rhs) rows; the rhs follows."""
+    for m, r in rows:
+        if bits & (m & -m):
+            bits ^= m
+            rhs ^= r
+    return bits, rhs
+
+
+def insert_row(rows: Sequence[Row], mask: int, rhs: int) -> list[Row]:
+    """Canonical RREF of ``rows`` plus their nonzero residual ``mask``."""
+    piv = mask & -mask
+    new_rows: list[Row] = []
+    inserted = False
+    for m, r in rows:
+        if not inserted and (m & -m) > piv:
+            new_rows.append((mask, rhs))
+            inserted = True
+        if m & piv:
+            new_rows.append((m ^ mask, r ^ rhs))
+        else:
+            new_rows.append((m, r))
+    if not inserted:
+        new_rows.append((mask, rhs))
+    return new_rows
+
+
 class Reduction(NamedTuple):
     """A vector after elimination against a space's pivot rows."""
 
@@ -209,13 +239,6 @@ class AffineSpace:
 
     # -- core operations ----------------------------------------------
 
-    def _reduce_bits(self, vbits: int, y: int) -> tuple[int, int]:
-        for m, r in self._rows:
-            if vbits & (m & -m):
-                vbits ^= m
-                y ^= r
-        return vbits, y
-
     def reduce(self, v: BitVector, y: int) -> Reduction:
         """Eliminate v against the pivot rows, updating the rhs alongside."""
         if v.n != self.ambient_dim:
@@ -224,7 +247,7 @@ class AffineSpace:
             )
         if self.empty:
             raise ValueError("cannot reduce against the empty space")
-        res, rhs = self._reduce_bits(v.value, y)
+        res, rhs = reduce_rows(self._rows, v.value, y)
         return Reduction(BitVector(self.ambient_dim, res), rhs)
 
     def split_sizes(self, v: BitVector) -> tuple[int | None, int | None]:
@@ -242,7 +265,7 @@ class AffineSpace:
         if self.empty:
             return (None, None)
         size = self.ambient_dim - len(self._rows)
-        res, forced = self._reduce_bits(v.value, 0)
+        res, forced = reduce_rows(self._rows, v.value, 0)
         if res == 0:
             # <v,f> equals `forced` on every point of the space.
             if forced == 0:
@@ -260,25 +283,14 @@ class AffineSpace:
             raise ValueError(f"label must be 0 or 1, got {y!r}")
         if self.empty:
             return self
-        res, rhs = self._reduce_bits(v.value, y)
+        res, rhs = reduce_rows(self._rows, v.value, y)
         if res == 0:
             if rhs == 0:
                 return self
             return AffineSpace.empty_space(self.ambient_dim)
-        piv = res & -res
-        new_rows: list[tuple[int, int]] = []
-        inserted = False
-        for m, r in self._rows:
-            if not inserted and (m & -m) > piv:
-                new_rows.append((res, rhs))
-                inserted = True
-            if m & piv:
-                new_rows.append((m ^ res, r ^ rhs))
-            else:
-                new_rows.append((m, r))
-        if not inserted:
-            new_rows.append((res, rhs))
-        return AffineSpace._make(self.ambient_dim, new_rows, False)
+        return AffineSpace._make(
+            self.ambient_dim, insert_row(self._rows, res, rhs), False
+        )
 
     def sole_point(self) -> BitVector:
         """The unique solution of a full-rank system, by back-substitution."""

@@ -35,7 +35,7 @@ from .errors import (
     SourceExhaustedError,
 )
 from .gf2 import BitVector
-from .online import learner_from_family
+from .online import LearnerState, learner_from_family
 from .pac import PacParams, pac_learn, survival_threshold
 from .sources import LabeledExample, ReplaySource
 
@@ -313,8 +313,8 @@ class MitmInner:
 class PacOnlineInner:
     """Noiseless inner learner backed by the chart learner's PAC driver.
 
-    The covering family is built once at construction and shared across
-    runs; each run replays its example list through a fresh learner.
+    The covering family and its starting charts are built once and shared
+    across runs; each run replays its example list through a fresh learner.
     """
 
     def __init__(
@@ -328,7 +328,8 @@ class PacOnlineInner:
             self.family: CoverFamily = build_verified_family(params, rng_seed)
         except BudgetExceededError:
             self.family = sample_family(params, rng_seed)
-        self.mistake_bound = learner_from_family(self.family).mistake_bound
+        self._start = learner_from_family(self.family)
+        self.mistake_bound = self._start.mistake_bound
 
     def sample_complexity(self, delta: float) -> int:
         """Deterministic ceiling: every mistake-free run is shorter than
@@ -338,7 +339,7 @@ class PacOnlineInner:
         )
 
     def run(self, examples: Sequence[LabeledExample]) -> BitVector | None:
-        learner = learner_from_family(self.family)
+        learner = LearnerState(self.n, self.k, self.family, self._start.charts)
         pac_params = PacParams(
             delta=self.delta, sample_budget=len(examples)
         )

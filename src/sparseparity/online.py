@@ -1,13 +1,15 @@
 """Online mistake-bound learner for sparse parities over subspace charts.
 
 The learner owns one *chart* per covering subset: an affine space over the
-coordinates in that subset's parts.  Every weight-``k`` parity is supported
-inside at least one chart of a verified family, so the union of chart
-solution sets always contains the hidden vector.  Prediction takes a
-weighted majority over exact chart sizes; updates intersect every chart
-with the constraint ``<a, f> = y``.  A mistaken prediction at least halves
-the total mass, which bounds the number of mistakes by ``floor(log2`` of
-the initial mass``)``.
+coordinates in that subset's parts, stored as rows over the n global
+coordinates inside the chart's support mask.  Every weight-``k`` parity is
+supported inside at least one chart of a verified family, so the union of
+chart solution sets always contains the hidden vector.  Each round reduces
+the example once per chart; that one reduction gives both the weighted
+majority over exact chart sizes (the prediction) and the intersection of
+every chart with ``<a, f> = y`` (the update).  A mistaken prediction at
+least halves the total mass, which bounds the number of mistakes by
+``floor(log2`` of the initial mass``)``.
 """
 
 from __future__ import annotations
@@ -15,37 +17,36 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from .cover import (
-    DEFAULT_ENUMERATION_BUDGET,
     CoverFamily,
     CoverParams,
     build_verified_family,
     sample_family,
 )
 from .errors import AllChartsEmptyError, BudgetExceededError
-from .gf2 import AffineSpace, BitVector
+from .gf2 import BitVector, insert_row, reduce_rows
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class SubspaceChart:
+class SubspaceChart(NamedTuple):
     """An affine constraint system over one covering subset's coordinates.
 
-    ``support`` is the sorted tuple of global coordinate indices; local
-    coordinate ``i`` of ``space`` is global coordinate ``support[i]``.
+    ``support`` masks the chart's ``dim`` global coordinates; ``rows`` are
+    canonical RREF (mask, rhs) pairs inside it, i.e. the rows over the
+    local coordinates spread out in order, so they store ``rank * dim``
+    bits.  Points are zero off the support.  Charts are never mutated.
     """
 
-    support: tuple[int, ...]
-    space: AffineSpace
+    support: int
+    dim: int
+    rows: list[tuple[int, int]]
 
-    def project(self, a: BitVector) -> BitVector:
-        return a.restrict(self.support)
-
-    def embed(self, local_point: BitVector, n: int) -> BitVector:
-        """Lift a local point to the n-dimensional space, zero off-support."""
-        return BitVector(n, _embed_value(self, local_point))
+    @property
+    def log2_size(self) -> int:
+        return self.dim - len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -63,35 +64,41 @@ Status = Identified | Active
 
 
 class LearnerState:
-    """Mutable state of one learning session."""
+    """Mutable state of one learning session.
 
-    def __init__(self, n: int, k: int, family: CoverFamily):
+    ``charts`` may share the starting charts of another learner over the
+    same family; by default each distinct subset gets a full chart.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        k: int,
+        family: CoverFamily,
+        charts: Sequence[SubspaceChart] | None = None,
+    ):
         self.n = n
         self.k = k
         self.family = family
-        seen: dict[tuple[int, ...], None] = dict.fromkeys(family.subsets)
-        self.charts: list[SubspaceChart] = []
-        for subset in seen:
-            coords: list[int] = []
-            for part_index in subset:
-                coords.extend(family.parts[part_index])
-            support = tuple(sorted(coords))
-            self.charts.append(
-                SubspaceChart(support=support, space=AffineSpace.full(len(support)))
-            )
+        if charts is None:
+            masks = [BitVector.from_support(n, part).value for part in family.parts]
+            charts = []
+            for subset in dict.fromkeys(family.subsets):
+                support = 0
+                for part_index in subset:
+                    support |= masks[part_index]
+                charts.append(SubspaceChart(support, support.bit_count(), []))
+        self.charts: list[SubspaceChart] = list(charts)
         self.mistakes = 0
         self.rounds = 0
         self.chart_updates = 0
         self.work_units = 0
-        self.mass_history: list[int] = [total_mass(self)]
+        self.mass_history = [sum(1 << chart.log2_size for chart in self.charts)]
 
     # Method facade so generic drivers can treat any learner uniformly.
 
-    def predict(self, a: BitVector) -> int:
-        return predict(self, a)
-
-    def update(self, a: BitVector, y: int) -> None:
-        learner_update(self, a, y)
+    def step(self, a: BitVector, y: int) -> int:
+        return step(self, a, y)
 
     def status(self) -> Status:
         return status(self)
@@ -99,17 +106,13 @@ class LearnerState:
     def best_hypothesis(self) -> BitVector | None:
         """A canonical point from the most-constrained chart, or None.
 
-        Within the chosen chart this is the points() enumeration's first
-        element (all free coordinates zero), embedded into n coordinates.
+        Within the chosen chart this is the point with every free
+        coordinate zero: the pivots of the rows whose rhs is 1.
         """
-        best: SubspaceChart | None = None
-        for chart in self.charts:
-            if best is None or chart.space.log2_size < best.space.log2_size:
-                best = chart
-        if best is None:
+        if not self.charts:
             return None
-        first = next(iter(best.space.points()))
-        return best.embed(first, self.n)
+        best = min(self.charts, key=lambda chart: chart.log2_size)
+        return BitVector(self.n, sum(m & -m for m, r in best.rows if r))
 
     @property
     def mistake_bound(self) -> int:
@@ -147,121 +150,101 @@ def learner_from_family(family: CoverFamily) -> LearnerState:
 
 def total_mass(state: LearnerState) -> int:
     """Exact number of points across charts, counted with multiplicity."""
-    mass = 0
-    for chart in state.charts:
-        mass += 1 << chart.space.log2_size
-    return mass
+    return state.mass_history[-1]
 
 
 def predict(state: LearnerState, a: BitVector) -> int:
     """Weighted-majority label over exact chart sizes; ties predict 0."""
-    _check_length(state, a)
-    if not state.charts:
-        raise AllChartsEmptyError(
-            "no live charts: the stream is inconsistent with every "
-            "tracked hypothesis"
-        )
-    max_dim = 0
-    for chart in state.charts:
-        if chart.space.ambient_dim > max_dim:
-            max_dim = chart.space.ambient_dim
-    counts0 = [0] * (max_dim + 1)
-    counts1 = [0] * (max_dim + 1)
-    for chart in state.charts:
-        s0, s1 = chart.space.split_sizes(chart.project(a))
-        if s0 is not None:
-            counts0[s0] += 1
-        if s1 is not None:
-            counts1[s1] += 1
-    mass0 = sum(c << e for e, c in enumerate(counts0) if c)
-    mass1 = sum(c << e for e, c in enumerate(counts1) if c)
-    return 0 if mass0 >= mass1 else 1
+    return _round(state, a, None)
 
 
-def learner_update(state: LearnerState, a: BitVector, y: int) -> None:
+def learner_update(state: LearnerState, a: BitVector, y: int) -> int:
     """Intersect every chart with ``<a, f> = y``; drop dead charts.
 
-    The mistake counter is the caller's job: drivers compare the
-    prediction with ``y`` before updating (see :func:`step`).
+    Returns the prediction for ``a`` made before the update, from the same
+    reduction, and counts a mistake when it differs from ``y``.
     """
-    _check_length(state, a)
-    survivors: list[SubspaceChart] = []
-    for chart in state.charts:
-        state.chart_updates += 1
-        space = chart.space
-        words = (space.ambient_dim + 63) // 64
-        state.work_units += (space.rank + 1) * max(1, words)
-        new_space = space.constrain(chart.project(a), y)
-        if not new_space.empty:
-            survivors.append(SubspaceChart(support=chart.support, space=new_space))
-    state.charts = survivors
-    state.rounds += 1
-    state.mass_history.append(total_mass(state))
-    if not survivors:
-        raise AllChartsEmptyError(
-            "all charts died: labels are noisy or the target is not a "
-            f"weight-{state.k} parity"
-        )
+    if y not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {y!r}")
+    return _round(state, a, y)
 
 
 def step(state: LearnerState, a: BitVector, y: int) -> int:
     """One protocol round: predict, count the mistake, update.
 
-    Returns the prediction made before the update.
+    Returns the prediction made before the update; see learner_update.
     """
-    guess = predict(state, a)
-    if guess != y:
-        state.mistakes += 1
-    learner_update(state, a, y)
-    return guess
+    return learner_update(state, a, y)
 
 
-def status(state: LearnerState) -> Status:
-    """Identified once every chart pins the same single global vector."""
-    if not state.charts:
-        return Active(log2_mass_upper=float("-inf"), mistakes=state.mistakes)
-    point_value: int | None = None
-    for chart in state.charts:
-        space = chart.space
-        if space.rank != space.ambient_dim:
-            return Active(
-                log2_mass_upper=math.log2(total_mass(state)),
-                mistakes=state.mistakes,
-            )
-        value = _embed_value(chart, space.sole_point())
-        if point_value is None:
-            point_value = value
-        elif value != point_value:
-            return Active(
-                log2_mass_upper=math.log2(total_mass(state)),
-                mistakes=state.mistakes,
-            )
-    return Identified(f=BitVector(state.n, point_value))
+def _round(state: LearnerState, a: BitVector, y: int | None) -> int:
+    """Reduce ``a`` once per chart; predict, then update unless y is None.
 
-
-def embedded_union(state: LearnerState, max_points: int = 1 << 20) -> set[int]:
-    """All global vectors across charts, as packed ints (test helper)."""
-    if sum(1 << c.space.log2_size for c in state.charts) > max_points:
-        raise BudgetExceededError("chart union too large to enumerate")
-    union: set[int] = set()
-    for chart in state.charts:
-        for local in chart.space.points():
-            union.add(_embed_value(chart, local))
-    return union
-
-
-def _embed_value(chart: SubspaceChart, local_point: BitVector) -> int:
-    bits = local_point.value
-    value = 0
-    for i, g in enumerate(chart.support):
-        if (bits >> i) & 1:
-            value |= 1 << g
-    return value
-
-
-def _check_length(state: LearnerState, a: BitVector) -> None:
+    Where ``a`` reduces to zero, ``<a, f>`` is forced on the whole chart
+    and all its mass votes for that label.  Other charts split in half, so
+    they cancel in the vote.  The label-``y`` side is the new state.
+    """
     if a.n != state.n:
         raise ValueError(
             f"example has length {a.n} but the learner is over {state.n} "
             "coordinates"
         )
+    if not state.charts:
+        raise AllChartsEmptyError(
+            "no live charts: the stream is inconsistent with every "
+            "tracked hypothesis"
+        )
+    bits = a.value
+    # tuple.__new__ skips the NamedTuple's slow Python-level __new__.
+    new_chart = tuple.__new__
+    halves = 0
+    forced_mass = [0, 0]
+    survivors: list[SubspaceChart] = []
+    work = 0
+    for chart in state.charts:
+        support, dim, rows = chart
+        rank = len(rows)
+        work += (rank + 1) * ((dim + 63) >> 6 or 1)
+        residual, forced = reduce_rows(rows, bits & support, 0)
+        if not residual:
+            forced_mass[forced] += 1 << (dim - rank)
+            if forced == y:
+                survivors.append(chart)
+        elif y is not None:
+            halves += 1 << (dim - rank - 1)
+            rows = insert_row(rows, residual, forced ^ y)
+            survivors.append(new_chart(SubspaceChart, (support, dim, rows)))
+    guess = 0 if forced_mass[0] >= forced_mass[1] else 1
+    if y is None:
+        return guess
+    if guess != y:
+        state.mistakes += 1
+    state.chart_updates += len(state.charts)
+    state.work_units += work
+    state.charts = survivors
+    state.rounds += 1
+    state.mass_history.append(halves + forced_mass[y])
+    if not survivors:
+        raise AllChartsEmptyError(
+            "all charts died: labels are noisy or the target is not a "
+            f"weight-{state.k} parity"
+        )
+    return guess
+
+
+def status(state: LearnerState) -> Status:
+    """Identified once every chart pins the same single global vector."""
+    point = None
+    for _support, dim, rows in state.charts:
+        # At full rank every row is a unit vector; the rhs-1 rows sum to
+        # the sole point.
+        value = sum(m for m, r in rows if r)
+        if len(rows) != dim or point not in (None, value):
+            break
+        point = value
+    else:
+        if point is not None:
+            return Identified(f=BitVector(state.n, point))
+    mass = total_mass(state)
+    log2_mass = math.log2(mass) if mass else float("-inf")
+    return Active(log2_mass_upper=log2_mass, mistakes=state.mistakes)

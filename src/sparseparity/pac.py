@@ -9,8 +9,9 @@ distinct hypotheses the learner can move through (its mistake bound).
 
 The driver is prediction-driven: the learner need not expose a point
 hypothesis while active, so "the hypothesis survives" means "the
-learner's predictions were all correct in the run".  Every example
-updates the learner, mistaken or not.
+learner's predictions were all correct in the run".  Every example is
+one ``step`` of the learner, which predicts, counts its own mistake and
+updates, mistaken or not.
 """
 
 from __future__ import annotations
@@ -74,13 +75,10 @@ def pac_learn(learner, source, params: PacParams) -> BitVector:
             )
         ex = source.next_example()
         samples_used += 1
-        guess = learner.predict(ex.a)
-        if guess == ex.label:
+        if learner.step(ex.a, ex.label) == ex.label:
             run_length += 1
         else:
             run_length = 0
-            learner.mistakes += 1
-        learner.update(ex.a, ex.label)
 
 
 def extract_hypothesis(learner) -> BitVector:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -300,3 +301,34 @@ def test_cover_check_byte_deterministic(tmp_path):
     _, first = run_cli(tmp_path, argv, name="c1.json")
     _, second = run_cli(tmp_path, argv, name="c2.json")
     assert first == second
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize(
+    "argv,wall_column,golden",
+    [
+        (["learn-noiseless", "--n", "64", "--k", "3", "--t", "12",
+          "--alpha", "2", "--trials", "3", "--seed", "20"],
+         "wall_ns", "golden_learn_noiseless.csv"),
+        (["bench", "--n", "16", "--k", "2", "--t-grid", "4,2",
+          "--alpha", "2", "--trials", "2", "--seed", "17"],
+         "mean_round_wall_ns", "golden_bench.csv"),
+        (["learn-noisy", "--n", "24", "--k", "2", "--eta", "0.05",
+          "--delta", "0.2", "--s-prime", "24", "--inner", "pac-online",
+          "--t", "6", "--alpha", "2", "--trials", "3", "--seed", "19"],
+         "wall_ns", "golden_learn_noisy_pac_online.csv"),
+    ],
+)
+def test_reports_match_golden_output(tmp_path, argv, wall_column, golden):
+    """Reports stay byte-identical, wall clock aside, to the recorded ones.
+
+    The files in tests/data were written by the local-coordinate chart
+    learner this package shipped before charts moved to global
+    coordinates.
+    """
+    code, text = run_cli(tmp_path, argv)
+    assert code == 0
+    expected = (GOLDEN_DIR / golden).read_text()
+    assert strip_column(text, wall_column) + "\n" == expected

@@ -7,12 +7,11 @@ import pytest
 
 from sparseparity.cover import CoverFamily, CoverParams, round_robin_parts
 from sparseparity.errors import AllChartsEmptyError, BudgetExceededError
-from sparseparity.gf2 import BitVector, dot
+from sparseparity.gf2 import AffineSpace, BitVector, dot
 from sparseparity.online import (
     Active,
     Identified,
     LearnerState,
-    embedded_union,
     learner_from_family,
     learner_update,
     new_learner,
@@ -23,18 +22,44 @@ from sparseparity.online import (
 )
 from sparseparity.sources import UniformSource, gen_hidden
 
+from chart_reference import ReferenceLearner
+
 V = BitVector.from01
 
 
-def hand_state(n, k, t, alpha, subsets):
+def hand_family(n, k, t, alpha, subsets):
     params = CoverParams(n=n, k=k, t=t, alpha=alpha)
-    family = CoverFamily(
+    return CoverFamily(
         params=params,
         parts=round_robin_parts(n, params.T),
         subsets=tuple(tuple(s) for s in subsets),
         verified=False,
     )
-    return learner_from_family(family)
+
+
+def hand_state(n, k, t, alpha, subsets):
+    return learner_from_family(hand_family(n, k, t, alpha, subsets))
+
+
+def chart_points(chart, n):
+    """A chart's solution set as packed global vectors, zero off-support."""
+    space = AffineSpace.full(n)
+    for i in range(n):
+        if not (chart.support >> i) & 1:
+            space = space.constrain(BitVector.from_support(n, [i]), 0)
+    for mask, rhs in chart.rows:
+        space = space.constrain(BitVector(n, mask), rhs)
+    return {p.value for p in space.points()}
+
+
+def embedded_union(state, max_points=1 << 20):
+    """All global vectors across charts, as packed ints."""
+    if total_mass(state) > max_points:
+        raise BudgetExceededError("chart union too large to enumerate")
+    union = set()
+    for chart in state.charts:
+        union |= chart_points(chart, state.n)
+    return union
 
 
 def run_honest(state, hidden, seed, max_rounds=500):
@@ -56,9 +81,10 @@ class TestNewLearner:
         bound = 2 * 1 * math.ceil(8 / T)
         assert state.charts
         for chart in state.charts:
-            assert len(chart.support) <= bound
-            assert chart.space.ambient_dim == len(chart.support)
-            assert list(chart.support) == sorted(chart.support)
+            assert chart.dim <= bound
+            assert chart.dim == chart.support.bit_count()
+            assert chart.support >> 8 == 0
+            assert chart.rows == []
 
     def test_initial_mass_bound(self):
         state = new_learner(8, 1, 2, 2, rng_seed=0)
@@ -69,9 +95,7 @@ class TestNewLearner:
     def test_same_seed_same_state(self):
         a = new_learner(16, 2, 4, 2, rng_seed=5)
         b = new_learner(16, 2, 4, 2, rng_seed=5)
-        assert [(c.support, c.space) for c in a.charts] == [
-            (c.support, c.space) for c in b.charts
-        ]
+        assert a.charts == b.charts
         assert a.mass_history == b.mass_history
 
     def test_family_is_verified_at_small_scale(self):
@@ -111,9 +135,11 @@ class TestPredict:
 
     def test_does_not_mutate_state(self):
         state = hand_state(3, 1, 1, 3, [(0, 1, 2)])
-        before = [(c.support, c.space) for c in state.charts]
+        learner_update(state, V("110"), 1)
+        before = list(state.charts)
         predict(state, V("101"))
-        assert [(c.support, c.space) for c in state.charts] == before
+        assert state.charts == before
+        assert state.mass_history == [8, 4]
 
     def test_raises_when_no_charts(self):
         state = hand_state(2, 1, 1, 2, [(0, 1)])
@@ -256,7 +282,7 @@ class TestInstrumentation:
     def test_operation_count_ceiling(self):
         state = new_learner(16, 2, 4, 2, rng_seed=2)
         m = len(state.charts)
-        lmax = max(c.space.ambient_dim for c in state.charts)
+        lmax = max(c.dim for c in state.charts)
         hidden = gen_hidden(16, 2, 6)
         run_honest(state, hidden, seed=9)
         assert state.chart_updates <= state.rounds * m
@@ -294,3 +320,88 @@ class TestZeroSparsity:
         assert isinstance(st, Identified)
         assert st.f == BitVector.zeros(6)
         assert state.mistake_bound == 0
+
+
+class TestLocalReferenceEquivalence:
+    """Round-by-round agreement with the local-coordinate reference learner.
+
+    Charts are compared as support masks with their canonical rows, which
+    fix the solution sets; on the hand-built families the solution sets
+    themselves are enumerated and compared as global vectors too.
+    """
+
+    def assert_same_state(self, state, ref, points):
+        assert state.mistakes == ref.mistakes
+        assert state.rounds == ref.rounds
+        assert state.mass_history == ref.mass_history
+        assert len(state.charts) == len(ref.charts)
+        assert status(state) == ref.status()
+        assert state.best_hypothesis() == ref.best_hypothesis()
+        assert [(c.support, c.rows) for c in state.charts] == ref.global_charts()
+        if points:
+            for i, chart in enumerate(state.charts):
+                assert chart_points(chart, state.n) == ref.global_points(i)
+
+    def drive(self, state, examples, points=False):
+        """Feed both learners the same (a, y) pairs; returns rounds run."""
+        ref = ReferenceLearner(state.n, state.k, state.family)
+        self.assert_same_state(state, ref, points)
+        for rounds, (a, y) in enumerate(examples):
+            if isinstance(status(state), Identified):
+                return rounds
+            assert predict(state, a) == ref.predict(a)
+            try:
+                expected = ref.step(a, y)
+            except AllChartsEmptyError:
+                with pytest.raises(AllChartsEmptyError):
+                    step(state, a, y)
+                self.assert_same_state(state, ref, points)
+                return rounds + 1
+            assert step(state, a, y) == expected
+            self.assert_same_state(state, ref, points)
+        return len(examples)
+
+    def honest(self, hidden, seed, count):
+        src = UniformSource(hidden, seed=seed)
+        return [(ex.a, ex.label) for ex in src.take(count)]
+
+    @pytest.mark.parametrize(
+        "n,k,t,alpha", [(64, 3, 12, 2), (96, 2, 16, 2), (32, 4, 8, 3)]
+    )
+    def test_gate_two_configs(self, n, k, t, alpha):
+        for trial in range(2):
+            state = new_learner(n, k, t, alpha, rng_seed=40 + trial)
+            hidden = gen_hidden(n, k, 60 + trial)
+            rounds = self.drive(state, self.honest(hidden, 80 + trial, 200))
+            assert 0 < rounds < 200
+            assert status(state) == Identified(f=hidden)
+
+    def test_zero_sparsity(self):
+        state = new_learner(6, 0, 3, 2, rng_seed=0)
+        assert self.drive(state, self.honest(BitVector.zeros(6), 1, 5), True) == 0
+        ref = ReferenceLearner(6, 0, state.family)
+        for a, y in self.honest(BitVector.zeros(6), 2, 5):
+            assert step(state, a, y) == ref.step(a, y)
+            self.assert_same_state(state, ref, True)
+
+    def test_duplicate_subsets_and_dying_charts(self):
+        # Six parts {j, j + 6}; the hidden vector {0, 2} lies in parts 0
+        # and 2, so only the two charts over those parts survive: (0, 2)
+        # once deduplicated, and (2, 0) with the same support.
+        family = hand_family(
+            12, 1, 3, 2, [(0, 2), (1, 3), (0, 2), (4, 5), (0, 1), (2, 0)]
+        )
+        hidden = BitVector.from_support(12, [0, 2])
+        state = learner_from_family(family)
+        rounds = self.drive(state, self.honest(hidden, 3, 60), True)
+        assert len(state.charts) == 2
+        assert 0 < rounds < 60
+
+    def test_every_chart_dies(self):
+        family = hand_family(8, 1, 2, 2, [(0, 1), (2, 3), (0, 1), (1, 2)])
+        src = UniformSource(BitVector.zeros(8), seed=7)
+        examples = [(ex.a, 1) for ex in src.take(40)]
+        state = learner_from_family(family)
+        assert self.drive(state, examples, True) < 40
+        assert state.charts == []
+        assert state.best_hypothesis() is None
