@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .cover import binom
 from .errors import BudgetExceededError, InconsistentStreamError
-from .gf2 import AffineSpace, BitVector, dot
+from .gf2 import AffineSpace, BitVector, dot, mitm_tables
 from .online import Active, Identified, Status
 from .sources import LabeledExample
 
@@ -149,37 +149,12 @@ def mitm_learn(
     """
     if k < 0 or k > n:
         return []
-    for ex in examples:
-        if ex.a.n != n:
-            raise ValueError(f"example length {ex.a.n} != n={n}")
-    columns = [0] * n
-    labels = 0
-    for i, ex in enumerate(examples):
-        bits = ex.a.value
-        for c in range(n):
-            if (bits >> c) & 1:
-                columns[c] |= 1 << i
-        labels |= ex.label << i
-
-    left = range(0, (n + 1) // 2)
-    right = range((n + 1) // 2, n)
-
-    table: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for j in range(k + 1):
-        for support in itertools.combinations(left, j):
-            syndrome = 0
-            for c in support:
-                syndrome ^= columns[c]
-            table.setdefault((syndrome, j), []).append(support)
-
+    left, right = mitm_tables([ex.a for ex in examples], n, k)
+    labels = BitVector.from_bits(ex.label for ex in examples).value
     found: set[tuple[int, ...]] = set()
-    for r in range(k + 1):
-        for support in itertools.combinations(right, r):
-            syndrome = labels
-            for c in support:
-                syndrome ^= columns[c]
-            for left_support in table.get((syndrome, k - r), ()):
-                found.add(left_support + support)
+    for support, syndrome, r in right:
+        for left_support in left.get((syndrome ^ labels, k - r), ()):
+            found.add(left_support + support)
     return [
         BitVector.from_support(n, support) for support in sorted(found)
     ]

@@ -5,11 +5,14 @@ coordinate ``i``, stored little-endian (64 bits per storage word, so word
 ``j`` holds coordinates ``64*j .. 64*j+63``).  An :class:`AffineSpace` is
 the solution set of a linear system kept in reduced row echelon form, so
 that equal solution sets have identical stored rows regardless of the
-order in which constraints arrived.
+order in which constraints arrived.  :func:`mitm_tables` indexes the
+low-weight supports of a coordinate split by syndrome, for the
+meet-in-the-middle searches.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import LengthMismatchError, NotSingletonError
@@ -308,27 +311,43 @@ class AffineSpace:
         return BitVector(self.ambient_dim, value)
 
     def points(self) -> Iterator[BitVector]:
-        """All solutions, by enumerating free-coordinate assignments.
+        """All solutions, in the order of free-coordinate assignments.
 
-        Intended for small spaces; the iteration is 2**(dim - rank) long.
+        Point number ``c`` sets the free coordinates named by the bits of
+        ``c`` (lowest free coordinate first).  The points start from the
+        particular solution (all free coordinates 0), and each null-space
+        basis vector, taken in free-coordinate order, doubles the list by
+        being XORed into every point so far.  Intended for small spaces;
+        the iteration is 2**(dim - rank) long.
         """
         if self.empty:
             return
-        pivots = [m & -m for m, _ in self._rows]
+        dim = self.ambient_dim
+        particular = 0
         pivot_mask = 0
-        for p in pivots:
+        for m, r in self._rows:
+            p = m & -m
             pivot_mask |= p
-        free = [i for i in range(self.ambient_dim) if not (pivot_mask >> i) & 1]
-        free_rows = [(m ^ p, p, r) for (m, r), p in zip(self._rows, pivots)]
-        for combo in range(1 << len(free)):
-            x = 0
-            for idx, col in enumerate(free):
-                if (combo >> idx) & 1:
-                    x |= 1 << col
-            for fmask, p, r in free_rows:
-                if (fmask & x).bit_count() & 1 ^ r:
-                    x |= p
-            yield BitVector(self.ambient_dim, x)
+            if r:
+                particular |= p
+        # In RREF a row holds its pivot and free coordinates only, so the
+        # basis vector of free coordinate c sets c and the pivot of every
+        # row that contains c.
+        basis = []
+        for c in range(dim):
+            if not (pivot_mask >> c) & 1:
+                b = 1 << c
+                for m, _ in self._rows:
+                    if (m >> c) & 1:
+                        b |= m & -m
+                basis.append(b)
+        found = [particular]
+        yield BitVector(dim, particular)
+        for b in basis:
+            half = [x ^ b for x in found]
+            found += half
+            for x in half:
+                yield BitVector(dim, x)
 
     # -- dunder plumbing ----------------------------------------------
 
@@ -349,3 +368,38 @@ class AffineSpace:
         return (
             f"AffineSpace(dim={self.ambient_dim}, rank={len(self._rows)})"
         )
+
+
+def mitm_tables(
+    vectors: Sequence[BitVector], n: int, k: int
+) -> tuple[dict, list]:
+    """The two half tables of the meet-in-the-middle split.
+
+    The syndrome of a support has bit i set when ``vectors[i]`` has an odd
+    number of ones on it.  ``left[(syndrome, j)]`` lists the j-subsets of
+    the left half ``range((n + 1) // 2)`` with that syndrome; ``right``
+    lists ``(support, syndrome, r)`` for the r-subsets of the right half;
+    j and r run up to k.  No labels are read, so the tables serve every
+    labeling of the same vectors.
+    """
+    columns = [0] * n
+    for i, v in enumerate(vectors):
+        if v.n != n:
+            raise ValueError(f"example length {v.n} != n={n}")
+        bits = v.value
+        for c in range(n):
+            if (bits >> c) & 1:
+                columns[c] |= 1 << i
+
+    def subsets(coords):
+        for size in range(k + 1):
+            for support in itertools.combinations(coords, size):
+                syndrome = 0
+                for c in support:
+                    syndrome ^= columns[c]
+                yield support, syndrome, size
+
+    left: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for support, syndrome, j in subsets(range(0, (n + 1) // 2)):
+        left.setdefault((syndrome, j), []).append(support)
+    return left, list(subsets(range((n + 1) // 2, n)))

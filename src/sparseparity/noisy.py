@@ -34,7 +34,7 @@ from .errors import (
     NoCandidatesError,
     SourceExhaustedError,
 )
-from .gf2 import BitVector
+from .gf2 import BitVector, mitm_tables
 from .online import LearnerState, learner_from_family
 from .pac import PacParams, pac_learn, survival_threshold
 from .sources import LabeledExample, ReplaySource
@@ -180,13 +180,19 @@ def agreement_select(
 
 @dataclass(frozen=True)
 class NoisyReport:
-    """Everything observable about one noisy-learning run."""
+    """Everything observable about one noisy-learning run.
+
+    ``inner_invocations`` counts the flip sets covered; ``inner_runs``
+    counts the ``inner.run`` calls made, which is 0 when the inner
+    learner finds its candidates by decoding.
+    """
 
     output: BitVector
     s_prime: int
     s_doubleprime: int
     flip_budget: int
     inner_invocations: int
+    inner_runs: int
     candidate_count: int
     samples_drawn: int
 
@@ -197,7 +203,12 @@ def noisy_learn_report(
     params: NoisyParams,
     flip_set_limit: int = DEFAULT_FLIP_SET_LIMIT,
 ) -> NoisyReport:
-    """Run the reduction and return the output with its run counters."""
+    """Run the reduction and return the output with its run counters.
+
+    An inner learner with a ``candidates(primary, flip_budget)`` method
+    hands over the candidate list the flip-set loop would build, in the
+    same order; any other inner learner is run once per flip set.
+    """
     total_sets = flip_set_count(params.s_prime, params.flip_budget)
     if total_sets > flip_set_limit:
         raise BudgetExceededError(
@@ -205,15 +216,18 @@ def noisy_learn_report(
             f"{flip_set_limit}; shrink s_prime or eta"
         )
     primary = [source.next_example() for _ in range(params.s_prime)]
-    candidates: list[BitVector] = []
-    seen: set[int] = set()
-    invocations = 0
-    for flip_set in flip_set_iterator(params.s_prime, params.flip_budget):
-        invocations += 1
-        x = inner.run(apply_flips(primary, flip_set))
-        if x is not None and x.value not in seen:
-            seen.add(x.value)
-            candidates.append(x)
+    runs = 0
+    if hasattr(inner, "candidates"):
+        candidates = list(inner.candidates(primary, params.flip_budget))
+    else:
+        candidates = []
+        seen: set[int] = set()
+        for flip_set in flip_set_iterator(params.s_prime, params.flip_budget):
+            runs += 1
+            x = inner.run(apply_flips(primary, flip_set))
+            if x is not None and x.value not in seen:
+                seen.add(x.value)
+                candidates.append(x)
     if not candidates:
         raise NoCandidatesError(
             f"no flip set of size <= {params.flip_budget} yielded a "
@@ -227,7 +241,8 @@ def noisy_learn_report(
         s_prime=params.s_prime,
         s_doubleprime=params.s_doubleprime,
         flip_budget=params.flip_budget,
-        inner_invocations=invocations,
+        inner_invocations=total_sets,
+        inner_runs=runs,
         candidate_count=len(candidates),
         samples_drawn=params.s_prime + params.s_doubleprime,
     )
@@ -247,33 +262,35 @@ class MitmInner:
     """Noiseless inner learner backed by the meet-in-the-middle search.
 
     Succeeds only when exactly one weight-k vector is consistent with the
-    examples.  The left-side syndrome table depends on the example vectors
-    but not their labels, so it is cached and reused across the label-only
-    variations the flip-set enumeration produces.
+    examples.  The half tables depend on the example vectors but not their
+    labels, so they are cached and reused across relabelings of the same
+    vectors.
     """
 
     def __init__(self, n: int, k: int):
         self.n = n
         self.k = k
         self._cache_key: tuple[int, ...] | None = None
-        self._cache: tuple[list[int], dict, list] | None = None
+        self._cache: tuple[dict, list] | None = None
 
     def sample_complexity(self, delta: float) -> int:
         """Union bound: C(n,k) impostors each survive one example w.p. 1/2."""
         return math.ceil(math.log2(binom(self.n, self.k) / delta))
 
-    def run(self, examples: Sequence[LabeledExample]) -> BitVector | None:
-        key = tuple(ex.a.value for ex in examples)
+    def _tables(self, examples: Sequence[LabeledExample]) -> tuple[dict, list]:
+        vectors = [ex.a for ex in examples]
+        key = tuple(v.value for v in vectors)
         if key != self._cache_key:
             self._cache_key = key
-            self._cache = self._build_tables(examples)
-        columns, table, right_supports = self._cache
-        labels = 0
-        for i, ex in enumerate(examples):
-            labels |= ex.label << i
+            self._cache = mitm_tables(vectors, self.n, self.k)
+        return self._cache
+
+    def run(self, examples: Sequence[LabeledExample]) -> BitVector | None:
+        left, right = self._tables(examples)
+        labels = BitVector.from_bits(ex.label for ex in examples).value
         found: tuple[int, ...] | None = None
-        for support, syndrome, size in right_supports:
-            for left_support in table.get((syndrome ^ labels, self.k - size), ()):
+        for support, syndrome, size in right:
+            for left_support in left.get((syndrome ^ labels, self.k - size), ()):
                 if found is not None:
                     return None  # ambiguous: more than one consistent vector
                 found = left_support + support
@@ -281,33 +298,49 @@ class MitmInner:
             return None
         return BitVector.from_support(self.n, found)
 
-    def _build_tables(self, examples: Sequence[LabeledExample]):
-        n, k = self.n, self.k
-        columns = [0] * n
-        for i, ex in enumerate(examples):
-            if ex.a.n != n:
-                raise ValueError(f"example length {ex.a.n} != n={n}")
-            bits = ex.a.value
-            for c in range(n):
-                if (bits >> c) & 1:
-                    columns[c] |= 1 << i
-        left = range(0, (n + 1) // 2)
-        right = range((n + 1) // 2, n)
-        table: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-        for j in range(k + 1):
-            for support in itertools.combinations(left, j):
-                syndrome = 0
-                for c in support:
-                    syndrome ^= columns[c]
-                table.setdefault((syndrome, j), []).append(support)
-        right_supports = []
-        for r in range(k + 1):
-            for support in itertools.combinations(right, r):
-                syndrome = 0
-                for c in support:
-                    syndrome ^= columns[c]
-                right_supports.append((support, syndrome, r))
-        return columns, table, right_supports
+    def candidates(
+        self, examples: Sequence[LabeledExample], flip_budget: int
+    ) -> list[BitVector]:
+        """What ``run`` yields over every flip set, without running it.
+
+        ``run`` on the examples with the labels in flip set F inverted
+        returns v exactly when v is the only weight-k vector whose
+        syndrome is ``labels ^ F``.  So the distinct outputs over all
+        flip sets of size at most ``flip_budget`` are the weight-k vectors
+        that share their syndrome with no other and lie within Hamming
+        distance ``flip_budget`` of the labels: bounded-distance syndrome
+        decoding (Prange 1962; Stern 1988).  Each vector comes from one F,
+        so sorting by (|F|, indices of F) gives the flip-set loop's
+        first-occurrence order.
+        """
+        left, right = self._tables(examples)
+        labels = BitVector.from_bits(ex.label for ex in examples).value
+        right_by_size: list[list[tuple[tuple[int, ...], int]]] = [
+            [] for _ in range(self.k + 1)
+        ]
+        for support, syndrome, size in right:
+            right_by_size[size].append((support, syndrome))
+        # syndrome -> its only weight-k support, or None when shared
+        owner: dict[int, tuple[int, ...] | None] = {}
+        for (left_syndrome, j), left_supports in left.items():
+            for support, syndrome in right_by_size[self.k - j]:
+                syndrome ^= left_syndrome
+                if len(left_supports) > 1 or syndrome in owner:
+                    owner[syndrome] = None
+                else:
+                    owner[syndrome] = left_supports[0] + support
+        found = []
+        for syndrome, support in owner.items():
+            flips = syndrome ^ labels
+            if support is not None and flips.bit_count() <= flip_budget:
+                flip_set = tuple(
+                    i for i in range(len(examples)) if (flips >> i) & 1
+                )
+                found.append((len(flip_set), flip_set, support))
+        found.sort()
+        return [
+            BitVector.from_support(self.n, support) for _, _, support in found
+        ]
 
 
 class PacOnlineInner:

@@ -384,3 +384,35 @@ class TestPointsHelpers:
 
     def test_zero_dim(self):
         assert [p.to01() for p in AffineSpace.full(0).points()] == [""]
+
+    @given(constraint_sequences())
+    @settings(max_examples=300, deadline=None)
+    def test_points_come_in_free_assignment_order(self, seq):
+        # reference: point c sets the free coordinates named by the bits
+        # of c (lowest free coordinate first) and solves for the pivots
+        dim, cons = seq
+        s = AffineSpace.full(dim)
+        for v, y in cons:
+            s = s.constrain(v, y)
+        rows = [(bv.value, rhs) for bv, rhs in s.rows]
+        pivot_mask = 0
+        for m, _ in rows:
+            pivot_mask |= m & -m
+        free = [c for c in range(dim) if not (pivot_mask >> c) & 1]
+        expected = []
+        if not s.empty:
+            for combo in range(1 << len(free)):
+                x = 0
+                for idx, c in enumerate(free):
+                    if (combo >> idx) & 1:
+                        x |= 1 << c
+                for m, r in rows:
+                    if ((m ^ (m & -m)) & x).bit_count() & 1 ^ r:
+                        x |= m & -m
+                expected.append(x)
+        assert [p.value for p in s.points()] == expected
+
+    def test_first_point_of_a_large_space_is_immediate(self):
+        # 2**200 points: taking the first must not enumerate the rest
+        s = AffineSpace.full(200).constrain(BitVector.from_support(200, (3,)), 1)
+        assert next(iter(s.points())) == BitVector.from_support(200, (3,))

@@ -51,8 +51,31 @@ class ConstantInner:
 class DecliningInner:
     """Inner learner that never produces a hypothesis."""
 
+    def __init__(self):
+        self.calls = 0
+
     def run(self, examples):
+        self.calls += 1
         return None
+
+
+class RunOnly:
+    """Exposes only an inner learner's ``run``, so the reduction takes the
+    flip-set loop even when the inner learner has a decoding hook."""
+
+    def __init__(self, inner):
+        self.run = inner.run
+
+
+def loop_candidates(inner, primary, flip_budget):
+    """Reference: the distinct outputs of ``run`` over every flip set, in
+    first-occurrence order."""
+    found = []
+    for flip_set in flip_set_iterator(len(primary), flip_budget):
+        x = inner.run(apply_flips(primary, flip_set))
+        if x is not None and x not in found:
+            found.append(x)
+    return found
 
 
 class FixedComplexityInner:
@@ -257,6 +280,7 @@ def test_budget_zero_noiseless_run_recovers_hidden():
     report = noisy_learn_report(MitmInner(12, 2), source, params)
     assert report.output == hidden
     assert report.inner_invocations == 1
+    assert report.inner_runs == 0
     assert report.candidate_count == 1
     assert report.samples_drawn == 100 + params.s_doubleprime
 
@@ -293,7 +317,7 @@ def test_duplicate_hypotheses_deduplicated():
     source = UniformSource(target, seed=9, eta=0.05)
     report = noisy_learn_report(inner, source, params)
     assert report.inner_invocations == flip_set_count(20, 1) == 21
-    assert inner.calls == 21
+    assert report.inner_runs == inner.calls == 21
     assert report.candidate_count == 1
     assert report.output == target
 
@@ -301,8 +325,12 @@ def test_duplicate_hypotheses_deduplicated():
 def test_no_candidates_raises():
     params = NoisyParams.from_counts(eta=0.05, delta=0.2, s_prime=20)
     source = UniformSource(BitVector.from_support(6, (0,)), seed=4, eta=0.05)
+    inner = DecliningInner()
     with pytest.raises(NoCandidatesError):
-        noisy_learn_report(DecliningInner(), source, params)
+        noisy_learn_report(inner, source, params)
+    # an inner learner without the decoding hook runs once per flip set
+    assert inner.calls == flip_set_count(20, 1)
+    assert source.draws == params.s_prime
 
 
 def test_inverted_labels_yield_no_candidates():
@@ -324,6 +352,14 @@ def test_flip_set_limit_guard():
         noisy_learn_report(
             DecliningInner(), ReplaySource([]), params, flip_set_limit=1000
         )
+
+
+def test_flip_set_limit_guard_fires_before_any_draw_with_the_hook():
+    params = NoisyParams.from_counts(eta=0.3, delta=0.2, s_prime=20)
+    source = UniformSource(gen_hidden(12, 2, 3), seed=4, eta=0.3)
+    with pytest.raises(BudgetExceededError):
+        noisy_learn_report(MitmInner(12, 2), source, params, flip_set_limit=1000)
+    assert source.draws == 0
 
 
 def test_small_monte_carlo_success_rate():
@@ -412,6 +448,111 @@ def test_mitm_inner_matches_exhaustive_consistency(seed):
         assert got == consistent[0]
     else:
         assert got is None
+
+
+def test_mitm_inner_tables_follow_the_example_vectors():
+    # a second stream of different vectors must not reuse the first's tables
+    inner = MitmInner(10, 2)
+    x = BitVector.from_support(10, (2, 6))
+    first = UniformSource(x, seed=1, eta=0.0).take(20)
+    second = UniformSource(x, seed=2, eta=0.0).take(20)
+    assert inner.candidates(first, 0) == [x]
+    assert inner.candidates(second, 0) == [x]
+    assert inner.run(first) == x
+
+
+# ---------------------------------------------------------------------------
+# decoding hook against the flip-set loop
+
+
+def _primary(n, k, s_prime, seed):
+    """s' examples of a hidden weight-k parity, about a quarter of the
+    labels flipped, so short streams give shared syndromes and misses."""
+    rng = SplitMix64(seed)
+    hidden = gen_hidden(n, k, rng.next_u64())
+    examples = []
+    for _ in range(s_prime):
+        a = BitVector(n, rng.bits(n))
+        examples.append(LabeledExample(a, a.dot(hidden) ^ (rng.below(4) == 0)))
+    return examples
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(min_value=6, max_value=24),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_mitm_candidates_match_the_flip_set_loop(n, k, s_prime, budget, seed):
+    budget = min(budget, s_prime)
+    primary = _primary(n, k, s_prime, seed)
+    assert MitmInner(n, k).candidates(primary, budget) == loop_candidates(
+        MitmInner(n, k), primary, budget
+    )
+
+
+def test_mitm_candidates_keep_the_loop_order_across_sizes():
+    # four examples leave many weight-1 vectors ambiguous and spread the
+    # rest over flip sets of every size up to the budget
+    primary = _primary(9, 1, 4, 77)
+    got = MitmInner(9, 1).candidates(primary, 3)
+    assert len(got) > 1
+    assert got == loop_candidates(MitmInner(9, 1), primary, 3)
+
+
+def test_mitm_candidates_empty_when_no_flip_set_decodes():
+    hidden = gen_hidden(8, 2, 5)
+    honest = UniformSource(hidden, seed=6, eta=0.0).take(30)
+    inverted = [LabeledExample(ex.a, ex.label ^ 1) for ex in honest]
+    assert MitmInner(8, 2).candidates(inverted, 0) == []
+    assert loop_candidates(MitmInner(8, 2), inverted, 0) == []
+
+
+@pytest.mark.parametrize("n,k", [(7, 5), (9, 6), (6, 6), (5, 7)])
+def test_mitm_candidates_weight_above_half(n, k):
+    for seed in range(5):
+        primary = _primary(n, min(k, n), 8, seed)
+        for budget in range(3):
+            assert MitmInner(n, k).candidates(
+                primary, budget
+            ) == loop_candidates(MitmInner(n, k), primary, budget)
+
+
+@pytest.mark.parametrize(
+    "n,k,eta,s_prime,seed",
+    [(24, 2, 0.05, 40, 6), (24, 2, 0.05, 40, 7), (12, 2, 0.05, 20, 60),
+     (12, 3, 0.1, 16, 61), (10, 0, 0.05, 14, 62), (16, 1, 0.1, 10, 63)],
+)
+def test_reports_match_on_both_paths(n, k, eta, s_prime, seed):
+    params = NoisyParams.from_counts(eta=eta, delta=0.2, s_prime=s_prime)
+    master = SplitMix64(seed)
+    for _ in range(3):
+        hidden = gen_hidden(n, k, master.next_u64())
+        source_seed = master.next_u64()
+        reports = []
+        for inner in (MitmInner(n, k), RunOnly(MitmInner(n, k))):
+            source = UniformSource(hidden, seed=source_seed, eta=eta)
+            try:
+                reports.append(noisy_learn_report(inner, source, params))
+            except NoCandidatesError:
+                reports.append(None)
+            assert source.draws == params.s_prime + (
+                0 if reports[-1] is None else params.s_doubleprime
+            )
+        hook, loop = reports
+        if hook is None or loop is None:
+            assert hook is loop
+            continue
+        assert hook.output == loop.output
+        assert hook.candidate_count == loop.candidate_count
+        assert hook.inner_invocations == loop.inner_invocations
+        assert hook.inner_invocations == flip_set_count(
+            params.s_prime, params.flip_budget
+        )
+        assert hook.samples_drawn == loop.samples_drawn
+        assert (hook.inner_runs, loop.inner_runs) == (0, loop.inner_invocations)
 
 
 # ---------------------------------------------------------------------------
