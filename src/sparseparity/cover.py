@@ -186,6 +186,25 @@ def build_verified_family(
     )
 
 
+def build_family(params: CoverParams, rng_seed: int) -> CoverFamily:
+    """A verified family, else the seed's first sample, unverified.
+
+    Learner construction never fails on verification trouble: when no
+    family verifies within the resampling budget, a warning is logged and
+    the sample drawn from ``rng_seed`` itself is used.
+    """
+    try:
+        return build_verified_family(params, rng_seed)
+    except BudgetExceededError:
+        logger.warning(
+            "no verified covering family within the attempt budget for "
+            "T=%d, k=%d; proceeding with an unverified sample",
+            params.T,
+            params.k,
+        )
+        return sample_family(params, rng_seed)
+
+
 @dataclass(frozen=True)
 class RatioBoundReport:
     """Exact-binomial comparison of the drawing ratio against its target.

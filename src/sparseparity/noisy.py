@@ -20,13 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .cover import (
-    CoverFamily,
-    CoverParams,
-    binom,
-    build_verified_family,
-    sample_family,
-)
+from .cover import CoverFamily, CoverParams, binom, build_family
 from .errors import (
     BudgetExceededError,
     BudgetExhaustedError,
@@ -183,8 +177,8 @@ class NoisyReport:
     """Everything observable about one noisy-learning run.
 
     ``inner_invocations`` counts the flip sets covered; ``inner_runs``
-    counts the ``inner.run`` calls made, which is 0 when the inner
-    learner finds its candidates by decoding.
+    counts the ``inner.run`` calls the driver made, which is 0 when the
+    inner learner hands over its candidates through its hook.
     """
 
     output: BitVector
@@ -313,6 +307,9 @@ class MitmInner:
         so sorting by (|F|, indices of F) gives the flip-set loop's
         first-occurrence order.
         """
+        if flip_budget == 0:
+            x = self.run(examples)
+            return [] if x is None else [x]
         left, right = self._tables(examples)
         labels = BitVector.from_bits(ex.label for ex in examples).value
         right_by_size: list[list[tuple[tuple[int, ...], int]]] = [
@@ -347,7 +344,8 @@ class PacOnlineInner:
     """Noiseless inner learner backed by the chart learner's PAC driver.
 
     The covering family and its starting charts are built once and shared
-    across runs; each run replays its example list through a fresh learner.
+    across runs; each run replays its example list through a fresh learner,
+    and :meth:`candidates` shares replay prefixes across flip sets.
     """
 
     def __init__(
@@ -357,10 +355,7 @@ class PacOnlineInner:
         self.k = k
         self.delta = delta
         params = CoverParams(n=n, k=k, t=t, alpha=alpha)
-        try:
-            self.family: CoverFamily = build_verified_family(params, rng_seed)
-        except BudgetExceededError:
-            self.family = sample_family(params, rng_seed)
+        self.family: CoverFamily = build_family(params, rng_seed)
         self._start = learner_from_family(self.family)
         self.mistake_bound = self._start.mistake_bound
 
@@ -372,12 +367,53 @@ class PacOnlineInner:
         )
 
     def run(self, examples: Sequence[LabeledExample]) -> BitVector | None:
-        learner = LearnerState(self.n, self.k, self.family, self._start.charts)
-        pac_params = PacParams(
-            delta=self.delta, sample_budget=len(examples)
+        return self._verdict(
+            self._fresh(), ReplaySource(examples), len(examples), 0
         )
+
+    def candidates(
+        self, examples: Sequence[LabeledExample], flip_budget: int
+    ) -> list[BitVector]:
+        """What ``run`` yields over every flip set, sharing replay prefixes.
+
+        The streams of flip set F and of ``F + (j,)``, j past every index
+        of F, agree before example j.  So the replay of F forks its
+        learner just before it steps example j, and the fork replays
+        ``F + (j,)`` from there with example j flipped; the walk is depth
+        first, so at most ``flip_budget + 1`` learners are alive.  A flip
+        set whose last index lies at or past the point where its parent's
+        replay stopped is never run: its stream differs only after that
+        point, so it gives the parent's outcome, and the parent comes
+        first in ``(|F|, lex F)`` order.  Sorting the outcomes by that key
+        and keeping each vector's first occurrence gives the loop's list.
+        """
+        found: list[tuple[int, tuple[int, ...], BitVector]] = []
+
+        def visit(learner, flips, run_length):
+            source = _ForkingReplay(
+                examples, flips, flip_budget, learner, run_length, visit
+            )
+            budget = len(examples) - source.start
+            x = self._verdict(learner, source, budget, run_length)
+            if x is not None:
+                found.append((len(flips), flips, x))
+
+        visit(self._fresh(), (), 0)
+        found.sort(key=lambda entry: entry[:2])
+        distinct: dict[int, BitVector] = {}
+        for _, _, x in found:
+            distinct.setdefault(x.value, x)
+        return list(distinct.values())
+
+    def _fresh(self) -> LearnerState:
+        return LearnerState(self.n, self.k, self.family, self._start.charts)
+
+    def _verdict(self, learner, source, budget, run_length) -> BitVector | None:
+        """The PAC driver's verdict as a candidate: a weight-k vector or
+        None."""
+        pac_params = PacParams(delta=self.delta, sample_budget=budget)
         try:
-            x = pac_learn(learner, ReplaySource(examples), pac_params)
+            x = pac_learn(learner, source, pac_params, run_length)
         except (
             BudgetExhaustedError,
             InconsistentStreamError,
@@ -387,3 +423,45 @@ class PacOnlineInner:
         if x.popcount() != self.k:
             return None
         return x
+
+
+class _ForkingReplay:
+    """The source of one flip set's replay, from its last flip on.
+
+    The replay of ``flips`` starts at its last index, ``start`` (0 for
+    the empty set), whose label comes flipped; later examples come as
+    drawn, since the earlier flips were stepped before the fork.  While
+    the set has flips to spare, every draw of a later example ``i``
+    first runs ``branch`` on a fork of the learner for ``flips + (i,)``.
+    """
+
+    def __init__(
+        self, examples, flips, flip_budget, learner, run_length, branch
+    ):
+        self.examples = examples
+        self.flips = flips
+        self.start = flips[-1] if flips else 0
+        self.spare = len(flips) < flip_budget
+        self.learner = learner
+        self.run_length = run_length
+        self.mistakes = learner.mistakes
+        self.branch = branch
+        self.draws = 0
+
+    def next_example(self) -> LabeledExample:
+        i = self.start + self.draws
+        ex = self.examples[i]
+        if self.draws:
+            # pac_learn's run grew unless the round just stepped was a
+            # mistake, which the learner counts.
+            if self.learner.mistakes == self.mistakes:
+                self.run_length += 1
+            else:
+                self.run_length = 0
+                self.mistakes = self.learner.mistakes
+        if self.flips and not self.draws:
+            ex = LabeledExample(ex.a, ex.label ^ 1)
+        elif self.spare:
+            self.branch(self.learner.fork(), self.flips + (i,), self.run_length)
+        self.draws += 1
+        return ex

@@ -14,21 +14,13 @@ least halves the total mass, which bounds the number of mistakes by
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .cover import (
-    CoverFamily,
-    CoverParams,
-    build_verified_family,
-    sample_family,
-)
-from .errors import AllChartsEmptyError, BudgetExceededError
+from .cover import CoverFamily, CoverParams, build_family
+from .errors import AllChartsEmptyError
 from .gf2 import BitVector, insert_row, reduce_rows
-
-logger = logging.getLogger(__name__)
 
 
 class SubspaceChart(NamedTuple):
@@ -103,6 +95,18 @@ class LearnerState:
     def status(self) -> Status:
         return status(self)
 
+    def fork(self) -> "LearnerState":
+        """An independent copy that can be stepped on its own.
+
+        Charts are immutable and every round rebinds ``charts`` to a new
+        list, so the copy shares the chart list and copies only the
+        counters and ``mass_history``.
+        """
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        twin.mass_history = list(self.mass_history)
+        return twin
+
     def best_hypothesis(self) -> BitVector | None:
         """A canonical point from the most-constrained chart, or None.
 
@@ -125,21 +129,10 @@ def new_learner(
 ) -> LearnerState:
     """Build a learner over a verified covering family.
 
-    Construction never fails on verification trouble: if no family
-    verifies within the resampling budget, the seed's first sample is used
-    unverified and a warning is logged.
+    Construction never fails on verification trouble; see
+    :func:`~sparseparity.cover.build_family`.
     """
-    params = CoverParams(n=n, k=k, t=t, alpha=alpha)
-    try:
-        family = build_verified_family(params, rng_seed)
-    except BudgetExceededError:
-        logger.warning(
-            "no verified covering family within the attempt budget for "
-            "T=%d, k=%d; proceeding with an unverified sample",
-            params.T,
-            params.k,
-        )
-        family = sample_family(params, rng_seed)
+    family = build_family(CoverParams(n=n, k=k, t=t, alpha=alpha), rng_seed)
     return LearnerState(n=n, k=k, family=family)
 
 

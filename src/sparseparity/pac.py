@@ -51,17 +51,20 @@ def survival_threshold(mistake_bound: int, delta: float) -> int:
     return max(1, math.ceil(math.log2((mistake_bound + 1) / delta)))
 
 
-def pac_learn(learner, source, params: PacParams) -> BitVector:
+def pac_learn(
+    learner, source, params: PacParams, run_length: int = 0
+) -> BitVector:
     """Run the online protocol over random examples until certified.
 
     Returns the identified vector, or the hypothesis extracted after a
     surviving run of ``survival_threshold`` examples.  Raises
     BudgetExhausted (carrying the best uncertified hypothesis) when the
-    sample budget runs out first.
+    sample budget runs out first.  ``run_length`` resumes a stream midway:
+    it is the learner's mistake-free run so far, and ``source`` and the
+    budget cover the rest of the stream.
     """
     threshold = survival_threshold(learner.mistake_bound, params.delta)
     samples_used = 0
-    run_length = 0
     while True:
         st = learner.status()
         if isinstance(st, Identified):

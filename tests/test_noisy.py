@@ -1,6 +1,8 @@
 """Tests for the mislabel-set enumeration reduction and its inner learners."""
 
+import functools
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 
 from sparseparity.cover import binom
 from sparseparity.errors import (
+    AllChartsEmptyError,
     BudgetExceededError,
+    BudgetExhaustedError,
     NoCandidatesError,
 )
 from sparseparity.gf2 import BitVector
@@ -26,7 +30,8 @@ from sparseparity.noisy import (
     noisy_learn,
     noisy_learn_report,
 )
-from sparseparity.pac import survival_threshold
+from sparseparity.online import Identified, LearnerState, learner_from_family
+from sparseparity.pac import PacParams, pac_learn, survival_threshold
 from sparseparity.rng import SplitMix64
 from sparseparity.sources import (
     LabeledExample,
@@ -520,6 +525,18 @@ def test_mitm_candidates_weight_above_half(n, k):
             ) == loop_candidates(MitmInner(n, k), primary, budget)
 
 
+@pytest.mark.parametrize("n,k", [(12, 2), (10, 0), (7, 5), (9, 6), (5, 7)])
+def test_mitm_candidates_at_budget_zero_are_one_run(n, k):
+    for seed in range(6):
+        for s_prime in (1, 4, 12):
+            primary = _primary(n, min(k, n), s_prime, seed)
+            inner = MitmInner(n, k)
+            x = inner.run(primary)
+            got = inner.candidates(primary, 0)
+            assert got == ([] if x is None else [x])
+            assert got == loop_candidates(MitmInner(n, k), primary, 0)
+
+
 @pytest.mark.parametrize(
     "n,k,eta,s_prime,seed",
     [(24, 2, 0.05, 40, 6), (24, 2, 0.05, 40, 7), (12, 2, 0.05, 20, 60),
@@ -589,3 +606,202 @@ def test_pac_online_inner_sample_complexity_formula():
     assert inner.sample_complexity(0.1) == (bound + 1) * survival_threshold(
         bound, 0.1
     )
+
+
+# ---------------------------------------------------------------------------
+# chart-learner inner: prefix-sharing hook against the flip-set loop
+
+
+@functools.lru_cache(maxsize=None)
+def _chart_inner(n, k, delta):
+    return PacOnlineInner(n, k, t=4, alpha=2, delta=delta, rng_seed=n * 10 + k)
+
+
+def _stream(kind, n, k, s_prime, seed):
+    """Streams that end replays at every exit of the PAC driver.
+
+    ``honest``: a weight-k parity.  ``noisy``: the same with about a
+    quarter of the labels flipped.  ``contradictory``: each vector twice,
+    with both labels.  ``wrong-weight``: an honest weight-(k+1) parity.
+    ``zero``: every label 0, which survives as the zero vector.
+    """
+    rng = SplitMix64(seed)
+    if kind == "contradictory":
+        vectors = [BitVector(n, rng.bits(n)) for _ in range((s_prime + 1) // 2)]
+        pairs = [LabeledExample(a, y) for a in vectors for y in (0, 1)]
+        return pairs[:s_prime]
+    if kind == "zero":
+        return [LabeledExample(BitVector(n, rng.bits(n)), 0) for _ in range(s_prime)]
+    weight = k + 1 if kind == "wrong-weight" else k
+    hidden = gen_hidden(n, weight, rng.next_u64())
+    examples = []
+    for _ in range(s_prime):
+        a = BitVector(n, rng.bits(n))
+        flip = kind == "noisy" and rng.below(4) == 0
+        examples.append(LabeledExample(a, a.dot(hidden) ^ flip))
+    return examples
+
+
+def _exit(inner, examples):
+    """Which exit ends the replay of ``examples`` through a fresh learner."""
+    learner = learner_from_family(inner.family)
+    params = PacParams(delta=inner.delta, sample_budget=len(examples))
+    try:
+        x = pac_learn(learner, ReplaySource(examples), params)
+    except BudgetExhaustedError:
+        return "budget"
+    except AllChartsEmptyError:
+        return "empty"
+    if x.popcount() != inner.k:
+        return "popcount"
+    return "identified" if isinstance(learner.status(), Identified) else "threshold"
+
+
+STREAM_KINDS = ("noisy", "contradictory", "wrong-weight", "zero", "honest")
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(min_value=8, max_value=20),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=24),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from(STREAM_KINDS),
+    st.sampled_from((0.01, 0.25)),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_chart_candidates_match_the_flip_set_loop(
+    n, k, s_prime, budget, kind, delta, seed
+):
+    budget = min(budget, s_prime)
+    inner = _chart_inner(n, k, delta)
+    primary = _stream(kind, n, k, s_prime, seed)
+    assert inner.candidates(primary, budget) == loop_candidates(
+        inner, primary, budget
+    )
+
+
+def test_chart_candidates_hit_every_exit():
+    # the same streams as the property test, at fixed seeds: every exit
+    # of the PAC driver ends some replay, and the lists still agree
+    exits = set()
+    for seed, (kind, s_prime, delta) in enumerate(
+        [("honest", 24, 0.01), ("honest", 12, 0.25), ("honest", 3, 0.25),
+         ("noisy", 20, 0.25), ("contradictory", 10, 0.25),
+         ("wrong-weight", 24, 0.25), ("zero", 16, 0.25)]
+    ):
+        inner = _chart_inner(12, 2, delta)
+        primary = _stream(kind, 12, 2, s_prime, seed)
+        exits.update(
+            _exit(inner, apply_flips(primary, flip_set))
+            for flip_set in flip_set_iterator(s_prime, 2)
+        )
+        for budget in range(4):
+            assert inner.candidates(primary, budget) == loop_candidates(
+                inner, primary, budget
+            )
+    assert exits == {"identified", "threshold", "budget", "empty", "popcount"}
+
+
+def test_chart_candidates_keep_at_most_budget_plus_one_learners(monkeypatch):
+    inner = _chart_inner(12, 2, 0.25)
+    primary = _stream("noisy", 12, 2, 20, 5)
+    alive = weakref.WeakSet()
+    peak = [0]
+    forks = [0]
+    make = LearnerState.__init__
+    fork = LearnerState.fork
+    step = LearnerState.step
+
+    def init(self, *args, **kwargs):
+        make(self, *args, **kwargs)
+        alive.add(self)
+
+    def counted_fork(self):
+        forks[0] += 1
+        twin = fork(self)
+        alive.add(twin)
+        return twin
+
+    def counted_step(self, a, y):
+        peak[0] = max(peak[0], len(alive))
+        return step(self, a, y)
+
+    monkeypatch.setattr(LearnerState, "__init__", init)
+    monkeypatch.setattr(LearnerState, "fork", counted_fork)
+    monkeypatch.setattr(LearnerState, "step", counted_step)
+    for budget in range(4):
+        peak[0] = forks[0] = 0
+        inner.candidates(primary, budget)
+        assert 0 < peak[0] <= budget + 1
+        assert (forks[0] > 0) == (budget > 0)
+        assert len(alive) == 0
+
+
+def test_chart_candidates_skip_flip_sets_past_the_stop(monkeypatch):
+    # all-zero labels never cost a mistake, so the unflipped replay stops
+    # at the survival threshold; one flip past that point is never run
+    inner = _chart_inner(12, 2, 0.25)
+    primary = _stream("zero", 12, 2, 20, 3)
+    root = ReplaySource(primary)
+    pac_learn(
+        learner_from_family(inner.family), root,
+        PacParams(delta=inner.delta, sample_budget=len(primary)),
+    )
+    assert 0 < root.draws < len(primary)
+    forks = []
+    fork = LearnerState.fork
+    monkeypatch.setattr(
+        LearnerState, "fork", lambda self: forks.append(1) or fork(self)
+    )
+    got = inner.candidates(primary, 1)
+    assert len(forks) == root.draws
+    assert got == loop_candidates(inner, primary, 1)
+
+
+def test_chart_candidates_flip_the_last_example():
+    # an honest stream cut where the replay certifies, with its last label
+    # flipped: only the flip set of the last index recovers the hidden
+    # vector, so the walk must fork before the very last draw and replay
+    # that fork to the end of the stream
+    inner = _chart_inner(12, 2, 0.25)
+    hidden = gen_hidden(12, 2, 8)
+    honest = UniformSource(hidden, seed=9).take(60)
+    probe = ReplaySource(honest)
+    assert pac_learn(
+        learner_from_family(inner.family), probe,
+        PacParams(delta=inner.delta, sample_budget=len(honest)),
+    ) == hidden
+    primary = apply_flips(honest[:probe.draws], (probe.draws - 1,))
+    assert inner.run(primary) is None
+    assert inner.candidates(primary, 1) == [hidden]
+    assert loop_candidates(inner, primary, 1) == [hidden]
+
+
+def test_gate7_reports_match_on_both_paths():
+    # gate 7's setup: the hook reproduces the loop's reports trial by
+    # trial and runs the inner learner zero times
+    params = NoisyParams.from_counts(eta=0.01, delta=0.25, s_prime=67)
+    inner = PacOnlineInner(48, 2, t=12, alpha=2, delta=0.01, rng_seed=7700)
+    master = SplitMix64(7)
+    for _ in range(10):
+        hidden = gen_hidden(48, 2, master.next_u64())
+        source_seed = master.next_u64()
+        reports, draws = [], []
+        for path in (inner, RunOnly(inner)):
+            source = UniformSource(hidden, seed=source_seed, eta=0.01)
+            try:
+                reports.append(noisy_learn_report(path, source, params))
+            except NoCandidatesError:
+                reports.append(None)
+            draws.append(source.draws)
+        hook, loop = reports
+        assert draws[0] == draws[1]
+        if hook is None or loop is None:
+            assert hook is loop
+            continue
+        assert hook.output == loop.output
+        assert hook.candidate_count == loop.candidate_count
+        assert hook.inner_invocations == loop.inner_invocations == 68
+        assert hook.samples_drawn == loop.samples_drawn == draws[0]
+        assert (hook.inner_runs, loop.inner_runs) == (0, 68)

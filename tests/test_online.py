@@ -110,10 +110,50 @@ class TestNewLearner:
         def explode(params, seed):
             raise BudgetExceededError("forced for test")
 
-        monkeypatch.setattr("sparseparity.online.build_verified_family", explode)
+        monkeypatch.setattr("sparseparity.cover.build_verified_family", explode)
         state = new_learner(16, 2, 4, 2, rng_seed=1)
         assert not state.family.verified
         assert state.charts
+        assert any("unverified" in r.message for r in caplog.records)
+
+
+class TestFork:
+    @staticmethod
+    def snapshot(state):
+        return (
+            list(state.charts), state.mistakes, state.rounds,
+            state.chart_updates, state.work_units, list(state.mass_history),
+        )
+
+    def test_stepping_a_fork_leaves_the_original_unchanged(self):
+        state = new_learner(16, 2, 4, 2, rng_seed=3)
+        hidden = gen_hidden(16, 2, 4)
+        examples = UniformSource(hidden, seed=5).take(12)
+        for ex in examples[:3]:
+            step(state, ex.a, ex.label)
+        before = self.snapshot(state)
+        twin = state.fork()
+        assert self.snapshot(twin) == before
+        for ex in examples[3:]:
+            # the fork takes the wrong label too, so it makes mistakes
+            step(twin, ex.a, ex.label ^ (ex.a.value & 1))
+        assert twin.rounds == state.rounds + len(examples) - 3
+        assert self.snapshot(state) == before
+        assert twin.mistakes > state.mistakes
+
+    def test_fork_continues_like_the_original(self):
+        hidden = gen_hidden(16, 2, 6)
+        examples = UniformSource(hidden, seed=7).take(10)
+        whole = new_learner(16, 2, 4, 2, rng_seed=8)
+        resumed = new_learner(16, 2, 4, 2, rng_seed=8)
+        for ex in examples[:4]:
+            step(whole, ex.a, ex.label)
+            step(resumed, ex.a, ex.label)
+        twin = resumed.fork()
+        for ex in examples[4:]:
+            assert step(whole, ex.a, ex.label) == step(twin, ex.a, ex.label)
+        assert self.snapshot(twin) == self.snapshot(whole)
+        assert status(twin) == status(whole)
 
 
 class TestPredict:

@@ -6,9 +6,14 @@ import pytest
 
 from sparseparity.errors import BudgetExhaustedError, SourceExhaustedError
 from sparseparity.gf2 import BitVector
-from sparseparity.online import new_learner
+from sparseparity.online import new_learner, predict
 from sparseparity.pac import PacParams, pac_learn, survival_threshold
-from sparseparity.sources import ReplaySource, UniformSource, gen_hidden
+from sparseparity.sources import (
+    LabeledExample,
+    ReplaySource,
+    UniformSource,
+    gen_hidden,
+)
 
 
 class TestPacParams:
@@ -114,3 +119,50 @@ class TestPacLearn:
             source = UniformSource(hidden, seed=8)
             results.append(pac_learn(learner, source, PacParams(delta=0.05)))
         assert results[0] == results[1]
+
+
+class TestResume:
+    """``run_length`` carries a mistake-free run over from earlier rounds."""
+
+    @staticmethod
+    def learner_and_vector():
+        learner = new_learner(16, 2, 4, 2, rng_seed=1)
+        a = UniformSource(gen_hidden(16, 2, 2), seed=3).next_example().a
+        return learner, a
+
+    def test_one_run_short_certifies_after_one_correct_example(self):
+        learner, a = self.learner_and_vector()
+        threshold = survival_threshold(learner.mistake_bound, 0.1)
+        assert threshold > 1
+        source = ReplaySource([LabeledExample(a, predict(learner, a))] * 5)
+        got = pac_learn(
+            learner, source, PacParams(delta=0.1), run_length=threshold - 1
+        )
+        assert source.draws == 1
+        assert learner.mistakes == 0
+        assert got == learner.best_hypothesis()
+
+    def test_a_mistake_resets_the_carried_run(self):
+        learner, a = self.learner_and_vector()
+        threshold = survival_threshold(learner.mistake_bound, 0.1)
+        wrong = LabeledExample(a, predict(learner, a) ^ 1)
+        source = ReplaySource([wrong] * (threshold + 1))
+        pac_learn(
+            learner, source, PacParams(delta=0.1), run_length=threshold - 1
+        )
+        # the mistake restarts the run, which the repeats then fill
+        assert learner.mistakes == 1
+        assert source.draws == threshold + 1
+
+    def test_default_starts_a_fresh_run(self):
+        hidden = gen_hidden(16, 2, 2)
+        draws = []
+        results = []
+        for resume in (False, True):
+            learner = new_learner(16, 2, 4, 2, rng_seed=1)
+            source = UniformSource(hidden, seed=3)
+            extra = {"run_length": 0} if resume else {}
+            results.append(pac_learn(learner, source, PacParams(delta=0.1), **extra))
+            draws.append(source.draws)
+        assert results[0] == results[1] == hidden
+        assert draws[0] == draws[1]
