@@ -32,6 +32,7 @@ from .cover import (
     verify_cover,
 )
 from .errors import (
+    AllChartsEmptyError,
     BudgetExceededError,
     InconsistentStreamError,
     NoCandidatesError,
@@ -44,7 +45,7 @@ from .noisy import (
     noisy_learn_report,
     PacOnlineInner,
 )
-from .online import Identified, new_learner, step
+from .online import Identified, LearnerState, new_learner, step
 from .rng import SplitMix64
 from .sources import UniformSource, gen_hidden
 
@@ -158,6 +159,51 @@ def closed_form_mistake_bound(n: int, k: int, t: int) -> float:
     return k * n / t + math.log2(binom(t, k))
 
 
+def _noiseless_trial(
+    n: int, k: int, t: int, alpha: int, trial_seed: int, sample_budget: int
+) -> tuple[RunRow, LearnerState]:
+    """One chart-learner trial on an honest noiseless stream.
+
+    A stream that kills every chart ends the trial with an
+    ``identified=false`` row instead of raising.
+    """
+    trial_rng = SplitMix64(trial_seed)
+    hidden = gen_hidden(n, k, trial_rng.next_u64())
+    family_seed = trial_rng.next_u64()
+    source = UniformSource(hidden, seed=trial_rng.next_u64(), eta=0.0)
+    start = time.perf_counter_ns()
+    state = new_learner(n, k, t, alpha, rng_seed=family_seed)
+    samples = 0
+    try:
+        while samples < sample_budget and not isinstance(
+            state.status(), Identified
+        ):
+            ex = source.next_example()
+            samples += 1
+            step(state, ex.a, ex.label)
+    except AllChartsEmptyError as exc:
+        logger.warning("trial %d not identified: %s", trial_seed, exc)
+    wall_ns = time.perf_counter_ns() - start
+    final = state.status()
+    row = RunRow(
+        seed=trial_seed,
+        n=n,
+        k=k,
+        t=t,
+        alpha=alpha,
+        eta=0.0,
+        delta=None,
+        mistakes=state.mistakes,
+        samples=samples,
+        identified=isinstance(final, Identified) and final.f == hidden,
+        exact_bound=state.mistake_bound,
+        paper_bound=closed_form_mistake_bound(n, k, t),
+        wall_ns=wall_ns,
+        inner_invocations=None,
+    )
+    return row, state
+
+
 def run_learn_noiseless(
     n: int,
     k: int,
@@ -169,44 +215,10 @@ def run_learn_noiseless(
 ) -> RunReport:
     """Run the chart learner on honest noiseless streams, one row per trial."""
     master = SplitMix64(seed)
-    bound_target = closed_form_mistake_bound(n, k, t)
-    rows = []
-    for _ in range(trials):
-        trial_seed = master.next_u64()
-        trial_rng = SplitMix64(trial_seed)
-        hidden = gen_hidden(n, k, trial_rng.next_u64())
-        family_seed = trial_rng.next_u64()
-        source = UniformSource(hidden, seed=trial_rng.next_u64(), eta=0.0)
-        start = time.perf_counter_ns()
-        state = new_learner(n, k, t, alpha, rng_seed=family_seed)
-        samples = 0
-        while samples < sample_budget and not isinstance(
-            state.status(), Identified
-        ):
-            ex = source.next_example()
-            samples += 1
-            step(state, ex.a, ex.label)
-        wall_ns = time.perf_counter_ns() - start
-        final = state.status()
-        identified = isinstance(final, Identified) and final.f == hidden
-        rows.append(
-            RunRow(
-                seed=trial_seed,
-                n=n,
-                k=k,
-                t=t,
-                alpha=alpha,
-                eta=0.0,
-                delta=None,
-                mistakes=state.mistakes,
-                samples=samples,
-                identified=identified,
-                exact_bound=state.mistake_bound,
-                paper_bound=bound_target,
-                wall_ns=wall_ns,
-                inner_invocations=None,
-            )
-        )
+    rows = [
+        _noiseless_trial(n, k, t, alpha, master.next_u64(), sample_budget)[0]
+        for _ in range(trials)
+    ]
     return RunReport(rows=tuple(rows))
 
 
@@ -326,26 +338,12 @@ def bench_tradeoff(
         rounds_total = 0
         identified_count = 0
         for _ in range(trials):
-            trial_seed = master.next_u64()
-            trial_rng = SplitMix64(trial_seed)
-            hidden = gen_hidden(n, k, trial_rng.next_u64())
-            family_seed = trial_rng.next_u64()
-            source = UniformSource(hidden, seed=trial_rng.next_u64(), eta=0.0)
-            start = time.perf_counter_ns()
-            state = new_learner(n, k, t, alpha, rng_seed=family_seed)
-            samples = 0
-            while samples < sample_budget and not isinstance(
-                state.status(), Identified
-            ):
-                ex = source.next_example()
-                samples += 1
-                step(state, ex.a, ex.label)
-            wall_total += time.perf_counter_ns() - start
-            final = state.status()
-            identified_count += (
-                isinstance(final, Identified) and final.f == hidden
+            row, state = _noiseless_trial(
+                n, k, t, alpha, master.next_u64(), sample_budget
             )
-            samples_total += samples
+            wall_total += row.wall_ns
+            identified_count += row.identified
+            samples_total += row.samples
             charts_total += len(state.charts)
             rounds_total += state.rounds
         table.append(

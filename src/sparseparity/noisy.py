@@ -25,6 +25,7 @@ from .errors import (
     BudgetExceededError,
     BudgetExhaustedError,
     InconsistentStreamError,
+    LengthMismatchError,
     NoCandidatesError,
     SourceExhaustedError,
 )
@@ -151,22 +152,34 @@ def agreement_select(
 ) -> int:
     """Index of the candidate agreeing with the most verification labels.
 
-    Ties go to the lowest index.  The margin between the best and second
-    best disagreement fractions is logged for diagnostics.
+    Ties go to the lowest index.  A candidate whose length differs from a
+    verification vector's raises :class:`LengthMismatchError`; a lone
+    candidate is returned without scoring.  Under DEBUG logging the margin
+    between the best and second best disagreement fractions is logged.
     """
     if not candidates:
         raise ValueError("agreement_select needs at least one candidate")
-    disagreements = []
+    lengths = {ex.a.n for ex in verif}
     for x in candidates:
-        count = sum(1 for ex in verif if ex.a.dot(x) != ex.label)
-        disagreements.append(count)
-    best = min(range(len(candidates)), key=lambda i: disagreements[i])
-    if len(candidates) > 1 and verif:
-        rest = sorted(d for i, d in enumerate(disagreements) if i != best)
+        if lengths - {x.n}:
+            raise LengthMismatchError(
+                f"candidate of length {x.n} against verification vectors "
+                f"of lengths {sorted(lengths)}"
+            )
+    if len(candidates) == 1:
+        return 0
+    examples = [(ex.a.value, ex.label) for ex in verif]
+    disagreements = [
+        sum(((a & x).bit_count() & 1) ^ y for a, y in examples)
+        for x in (c.value for c in candidates)
+    ]
+    best = min(range(len(candidates)), key=disagreements.__getitem__)
+    if verif and logger.isEnabledFor(logging.DEBUG):
+        runner_up = min(d for i, d in enumerate(disagreements) if i != best)
         logger.debug(
             "agreement margin: best %.4f, runner-up %.4f (of %d examples)",
             disagreements[best] / len(verif),
-            rest[0] / len(verif),
+            runner_up / len(verif),
             len(verif),
         )
     return best

@@ -14,6 +14,11 @@ versions.  The derived draws are pinned as follows:
 * ``sample_sorted(n, k)`` -- partial Fisher-Yates over ``range(n)`` driven
   by ``below``, result sorted.
 * ``bernoulli(p)`` -- ``next_u64() < floor(p * 2**64)``.
+* ``bits_and_flip(m, threshold)`` -- one labeled example's randomness in
+  one call: the words of ``bits(m)``, then, only when ``threshold`` is not
+  None, one more word ``w`` giving the flip ``w < threshold``.  With
+  ``threshold = floor(p * 2**64)`` it consumes and returns exactly what
+  ``bits(m)`` followed by ``bernoulli(p)`` would.
 * ``split()`` -- child generator seeded with ``next_u64()``.
 """
 
@@ -69,6 +74,31 @@ class SplitMix64:
 
     def bernoulli(self, p: float) -> bool:
         return self.next_u64() < int(p * 2.0**64)
+
+    def bits_and_flip(
+        self, nbits: int, threshold: int | None
+    ) -> tuple[int, bool]:
+        """``bits(nbits)``, then ``next_u64() < threshold`` unless None.
+
+        The flip is False when no threshold is given.  The mixing is
+        inlined, and a vector of 1..64 bits takes one word without a loop.
+        """
+        if 0 < nbits <= 64:
+            s = (self._state + _GAMMA) & _MASK64
+            z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            bits = (z ^ (z >> 31)) & ((1 << nbits) - 1)
+        else:
+            bits = self.bits(nbits)
+            s = self._state
+        flip = False
+        if threshold is not None:
+            s = (s + _GAMMA) & _MASK64
+            z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            flip = (z ^ (z >> 31)) < threshold
+        self._state = s
+        return bits, flip
 
     def split(self) -> "SplitMix64":
         """Fork a child generator; advances this generator by one word."""

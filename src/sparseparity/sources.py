@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import SourceExhaustedError
-from .gf2 import BitVector, dot
+from .gf2 import BitVector
 from .rng import SplitMix64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledExample:
     a: BitVector
     label: int
@@ -29,6 +29,14 @@ class LabeledExample:
     def __post_init__(self):
         if self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label!r}")
+
+
+# Trusted construction for UniformSource, whose arithmetic already
+# guarantees a 0/1 int label: the slot setters bypass the frozen
+# __setattr__ and __post_init__'s check, at half the constructor's cost.
+_new = object.__new__
+_set_a = LabeledExample.a.__set__
+_set_label = LabeledExample.label.__set__
 
 
 def gen_hidden(n: int, k: int, seed: int) -> BitVector:
@@ -43,9 +51,10 @@ class UniformSource:
     """Uniform example vectors labeled by a hidden parity, with optional noise.
 
     Per example the generator draws the vector words first and then, only
-    when ``eta > 0``, one word for the label flip; flip outcomes are logged
-    on the source for test introspection but are never exposed through
-    :meth:`next_example` itself.
+    when ``eta > 0``, one word for the label flip, in one
+    :meth:`~sparseparity.rng.SplitMix64.bits_and_flip` call; flip outcomes
+    are logged on the source for test introspection but are never exposed
+    through :meth:`next_example` itself.
     """
 
     def __init__(self, hidden: BitVector, seed: int, eta: float = 0.0):
@@ -55,6 +64,9 @@ class UniformSource:
         self.hidden = hidden
         self.eta = eta
         self._rng = SplitMix64(seed)
+        self._hidden_bits = hidden.value
+        # bernoulli(eta)'s threshold; None draws no flip word.
+        self._threshold = int(eta * 2.0**64) if eta > 0.0 else None
         self.flips: list[bool] = []
         self.draws = 0
 
@@ -72,15 +84,17 @@ class UniformSource:
         return cls(hidden, meta.next_u64(), eta=eta)
 
     def next_example(self) -> LabeledExample:
-        a = BitVector(self.n, self._rng.bits(self.n))
-        label = dot(a, self.hidden)
-        if self.eta > 0.0:
-            flip = self._rng.bernoulli(self.eta)
+        threshold = self._threshold
+        bits, flip = self._rng.bits_and_flip(self.n, threshold)
+        label = (bits & self._hidden_bits).bit_count() & 1
+        if threshold is not None:
             self.flips.append(flip)
-            if flip:
-                label ^= 1
+            label ^= flip
         self.draws += 1
-        return LabeledExample(a, label)
+        ex = _new(LabeledExample)
+        _set_a(ex, BitVector(self.n, bits))
+        _set_label(ex, label)
+        return ex
 
     def take(self, count: int) -> list[LabeledExample]:
         return [self.next_example() for _ in range(count)]

@@ -1,5 +1,6 @@
 """Tests for the CLI experiment runner and its report formats."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from sparseparity.cover import CoverParams, binom, family_size_m, sample_family
+from sparseparity.errors import BudgetExceededError
 from sparseparity.harness import (
     CSV_HEADER,
     RunReport,
@@ -188,6 +190,52 @@ def test_learn_noiseless_json_matches_csv(tmp_path):
         assert rec["identified"] is True
         assert str(rec["seed"]) == cells[0]
         assert str(rec["mistakes"]) == cells[7]
+
+
+def force_one_chart_families(monkeypatch):
+    """Make every family unverified and keep only its first subset.
+
+    One chart misses most weight-2 supports, so most streams kill it.
+    """
+    def explode(params, seed):
+        raise BudgetExceededError("forced for test")
+
+    def first_subset_only(params, seed):
+        family = sample_family(params, seed)
+        return dataclasses.replace(family, subsets=family.subsets[:1])
+
+    monkeypatch.setattr("sparseparity.cover.build_verified_family", explode)
+    monkeypatch.setattr("sparseparity.cover.sample_family", first_subset_only)
+
+
+def test_trials_whose_charts_all_die_become_rows(tmp_path, monkeypatch, caplog):
+    argv = ["learn-noiseless", "--n", "16", "--k", "2", "--t", "4",
+            "--alpha", "2", "--trials", "4", "--seed", "1"]
+    _, healthy = run_cli(tmp_path, argv, name="healthy.csv")
+    force_one_chart_families(monkeypatch)
+    code, text = run_cli(tmp_path, argv)
+    assert code == 0
+    died = [r for r in caplog.records if "all charts died" in r.message]
+    assert died
+    lines = text.strip("\n").split("\n")
+    assert lines[0] == ",".join(CSV_HEADER)
+    rows = [dict(zip(CSV_HEADER, line.split(","))) for line in lines[1:]]
+    expected_seeds = [line.split(",")[0] for line in healthy.split("\n")[1:-1]]
+    assert [row["seed"] for row in rows] == expected_seeds
+    failed = [row for row in rows if row["identified"] == "false"]
+    assert len(failed) >= len(died)
+    for row in failed:
+        assert int(row["samples"]) >= 1
+        assert int(row["mistakes"]) >= 0
+        assert row["exact_bound"] != ""
+
+
+def test_bench_counts_trials_whose_charts_all_die(monkeypatch, caplog):
+    force_one_chart_families(monkeypatch)
+    table = bench_tradeoff(n=16, k=2, t_values=[4], alpha=2, trials=4, seed=1)
+    assert any("all charts died" in r.message for r in caplog.records)
+    assert len(table) == 1
+    assert table[0]["identified_frac"] < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the mislabel-set enumeration reduction and its inner learners."""
 
 import functools
+import logging
 import math
 import weakref
 from fractions import Fraction
@@ -14,6 +15,7 @@ from sparseparity.errors import (
     AllChartsEmptyError,
     BudgetExceededError,
     BudgetExhaustedError,
+    LengthMismatchError,
     NoCandidatesError,
 )
 from sparseparity.gf2 import BitVector
@@ -271,6 +273,73 @@ def test_agreement_separates_hidden_from_impostor():
     impostor = BitVector.from_support(16, (2, 9))
     verif = UniformSource(hidden, seed=31, eta=0.05).take(200)
     assert agreement_select([impostor, hidden], verif) == 1
+
+
+def dot_agreement_select(candidates, verif):
+    """The dot-per-example scoring agreement_select used before packing."""
+    disagreements = [
+        sum(1 for ex in verif if ex.a.dot(x) != ex.label) for x in candidates
+    ]
+    return min(range(len(candidates)), key=lambda i: disagreements[i])
+
+
+@given(st.integers(1, 130), st.integers(1, 6), st.integers(0, 60), st.data())
+@settings(deadline=None, max_examples=200)
+def test_agreement_matches_dot_scoring(n, count, verif_len, data):
+    vec = st.integers(0, (1 << n) - 1).map(lambda v: BitVector(n, v))
+    candidates = data.draw(st.lists(vec, min_size=count, max_size=count))
+    if data.draw(st.booleans()):
+        # a duplicate forces an exact tie
+        candidates.append(candidates[0])
+    hidden = data.draw(st.sampled_from(candidates))
+    eta = data.draw(st.sampled_from([0.0, 0.1, 0.45]))
+    verif = UniformSource(hidden, seed=data.draw(st.integers(0, 99)), eta=eta)
+    verif = verif.take(verif_len)
+    assert agreement_select(candidates, verif) == dot_agreement_select(
+        candidates, verif
+    )
+
+
+def test_agreement_tie_between_distinct_candidates_goes_lowest():
+    x = BitVector.from_support(4, (0,))
+    y = BitVector.from_support(4, (1,))
+    z = BitVector.from_support(4, (2,))
+    verif = [
+        LabeledExample(BitVector.from_support(4, (0,)), 1),  # x right
+        LabeledExample(BitVector.from_support(4, (1,)), 1),  # y right
+        LabeledExample(BitVector.from_support(4, (3,)), 1),  # all wrong
+    ]
+    assert agreement_select([z, y, x], verif) == 1
+    assert agreement_select([x, y, z], verif) == 0
+
+
+@pytest.mark.parametrize("candidates", [
+    [BitVector.from_support(9, (1,))],
+    [BitVector.from_support(8, (1,)), BitVector.from_support(9, (1,))],
+])
+def test_agreement_rejects_wrong_length_candidate(candidates):
+    verif = UniformSource(BitVector.from_support(8, (2,)), seed=1).take(5)
+    with pytest.raises(LengthMismatchError):
+        agreement_select(candidates, verif)
+
+
+def test_agreement_lone_candidate_is_chosen_unscored():
+    x = BitVector.from_support(8, (1,))
+    verif = [LabeledExample(BitVector.from_support(8, (1,)), 0)] * 3
+    assert agreement_select([x], verif) == 0
+    assert agreement_select([x, x], []) == 0
+
+
+def test_agreement_margin_logged_only_at_debug(caplog):
+    hidden = BitVector.from_support(16, (1, 5))
+    impostor = BitVector.from_support(16, (2, 9))
+    verif = UniformSource(hidden, seed=31, eta=0.05).take(200)
+    with caplog.at_level(logging.INFO, logger="sparseparity.noisy"):
+        agreement_select([impostor, hidden], verif)
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="sparseparity.noisy"):
+        agreement_select([impostor, hidden], verif)
+    assert any("agreement margin" in r.message for r in caplog.records)
 
 
 # ---------------------------------------------------------------------------

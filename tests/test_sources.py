@@ -5,9 +5,12 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparseparity.errors import SourceExhaustedError
 from sparseparity.gf2 import BitVector, dot
+from sparseparity.rng import SplitMix64
 from sparseparity.sources import (
     LabeledExample,
     ReplaySource,
@@ -120,6 +123,84 @@ class TestUniformSource:
             disagree += ex.label != dot(ex.a, g)
         sigma = math.sqrt(draws * 0.25)
         assert abs(disagree - draws / 2) < 3 * sigma
+
+
+class ReferenceSource:
+    """The draw UniformSource made before it fused its RNG calls.
+
+    Per example: ``bits(n)``, the public ``BitVector`` constructor, ``dot``,
+    then ``bernoulli(eta)`` when ``eta > 0``, and the checked
+    ``LabeledExample`` constructor.
+    """
+
+    def __init__(self, hidden, rng, eta):
+        self.hidden = hidden
+        self.rng = rng
+        self.eta = eta
+        self.flips = []
+        self.draws = 0
+
+    def next_example(self):
+        a = BitVector(self.hidden.n, self.rng.bits(self.hidden.n))
+        label = dot(a, self.hidden)
+        if self.eta > 0.0:
+            flip = self.rng.bernoulli(self.eta)
+            self.flips.append(flip)
+            if flip:
+                label ^= 1
+        self.draws += 1
+        return LabeledExample(a, label)
+
+    def fork(self):
+        return ReferenceSource(self.hidden, self.rng.split(), self.eta)
+
+
+def assert_same_draws(fast, ref, count):
+    for _ in range(count):
+        got, want = fast.next_example(), ref.next_example()
+        assert got == want
+        assert got.a.n == want.a.n and got.a.value == want.a.value
+        assert got.label == want.label
+        # a bool label would print as "True" in a stream file
+        assert type(got.label) is int
+    assert fast.flips == ref.flips
+    assert fast.draws == ref.draws
+    assert fast._rng._state == ref.rng._state
+
+
+class TestDrawEquivalence:
+    @given(
+        st.one_of(st.sampled_from([63, 64, 65, 128, 129]), st.integers(1, 200)),
+        st.sampled_from([0.0, 0.01, 0.05, 0.3, 0.49]),
+        st.integers(0, (1 << 64) - 1),
+        st.integers(0, (1 << 64) - 1),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_draw(self, n, eta, hidden_seed, seed, before):
+        hidden = gen_hidden(n, min(n, 3), hidden_seed)
+        fast = UniformSource(hidden, seed=seed, eta=eta)
+        ref = ReferenceSource(hidden, SplitMix64(seed), eta)
+        assert_same_draws(fast, ref, before)
+        fast_child, ref_child = fast.fork(), ref.fork()
+        assert_same_draws(fast_child, ref_child, 25)
+        assert_same_draws(fast, ref, 25)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129])
+    def test_every_eta_at_word_boundaries(self, n):
+        hidden = gen_hidden(n, 1, n)
+        for eta in (0.0, 0.01, 0.05, 0.3, 0.49):
+            fast = UniformSource(hidden, seed=n, eta=eta)
+            ref = ReferenceSource(hidden, SplitMix64(n), eta)
+            assert_same_draws(fast, ref, 200)
+
+    def test_flip_word_drawn_below_threshold_resolution(self):
+        # eta * 2**64 < 1: bernoulli never flips but still draws its word
+        hidden = gen_hidden(10, 2, 1)
+        fast = UniformSource(hidden, seed=4, eta=1e-30)
+        ref = ReferenceSource(hidden, SplitMix64(4), 1e-30)
+        assert_same_draws(fast, ref, 50)
+        assert fast.flip_count == 0
 
 
 class TestReplaySource:
