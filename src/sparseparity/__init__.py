@@ -21,10 +21,9 @@ from .noisy import (
     MitmInner,
     NoisyParams,
     PacOnlineInner,
-    noisy_learn,
     noisy_learn_report,
 )
-from .online import Active, Identified, LearnerState, new_learner, step
+from .online import Active, Identified, LearnerState, new_learner
 from .pac import PacParams, pac_learn
 from .rng import SplitMix64
 from .sources import (
@@ -58,13 +57,11 @@ __all__ = [
     "family_size_m",
     "gen_hidden",
     "new_learner",
-    "noisy_learn",
     "noisy_learn_report",
     "pac_learn",
     "ratio_bound_report",
     "read_stream",
     "sample_family",
-    "step",
     "verify_cover",
     "write_stream",
 ]

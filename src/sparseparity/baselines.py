@@ -90,11 +90,24 @@ class CandidateSet:
         return math.ceil(math.log2(binom(self.n, self.k)))
 
     def step(self, a: BitVector, y: int) -> int:
-        """One protocol round: predict, count the mistake, update."""
-        guess = halving_predict(self, a)
+        """One protocol round: predict, count the mistake, update.
+
+        The prediction is the majority label over the survivors (ties
+        predict 0); the survivors labelling ``a`` with ``y`` remain.
+        """
+        if not self.survivors:
+            raise InconsistentStreamError("no surviving weight-k candidates")
+        labels = [dot(a, f) for f in self.survivors]
+        guess = 1 if 2 * sum(labels) > len(labels) else 0
         if guess != y:
             self.mistakes += 1
-        halving_update(self, a, y)
+        self.survivors = [
+            f for f, label in zip(self.survivors, labels) if label == y
+        ]
+        if not self.survivors:
+            raise InconsistentStreamError(
+                "every weight-k candidate is inconsistent with the stream"
+            )
         return guess
 
     def status(self) -> Status:
@@ -111,24 +124,6 @@ class CandidateSet:
 
     def best_hypothesis(self) -> BitVector | None:
         return self.survivors[0] if self.survivors else None
-
-
-def halving_predict(candidates: CandidateSet, a: BitVector) -> int:
-    """Majority label over survivors; ties predict 0."""
-    if not candidates.survivors:
-        raise InconsistentStreamError("no surviving weight-k candidates")
-    ones = sum(dot(a, f) for f in candidates.survivors)
-    return 1 if 2 * ones > len(candidates.survivors) else 0
-
-
-def halving_update(candidates: CandidateSet, a: BitVector, y: int) -> None:
-    candidates.survivors = [
-        f for f in candidates.survivors if dot(a, f) == y
-    ]
-    if not candidates.survivors:
-        raise InconsistentStreamError(
-            "every weight-k candidate is inconsistent with the stream"
-        )
 
 
 # -- meet in the middle ---------------------------------------------------

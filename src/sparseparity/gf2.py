@@ -13,7 +13,7 @@ meet-in-the-middle searches.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import LengthMismatchError, NotSingletonError
 
@@ -106,15 +106,6 @@ class BitVector:
             raise LengthMismatchError(f"dot of lengths {self.n} and {other.n}")
         return (self._bits & other._bits).bit_count() & 1
 
-    def restrict(self, coords: Sequence[int]) -> "BitVector":
-        """The subvector at the given coordinates, in the given order."""
-        bits = self._bits
-        value = 0
-        for local, g in enumerate(coords):
-            if (bits >> g) & 1:
-                value |= 1 << local
-        return BitVector(len(coords), value)
-
     # -- dunder plumbing ----------------------------------------------
 
     def __len__(self) -> int:
@@ -167,13 +158,6 @@ def insert_row(rows: Sequence[Row], mask: int, rhs: int) -> list[Row]:
     if not inserted:
         new_rows.append((mask, rhs))
     return new_rows
-
-
-class Reduction(NamedTuple):
-    """A vector after elimination against a space's pivot rows."""
-
-    residual: BitVector
-    rhs: int
 
 
 class AffineSpace:
@@ -241,40 +225,6 @@ class AffineSpace:
         return all((m & bits).bit_count() & 1 == r for m, r in self._rows)
 
     # -- core operations ----------------------------------------------
-
-    def reduce(self, v: BitVector, y: int) -> Reduction:
-        """Eliminate v against the pivot rows, updating the rhs alongside."""
-        if v.n != self.ambient_dim:
-            raise LengthMismatchError(
-                f"vector of length {v.n} in space of dimension {self.ambient_dim}"
-            )
-        if self.empty:
-            raise ValueError("cannot reduce against the empty space")
-        res, rhs = reduce_rows(self._rows, v.value, y)
-        return Reduction(BitVector(self.ambient_dim, res), rhs)
-
-    def split_sizes(self, v: BitVector) -> tuple[int | None, int | None]:
-        """log2 sizes of the two halves cut by the constraint <v,f> = y.
-
-        Returns a pair indexed by the label y.  A forced label keeps the
-        current size and the other label maps to None; an informative
-        constraint halves the space for both labels.  The empty space
-        yields (None, None).
-        """
-        if v.n != self.ambient_dim:
-            raise LengthMismatchError(
-                f"vector of length {v.n} in space of dimension {self.ambient_dim}"
-            )
-        if self.empty:
-            return (None, None)
-        size = self.ambient_dim - len(self._rows)
-        res, forced = reduce_rows(self._rows, v.value, 0)
-        if res == 0:
-            # <v,f> equals `forced` on every point of the space.
-            if forced == 0:
-                return (size, None)
-            return (None, size)
-        return (size - 1, size - 1)
 
     def constrain(self, v: BitVector, y: int) -> "AffineSpace":
         """Canonical RREF of the intersection with {f : <v,f> = y}."""

@@ -45,7 +45,7 @@ from .noisy import (
     noisy_learn_report,
     PacOnlineInner,
 )
-from .online import Identified, LearnerState, new_learner, step
+from .online import Identified, LearnerState, new_learner
 from .rng import SplitMix64
 from .sources import UniformSource, gen_hidden
 
@@ -180,7 +180,7 @@ def _noiseless_trial(
         ):
             ex = source.next_example()
             samples += 1
-            step(state, ex.a, ex.label)
+            state.step(ex.a, ex.label)
     except AllChartsEmptyError as exc:
         logger.warning("trial %d not identified: %s", trial_seed, exc)
     wall_ns = time.perf_counter_ns() - start

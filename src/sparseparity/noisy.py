@@ -1,24 +1,28 @@
 """Noise-tolerant learning by mislabel-set enumeration over a noiseless core.
 
 Labels arrive flipped independently with rate ``eta < 1/3``.  The driver
-draws ``s_prime`` examples, guesses which of them were mislabeled by
-enumerating every flip set up to ``floor(3*eta*s_prime/2)`` indices,
-un-flips each guess, and hands the repaired stream to a noiseless inner
-learner.  Every distinct hypothesis the inner learner produces becomes a
-candidate; fresh verification examples then pick the candidate with the
-best agreement.  The flip budget covers the actual mislabel count with
-high probability, so the true vector is always among the candidates, and
-the verification margin separates it from impostors.
+draws ``s_prime`` examples and guesses which of them were mislabeled: every
+flip set of up to ``floor(3*eta*s_prime/2)`` indices, un-flipped, gives a
+repaired stream for a noiseless inner learner.  Every distinct hypothesis
+the inner learner produces becomes a candidate; fresh verification
+examples then pick the candidate with the best agreement.  The flip budget
+covers the actual mislabel count with high probability, so the true vector
+is always among the candidates, and the verification margin separates it
+from impostors.
+
+An inner learner hands over its candidates through
+``candidates(primary, flip_budget)``: the distinct non-None outputs of its
+``run`` over the repaired streams of all flip sets, each at its first
+occurrence with flip sets taken by size, then lexicographically.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .cover import CoverFamily, CoverParams, binom, build_family
 from .errors import (
@@ -30,7 +34,7 @@ from .errors import (
     SourceExhaustedError,
 )
 from .gf2 import BitVector, mitm_tables
-from .online import LearnerState, learner_from_family
+from .online import LearnerState
 from .pac import PacParams, pac_learn, survival_threshold
 from .sources import LabeledExample, ReplaySource
 
@@ -57,29 +61,6 @@ def flip_budget_for(eta: float, s_prime: int) -> int:
 def flip_set_count(s_prime: int, flip_budget: int) -> int:
     """Number of index subsets of size at most the budget, exactly."""
     return sum(binom(s_prime, i) for i in range(flip_budget + 1))
-
-
-def flip_set_iterator(
-    s_prime: int, flip_budget: int
-) -> Iterator[tuple[int, ...]]:
-    """Subsets of range(s_prime) by nondecreasing size, lex within size."""
-    if flip_budget > s_prime:
-        raise ValueError(
-            f"flip budget {flip_budget} exceeds sample count {s_prime}"
-        )
-    for size in range(flip_budget + 1):
-        yield from itertools.combinations(range(s_prime), size)
-
-
-def apply_flips(
-    examples: Sequence[LabeledExample], flip_set: Sequence[int]
-) -> list[LabeledExample]:
-    """The same examples with the labels at the given indices inverted."""
-    flipped = list(examples)
-    for i in flip_set:
-        ex = flipped[i]
-        flipped[i] = LabeledExample(ex.a, ex.label ^ 1)
-    return flipped
 
 
 @dataclass(frozen=True)
@@ -189,9 +170,7 @@ def agreement_select(
 class NoisyReport:
     """Everything observable about one noisy-learning run.
 
-    ``inner_invocations`` counts the flip sets covered; ``inner_runs``
-    counts the ``inner.run`` calls the driver made, which is 0 when the
-    inner learner hands over its candidates through its hook.
+    ``inner_invocations`` counts the flip sets covered.
     """
 
     output: BitVector
@@ -199,7 +178,6 @@ class NoisyReport:
     s_doubleprime: int
     flip_budget: int
     inner_invocations: int
-    inner_runs: int
     candidate_count: int
     samples_drawn: int
 
@@ -210,12 +188,7 @@ def noisy_learn_report(
     params: NoisyParams,
     flip_set_limit: int = DEFAULT_FLIP_SET_LIMIT,
 ) -> NoisyReport:
-    """Run the reduction and return the output with its run counters.
-
-    An inner learner with a ``candidates(primary, flip_budget)`` method
-    hands over the candidate list the flip-set loop would build, in the
-    same order; any other inner learner is run once per flip set.
-    """
+    """Run the reduction and return the output with its run counters."""
     total_sets = flip_set_count(params.s_prime, params.flip_budget)
     if total_sets > flip_set_limit:
         raise BudgetExceededError(
@@ -223,18 +196,7 @@ def noisy_learn_report(
             f"{flip_set_limit}; shrink s_prime or eta"
         )
     primary = [source.next_example() for _ in range(params.s_prime)]
-    runs = 0
-    if hasattr(inner, "candidates"):
-        candidates = list(inner.candidates(primary, params.flip_budget))
-    else:
-        candidates = []
-        seen: set[int] = set()
-        for flip_set in flip_set_iterator(params.s_prime, params.flip_budget):
-            runs += 1
-            x = inner.run(apply_flips(primary, flip_set))
-            if x is not None and x.value not in seen:
-                seen.add(x.value)
-                candidates.append(x)
+    candidates = list(inner.candidates(primary, params.flip_budget))
     if not candidates:
         raise NoCandidatesError(
             f"no flip set of size <= {params.flip_budget} yielded a "
@@ -249,20 +211,9 @@ def noisy_learn_report(
         s_doubleprime=params.s_doubleprime,
         flip_budget=params.flip_budget,
         inner_invocations=total_sets,
-        inner_runs=runs,
         candidate_count=len(candidates),
         samples_drawn=params.s_prime + params.s_doubleprime,
     )
-
-
-def noisy_learn(
-    inner,
-    source,
-    params: NoisyParams,
-    flip_set_limit: int = DEFAULT_FLIP_SET_LIMIT,
-) -> BitVector:
-    """The reduction's output vector; see :func:`noisy_learn_report`."""
-    return noisy_learn_report(inner, source, params, flip_set_limit).output
 
 
 class MitmInner:
@@ -369,7 +320,7 @@ class PacOnlineInner:
         self.delta = delta
         params = CoverParams(n=n, k=k, t=t, alpha=alpha)
         self.family: CoverFamily = build_family(params, rng_seed)
-        self._start = learner_from_family(self.family)
+        self._start = LearnerState(self.family)
         self.mistake_bound = self._start.mistake_bound
 
     def sample_complexity(self, delta: float) -> int:
@@ -419,7 +370,7 @@ class PacOnlineInner:
         return list(distinct.values())
 
     def _fresh(self) -> LearnerState:
-        return LearnerState(self.n, self.k, self.family, self._start.charts)
+        return LearnerState(self.family, self._start.charts)
 
     def _verdict(self, learner, source, budget, run_length) -> BitVector | None:
         """The PAC driver's verdict as a candidate: a weight-k vector or

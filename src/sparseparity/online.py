@@ -56,21 +56,20 @@ Status = Identified | Active
 
 
 class LearnerState:
-    """Mutable state of one learning session.
+    """Mutable state of one learning session over a covering family.
 
-    ``charts`` may share the starting charts of another learner over the
-    same family; by default each distinct subset gets a full chart.
+    ``n`` and ``k`` come from the family's parameters.  ``charts`` may
+    share the starting charts of another learner over the same family; by
+    default each distinct subset gets a full chart.
     """
 
     def __init__(
         self,
-        n: int,
-        k: int,
         family: CoverFamily,
         charts: Sequence[SubspaceChart] | None = None,
     ):
-        self.n = n
-        self.k = k
+        self.n = n = family.params.n
+        self.k = family.params.k
         self.family = family
         if charts is None:
             masks = [BitVector.from_support(n, part).value for part in family.parts]
@@ -85,26 +84,43 @@ class LearnerState:
         self.rounds = 0
         self.chart_updates = 0
         self.work_units = 0
-        self.mass_history = [sum(1 << chart.log2_size for chart in self.charts)]
-
-    # Method facade so generic drivers can treat any learner uniformly.
+        # Exact number of points across charts, counted with multiplicity.
+        self.initial_mass = self.mass = sum(
+            1 << chart.log2_size for chart in self.charts
+        )
 
     def step(self, a: BitVector, y: int) -> int:
-        return step(self, a, y)
+        """One protocol round: predict, count the mistake, update.
+
+        Returns the prediction made before the update; see learner_update.
+        """
+        return learner_update(self, a, y)
 
     def status(self) -> Status:
-        return status(self)
+        """Identified once every chart pins the same single global vector."""
+        point = None
+        for _support, dim, rows in self.charts:
+            # At full rank every row is a unit vector; the rhs-1 rows sum to
+            # the sole point.
+            value = sum(m for m, r in rows if r)
+            if len(rows) != dim or point not in (None, value):
+                break
+            point = value
+        else:
+            if point is not None:
+                return Identified(f=BitVector(self.n, point))
+        log2_mass = math.log2(self.mass) if self.mass else float("-inf")
+        return Active(log2_mass_upper=log2_mass, mistakes=self.mistakes)
 
     def fork(self) -> "LearnerState":
         """An independent copy that can be stepped on its own.
 
         Charts are immutable and every round rebinds ``charts`` to a new
         list, so the copy shares the chart list and copies only the
-        counters and ``mass_history``.
+        counters.
         """
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__)
-        twin.mass_history = list(self.mass_history)
         return twin
 
     def best_hypothesis(self) -> BitVector | None:
@@ -120,7 +136,7 @@ class LearnerState:
 
     @property
     def mistake_bound(self) -> int:
-        initial = self.mass_history[0]
+        initial = self.initial_mass
         return initial.bit_length() - 1 if initial > 0 else 0
 
 
@@ -133,50 +149,20 @@ def new_learner(
     :func:`~sparseparity.cover.build_family`.
     """
     family = build_family(CoverParams(n=n, k=k, t=t, alpha=alpha), rng_seed)
-    return LearnerState(n=n, k=k, family=family)
-
-
-def learner_from_family(family: CoverFamily) -> LearnerState:
-    """Build a learner over a prebuilt (typically shared) family."""
-    return LearnerState(n=family.params.n, k=family.params.k, family=family)
-
-
-def total_mass(state: LearnerState) -> int:
-    """Exact number of points across charts, counted with multiplicity."""
-    return state.mass_history[-1]
-
-
-def predict(state: LearnerState, a: BitVector) -> int:
-    """Weighted-majority label over exact chart sizes; ties predict 0."""
-    return _round(state, a, None)
+    return LearnerState(family)
 
 
 def learner_update(state: LearnerState, a: BitVector, y: int) -> int:
-    """Intersect every chart with ``<a, f> = y``; drop dead charts.
-
-    Returns the prediction for ``a`` made before the update, from the same
-    reduction, and counts a mistake when it differs from ``y``.
-    """
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y!r}")
-    return _round(state, a, y)
-
-
-def step(state: LearnerState, a: BitVector, y: int) -> int:
-    """One protocol round: predict, count the mistake, update.
-
-    Returns the prediction made before the update; see learner_update.
-    """
-    return learner_update(state, a, y)
-
-
-def _round(state: LearnerState, a: BitVector, y: int | None) -> int:
-    """Reduce ``a`` once per chart; predict, then update unless y is None.
+    """Reduce ``a`` once per chart; predict, then update with ``<a, f> = y``.
 
     Where ``a`` reduces to zero, ``<a, f>`` is forced on the whole chart
     and all its mass votes for that label.  Other charts split in half, so
-    they cancel in the vote.  The label-``y`` side is the new state.
+    they cancel in the vote; ties predict 0.  The label-``y`` side is the
+    new state and dead charts are dropped.  Returns the prediction made
+    before the update and counts a mistake when it differs from ``y``.
     """
+    if y not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {y!r}")
     if a.n != state.n:
         raise ValueError(
             f"example has length {a.n} but the learner is over {state.n} "
@@ -203,41 +189,21 @@ def _round(state: LearnerState, a: BitVector, y: int | None) -> int:
             forced_mass[forced] += 1 << (dim - rank)
             if forced == y:
                 survivors.append(chart)
-        elif y is not None:
+        else:
             halves += 1 << (dim - rank - 1)
             rows = insert_row(rows, residual, forced ^ y)
             survivors.append(new_chart(SubspaceChart, (support, dim, rows)))
     guess = 0 if forced_mass[0] >= forced_mass[1] else 1
-    if y is None:
-        return guess
     if guess != y:
         state.mistakes += 1
     state.chart_updates += len(state.charts)
     state.work_units += work
     state.charts = survivors
     state.rounds += 1
-    state.mass_history.append(halves + forced_mass[y])
+    state.mass = halves + forced_mass[y]
     if not survivors:
         raise AllChartsEmptyError(
             "all charts died: labels are noisy or the target is not a "
             f"weight-{state.k} parity"
         )
     return guess
-
-
-def status(state: LearnerState) -> Status:
-    """Identified once every chart pins the same single global vector."""
-    point = None
-    for _support, dim, rows in state.charts:
-        # At full rank every row is a unit vector; the rhs-1 rows sum to
-        # the sole point.
-        value = sum(m for m, r in rows if r)
-        if len(rows) != dim or point not in (None, value):
-            break
-        point = value
-    else:
-        if point is not None:
-            return Identified(f=BitVector(state.n, point))
-    mass = total_mass(state)
-    log2_mass = math.log2(mass) if mass else float("-inf")
-    return Active(log2_mass_upper=log2_mass, mistakes=state.mistakes)

@@ -28,13 +28,10 @@ DEFAULT_SAMPLE_BUDGET = 10**6
 
 @dataclass(frozen=True)
 class PacParams:
-    epsilon: float = 0.5
     delta: float = 0.1
     sample_budget: int = DEFAULT_SAMPLE_BUDGET
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.sample_budget < 0:

@@ -52,9 +52,8 @@ class UniformSource:
 
     Per example the generator draws the vector words first and then, only
     when ``eta > 0``, one word for the label flip, in one
-    :meth:`~sparseparity.rng.SplitMix64.bits_and_flip` call; flip outcomes
-    are logged on the source for test introspection but are never exposed
-    through :meth:`next_example` itself.
+    :meth:`~sparseparity.rng.SplitMix64.bits_and_flip` call.  A flip is not
+    stored: it equals ``label ^ <a, hidden>``.
     """
 
     def __init__(self, hidden: BitVector, seed: int, eta: float = 0.0):
@@ -67,7 +66,6 @@ class UniformSource:
         self._hidden_bits = hidden.value
         # bernoulli(eta)'s threshold; None draws no flip word.
         self._threshold = int(eta * 2.0**64) if eta > 0.0 else None
-        self.flips: list[bool] = []
         self.draws = 0
 
     @classmethod
@@ -84,24 +82,16 @@ class UniformSource:
         return cls(hidden, meta.next_u64(), eta=eta)
 
     def next_example(self) -> LabeledExample:
-        threshold = self._threshold
-        bits, flip = self._rng.bits_and_flip(self.n, threshold)
-        label = (bits & self._hidden_bits).bit_count() & 1
-        if threshold is not None:
-            self.flips.append(flip)
-            label ^= flip
+        bits, flip = self._rng.bits_and_flip(self.n, self._threshold)
         self.draws += 1
         ex = _new(LabeledExample)
         _set_a(ex, BitVector(self.n, bits))
-        _set_label(ex, label)
+        # int ^ bool is an int, so a stream file prints 0/1, not True.
+        _set_label(ex, ((bits & self._hidden_bits).bit_count() & 1) ^ flip)
         return ex
 
     def take(self, count: int) -> list[LabeledExample]:
         return [self.next_example() for _ in range(count)]
-
-    @property
-    def flip_count(self) -> int:
-        return sum(self.flips)
 
     def fork(self) -> "UniformSource":
         """A child source over the same hidden vector with a split RNG."""

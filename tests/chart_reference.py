@@ -2,8 +2,8 @@
 
 Each chart is an :class:`AffineSpace` over its own ``dim`` coordinates
 plus the sorted tuple of global coordinates they stand for.  Every round
-projects the example into every chart (``BitVector.restrict``) twice, once
-to predict through ``split_sizes`` and once to update through
+projects the example into every chart (:func:`restrict`) twice, once to
+predict through :func:`split_sizes` and once to update through
 ``constrain``, and recounts the total mass from scratch.  This is the
 learner the library shipped before charts moved to global coordinates;
 the library's learner must agree with it round by round.
@@ -13,11 +13,48 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from sparseparity.cover import CoverFamily
-from sparseparity.errors import AllChartsEmptyError
-from sparseparity.gf2 import AffineSpace, BitVector
+from sparseparity.errors import AllChartsEmptyError, LengthMismatchError
+from sparseparity.gf2 import AffineSpace, BitVector, reduce_rows
 from sparseparity.online import Active, Identified
+
+
+def restrict(v: BitVector, coords: Sequence[int]) -> BitVector:
+    """The subvector of ``v`` at the given coordinates, in the given order."""
+    bits = v.value
+    value = 0
+    for local, g in enumerate(coords):
+        if (bits >> g) & 1:
+            value |= 1 << local
+    return BitVector(len(coords), value)
+
+
+def split_sizes(
+    space: AffineSpace, v: BitVector
+) -> tuple[int | None, int | None]:
+    """log2 sizes of the two halves of ``space`` cut by <v,f> = y.
+
+    Returns a pair indexed by the label y.  A forced label keeps the
+    current size and the other label maps to None; an informative
+    constraint halves the space for both labels.  The empty space
+    yields (None, None).
+    """
+    if v.n != space.ambient_dim:
+        raise LengthMismatchError(
+            f"vector of length {v.n} in space of dimension {space.ambient_dim}"
+        )
+    if space.empty:
+        return (None, None)
+    size = space.log2_size
+    res, forced = reduce_rows(space._rows, v.value, 0)
+    if res == 0:
+        # <v,f> equals `forced` on every point of the space.
+        if forced == 0:
+            return (size, None)
+        return (None, size)
+    return (size - 1, size - 1)
 
 
 @dataclass
@@ -26,7 +63,7 @@ class LocalChart:
     space: AffineSpace
 
     def project(self, a: BitVector) -> BitVector:
-        return a.restrict(self.support)
+        return restrict(a, self.support)
 
     def embed_value(self, local_bits: int) -> int:
         value = 0
@@ -59,7 +96,7 @@ class ReferenceLearner:
             raise AllChartsEmptyError("no live charts")
         mass = [0, 0]
         for chart in self.charts:
-            for label, size in enumerate(chart.space.split_sizes(chart.project(a))):
+            for label, size in enumerate(split_sizes(chart.space, chart.project(a))):
                 if size is not None:
                     mass[label] += 1 << size
         return 0 if mass[0] >= mass[1] else 1

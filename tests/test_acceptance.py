@@ -38,6 +38,8 @@ from sparseparity.noisy import (
 from sparseparity.rng import SplitMix64
 from sparseparity.sources import UniformSource, gen_hidden
 
+from chart_reference import split_sizes
+
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
@@ -95,7 +97,7 @@ def test_affine_splits_match_exhaustive_enumeration(capsys):
             table = _parity_table(dim, v_bits)
             c0 = int((alive & ~table).sum())
             c1 = int((alive & table).sum())
-            s0, s1 = space.split_sizes(v)
+            s0, s1 = split_sizes(space, v)
             for log_size, count in ((s0, c0), (s1, c1)):
                 if log_size is None:
                     assert count == 0

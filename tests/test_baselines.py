@@ -10,8 +10,6 @@ from sparseparity.baselines import (
     Underdetermined,
     UniqueSolution,
     gauss_learn,
-    halving_predict,
-    halving_update,
     mitm_learn,
 )
 from sparseparity.cover import binom
@@ -99,26 +97,29 @@ class TestCandidateSet:
     def test_update_filters_on_label(self):
         cs = CandidateSet(4, 1)
         # Hidden e3 (third basis vector): <1100, e3> = 0 keeps {e3, e4}.
-        halving_update(cs, V("1100"), 0)
+        cs.step(V("1100"), 0)
         assert {f.support() for f in cs.survivors} == {(2,), (3,)}
 
     def test_empty_survivors_is_inconsistent(self):
         cs = CandidateSet(3, 1)
-        halving_update(cs, V("111"), 1)
+        cs.step(V("111"), 1)
         with pytest.raises(InconsistentStreamError):
-            halving_update(cs, V("000"), 1)
+            cs.step(V("000"), 1)
 
     def test_predict_after_identification_is_exact(self):
         cs = CandidateSet(4, 1)
         f = BitVector.from_support(4, [2])
         for i in range(4):
             a = BitVector.from_support(4, [i])
-            halving_update(cs, a, dot(a, f))
+            cs.step(a, dot(a, f))
         assert cs.survivors == [f]
+        mistakes = cs.mistakes
         rng = SplitMix64(3)
         for _ in range(50):
             a = BitVector(4, rng.bits(4))
-            assert halving_predict(cs, a) == dot(a, f)
+            assert cs.step(a, dot(a, f)) == dot(a, f)
+        assert cs.survivors == [f]
+        assert cs.mistakes == mistakes
 
     def test_mistakes_at_most_log_candidates_exhaustively(self):
         # Every hidden target and every basis-example stream of length 6.
@@ -130,14 +131,13 @@ class TestCandidateSet:
                 for idx in stream:
                     a = basis[idx]
                     y = dot(a, hidden)
-                    if halving_predict(cs, a) != y:
+                    if cs.step(a, y) != y:
                         mistakes += 1
-                    halving_update(cs, a, y)
-                assert mistakes <= 2  # ceil(log2 C(4,1))
+                assert cs.mistakes == mistakes <= 2  # ceil(log2 C(4,1))
 
     def test_ties_predict_zero(self):
         cs = CandidateSet(2, 1)
-        assert halving_predict(cs, V("10")) == 0
+        assert cs.step(V("10"), 1) == 0
 
     def test_works_as_pac_learner(self):
         hits = 0
@@ -155,7 +155,7 @@ class TestCandidateSet:
         f = BitVector.from_support(4, [1])
         for i in range(4):
             a = BitVector.from_support(4, [i])
-            halving_update(cs, a, dot(a, f))
+            cs.step(a, dot(a, f))
         st = cs.status()
         assert isinstance(st, Identified)
         assert st.f == f

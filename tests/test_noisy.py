@@ -1,6 +1,7 @@
 """Tests for the mislabel-set enumeration reduction and its inner learners."""
 
 import functools
+import itertools
 import logging
 import math
 import weakref
@@ -24,15 +25,12 @@ from sparseparity.noisy import (
     NoisyParams,
     PacOnlineInner,
     agreement_select,
-    apply_flips,
     entropy,
     flip_budget_for,
     flip_set_count,
-    flip_set_iterator,
-    noisy_learn,
     noisy_learn_report,
 )
-from sparseparity.online import Identified, LearnerState, learner_from_family
+from sparseparity.online import Identified, LearnerState
 from sparseparity.pac import PacParams, pac_learn, survival_threshold
 from sparseparity.rng import SplitMix64
 from sparseparity.sources import (
@@ -43,35 +41,23 @@ from sparseparity.sources import (
 )
 
 
-class ConstantInner:
-    """Inner learner that ignores its examples and returns a fixed vector."""
-
-    def __init__(self, output):
-        self.output = output
-        self.calls = 0
-
-    def run(self, examples):
-        self.calls += 1
-        return self.output
+def flip_set_iterator(s_prime, flip_budget):
+    """Subsets of range(s_prime) by nondecreasing size, lex within size."""
+    if flip_budget > s_prime:
+        raise ValueError(
+            f"flip budget {flip_budget} exceeds sample count {s_prime}"
+        )
+    for size in range(flip_budget + 1):
+        yield from itertools.combinations(range(s_prime), size)
 
 
-class DecliningInner:
-    """Inner learner that never produces a hypothesis."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def run(self, examples):
-        self.calls += 1
-        return None
-
-
-class RunOnly:
-    """Exposes only an inner learner's ``run``, so the reduction takes the
-    flip-set loop even when the inner learner has a decoding hook."""
-
-    def __init__(self, inner):
-        self.run = inner.run
+def apply_flips(examples, flip_set):
+    """The same examples with the labels at the given indices inverted."""
+    flipped = list(examples)
+    for i in flip_set:
+        ex = flipped[i]
+        flipped[i] = LabeledExample(ex.a, ex.label ^ 1)
+    return flipped
 
 
 def loop_candidates(inner, primary, flip_budget):
@@ -83,6 +69,54 @@ def loop_candidates(inner, primary, flip_budget):
         if x is not None and x not in found:
             found.append(x)
     return found
+
+
+class LoopInner:
+    """An inner learner whose ``candidates`` runs ``run`` on every flip set."""
+
+    def candidates(self, primary, flip_budget):
+        return loop_candidates(self, primary, flip_budget)
+
+
+class ConstantInner(LoopInner):
+    """Inner learner that ignores its examples and returns a fixed vector."""
+
+    def __init__(self, output):
+        self.output = output
+        self.calls = 0
+
+    def run(self, examples):
+        self.calls += 1
+        return self.output
+
+
+class DecliningInner(LoopInner):
+    """Inner learner that never produces a hypothesis."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def run(self, examples):
+        self.calls += 1
+        return None
+
+
+class RunOnly(LoopInner):
+    """An inner learner's ``run`` with the flip-set loop in place of its
+    decoding hook."""
+
+    def __init__(self, inner):
+        self.run = inner.run
+
+
+class ListInner:
+    """Inner learner that hands over a fixed candidate list."""
+
+    def __init__(self, listed):
+        self.listed = listed
+
+    def candidates(self, primary, flip_budget):
+        return self.listed
 
 
 class FixedComplexityInner:
@@ -354,7 +388,6 @@ def test_budget_zero_noiseless_run_recovers_hidden():
     report = noisy_learn_report(MitmInner(12, 2), source, params)
     assert report.output == hidden
     assert report.inner_invocations == 1
-    assert report.inner_runs == 0
     assert report.candidate_count == 1
     assert report.samples_drawn == 100 + params.s_doubleprime
 
@@ -372,16 +405,18 @@ def test_report_counters_match_formulas():
     assert source.draws == report.samples_drawn
 
 
-def test_noisy_learn_returns_report_output():
+def test_tie_goes_to_the_first_candidate_the_inner_lists():
+    # on e2 both candidates predict 0, so verification cannot tell them
+    # apart and noisy_learn_report must keep the inner learner's order
+    x = BitVector.from_support(8, (0,))
+    y = BitVector.from_support(8, (1,))
     params = NoisyParams.from_counts(eta=0.05, delta=0.2, s_prime=14)
-    hidden = gen_hidden(10, 2, 500)
-    via_report = noisy_learn_report(
-        MitmInner(10, 2), UniformSource(hidden, seed=0, eta=0.05), params
-    ).output
-    direct = noisy_learn(
-        MitmInner(10, 2), UniformSource(hidden, seed=0, eta=0.05), params
-    )
-    assert direct == via_report == hidden
+    example = LabeledExample(BitVector.from_support(8, (2,)), 0)
+    stream = [example] * (params.s_prime + params.s_doubleprime)
+    for order in ([x, y], [y, x]):
+        report = noisy_learn_report(ListInner(order), ReplaySource(stream), params)
+        assert report.output == order[0]
+        assert report.candidate_count == 2
 
 
 def test_duplicate_hypotheses_deduplicated():
@@ -391,7 +426,7 @@ def test_duplicate_hypotheses_deduplicated():
     source = UniformSource(target, seed=9, eta=0.05)
     report = noisy_learn_report(inner, source, params)
     assert report.inner_invocations == flip_set_count(20, 1) == 21
-    assert report.inner_runs == inner.calls == 21
+    assert inner.calls == 21
     assert report.candidate_count == 1
     assert report.output == target
 
@@ -402,7 +437,7 @@ def test_no_candidates_raises():
     inner = DecliningInner()
     with pytest.raises(NoCandidatesError):
         noisy_learn_report(inner, source, params)
-    # an inner learner without the decoding hook runs once per flip set
+    # the flip-set loop runs the inner learner once per flip set
     assert inner.calls == flip_set_count(20, 1)
     assert source.draws == params.s_prime
 
@@ -618,7 +653,10 @@ def test_reports_match_on_both_paths(n, k, eta, s_prime, seed):
         hidden = gen_hidden(n, k, master.next_u64())
         source_seed = master.next_u64()
         reports = []
-        for inner in (MitmInner(n, k), RunOnly(MitmInner(n, k))):
+        hook_inner, runs = MitmInner(n, k), []
+        # every budget here is positive, so the hook never calls run
+        hook_inner.run = runs.append
+        for inner in (hook_inner, RunOnly(MitmInner(n, k))):
             source = UniformSource(hidden, seed=source_seed, eta=eta)
             try:
                 reports.append(noisy_learn_report(inner, source, params))
@@ -628,6 +666,7 @@ def test_reports_match_on_both_paths(n, k, eta, s_prime, seed):
                 0 if reports[-1] is None else params.s_doubleprime
             )
         hook, loop = reports
+        assert runs == []
         if hook is None or loop is None:
             assert hook is loop
             continue
@@ -638,7 +677,6 @@ def test_reports_match_on_both_paths(n, k, eta, s_prime, seed):
             params.s_prime, params.flip_budget
         )
         assert hook.samples_drawn == loop.samples_drawn
-        assert (hook.inner_runs, loop.inner_runs) == (0, loop.inner_invocations)
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +751,7 @@ def _stream(kind, n, k, s_prime, seed):
 
 def _exit(inner, examples):
     """Which exit ends the replay of ``examples`` through a fresh learner."""
-    learner = learner_from_family(inner.family)
+    learner = LearnerState(inner.family)
     params = PacParams(delta=inner.delta, sample_budget=len(examples))
     try:
         x = pac_learn(learner, ReplaySource(examples), params)
@@ -814,7 +852,7 @@ def test_chart_candidates_skip_flip_sets_past_the_stop(monkeypatch):
     primary = _stream("zero", 12, 2, 20, 3)
     root = ReplaySource(primary)
     pac_learn(
-        learner_from_family(inner.family), root,
+        LearnerState(inner.family), root,
         PacParams(delta=inner.delta, sample_budget=len(primary)),
     )
     assert 0 < root.draws < len(primary)
@@ -838,7 +876,7 @@ def test_chart_candidates_flip_the_last_example():
     honest = UniformSource(hidden, seed=9).take(60)
     probe = ReplaySource(honest)
     assert pac_learn(
-        learner_from_family(inner.family), probe,
+        LearnerState(inner.family), probe,
         PacParams(delta=inner.delta, sample_budget=len(honest)),
     ) == hidden
     primary = apply_flips(honest[:probe.draws], (probe.draws - 1,))
@@ -852,12 +890,15 @@ def test_gate7_reports_match_on_both_paths():
     # trial and runs the inner learner zero times
     params = NoisyParams.from_counts(eta=0.01, delta=0.25, s_prime=67)
     inner = PacOnlineInner(48, 2, t=12, alpha=2, delta=0.01, rng_seed=7700)
+    loop_path = RunOnly(inner)
+    runs = []
+    inner.run = runs.append  # records any run call on the hook path
     master = SplitMix64(7)
     for _ in range(10):
         hidden = gen_hidden(48, 2, master.next_u64())
         source_seed = master.next_u64()
         reports, draws = [], []
-        for path in (inner, RunOnly(inner)):
+        for path in (inner, loop_path):
             source = UniformSource(hidden, seed=source_seed, eta=0.01)
             try:
                 reports.append(noisy_learn_report(path, source, params))
@@ -873,4 +914,4 @@ def test_gate7_reports_match_on_both_paths():
         assert hook.candidate_count == loop.candidate_count
         assert hook.inner_invocations == loop.inner_invocations == 68
         assert hook.samples_drawn == loop.samples_drawn == draws[0]
-        assert (hook.inner_runs, loop.inner_runs) == (0, 68)
+    assert runs == []

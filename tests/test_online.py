@@ -12,13 +12,8 @@ from sparseparity.online import (
     Active,
     Identified,
     LearnerState,
-    learner_from_family,
     learner_update,
     new_learner,
-    predict,
-    status,
-    step,
-    total_mass,
 )
 from sparseparity.sources import UniformSource, gen_hidden
 
@@ -38,7 +33,7 @@ def hand_family(n, k, t, alpha, subsets):
 
 
 def hand_state(n, k, t, alpha, subsets):
-    return learner_from_family(hand_family(n, k, t, alpha, subsets))
+    return LearnerState(hand_family(n, k, t, alpha, subsets))
 
 
 def chart_points(chart, n):
@@ -54,7 +49,7 @@ def chart_points(chart, n):
 
 def embedded_union(state, max_points=1 << 20):
     """All global vectors across charts, as packed ints."""
-    if total_mass(state) > max_points:
+    if state.mass > max_points:
         raise BudgetExceededError("chart union too large to enumerate")
     union = set()
     for chart in state.charts:
@@ -66,11 +61,11 @@ def run_honest(state, hidden, seed, max_rounds=500):
     """Drive the protocol with uniform honest examples until identified."""
     src = UniformSource(hidden, seed=seed)
     for _ in range(max_rounds):
-        st = status(state)
+        st = state.status()
         if isinstance(st, Identified):
             return st.f
         ex = src.next_example()
-        step(state, ex.a, ex.label)
+        state.step(ex.a, ex.label)
     return None
 
 
@@ -89,14 +84,14 @@ class TestNewLearner:
     def test_initial_mass_bound(self):
         state = new_learner(8, 1, 2, 2, rng_seed=0)
         m = state.family.m
-        assert state.mass_history == [total_mass(state)]
-        assert total_mass(state) <= m * 2 ** (2 * math.ceil(8 / 4))
+        assert state.initial_mass == state.mass
+        assert state.mass <= m * 2 ** (2 * math.ceil(8 / 4))
 
     def test_same_seed_same_state(self):
         a = new_learner(16, 2, 4, 2, rng_seed=5)
         b = new_learner(16, 2, 4, 2, rng_seed=5)
         assert a.charts == b.charts
-        assert a.mass_history == b.mass_history
+        assert (a.initial_mass, a.mass) == (b.initial_mass, b.mass)
 
     def test_family_is_verified_at_small_scale(self):
         state = new_learner(16, 2, 4, 2, rng_seed=1)
@@ -122,7 +117,8 @@ class TestFork:
     def snapshot(state):
         return (
             list(state.charts), state.mistakes, state.rounds,
-            state.chart_updates, state.work_units, list(state.mass_history),
+            state.chart_updates, state.work_units, state.initial_mass,
+            state.mass,
         )
 
     def test_stepping_a_fork_leaves_the_original_unchanged(self):
@@ -130,13 +126,13 @@ class TestFork:
         hidden = gen_hidden(16, 2, 4)
         examples = UniformSource(hidden, seed=5).take(12)
         for ex in examples[:3]:
-            step(state, ex.a, ex.label)
+            state.step(ex.a, ex.label)
         before = self.snapshot(state)
         twin = state.fork()
         assert self.snapshot(twin) == before
         for ex in examples[3:]:
             # the fork takes the wrong label too, so it makes mistakes
-            step(twin, ex.a, ex.label ^ (ex.a.value & 1))
+            twin.step(ex.a, ex.label ^ (ex.a.value & 1))
         assert twin.rounds == state.rounds + len(examples) - 3
         assert self.snapshot(state) == before
         assert twin.mistakes > state.mistakes
@@ -147,92 +143,96 @@ class TestFork:
         whole = new_learner(16, 2, 4, 2, rng_seed=8)
         resumed = new_learner(16, 2, 4, 2, rng_seed=8)
         for ex in examples[:4]:
-            step(whole, ex.a, ex.label)
-            step(resumed, ex.a, ex.label)
+            whole.step(ex.a, ex.label)
+            resumed.step(ex.a, ex.label)
         twin = resumed.fork()
         for ex in examples[4:]:
-            assert step(whole, ex.a, ex.label) == step(twin, ex.a, ex.label)
+            assert whole.step(ex.a, ex.label) == twin.step(ex.a, ex.label)
         assert self.snapshot(twin) == self.snapshot(whole)
-        assert status(twin) == status(whole)
+        assert twin.status() == whole.status()
 
 
 class TestPredict:
+    """A step returns its prediction; stepping a fork leaves the learner."""
+
     def test_full_chart_ties_to_zero(self):
         state = hand_state(3, 1, 1, 3, [(0, 1, 2)])
-        assert predict(state, V("111")) == 0
-        assert predict(state, V("100")) == 0
+        assert state.fork().step(V("111"), 1) == 0
+        assert state.fork().step(V("100"), 1) == 0
 
     def test_forced_label_wins(self):
         state = hand_state(3, 1, 1, 3, [(0, 1, 2)])
         learner_update(state, V("110"), 1)
-        assert predict(state, V("110")) == 1
+        assert state.fork().step(V("110"), 1) == 1
 
     def test_majority_across_two_charts(self):
         # Chart over {0,1,2} sees a zero projection: 8 points forced to
         # label 0.  Chart over {3,4} splits 2/2.  Masses 10 vs 2.
         state = hand_state(5, 1, 1, 5, [(0, 1, 2), (3, 4)])
-        assert predict(state, V("00010")) == 0
+        assert state.fork().step(V("00010"), 1) == 0
 
     def test_does_not_mutate_state(self):
         state = hand_state(3, 1, 1, 3, [(0, 1, 2)])
         learner_update(state, V("110"), 1)
         before = list(state.charts)
-        predict(state, V("101"))
+        state.fork().step(V("101"), 1)
         assert state.charts == before
-        assert state.mass_history == [8, 4]
+        assert (state.initial_mass, state.mass, state.rounds) == (8, 4, 1)
 
     def test_raises_when_no_charts(self):
         state = hand_state(2, 1, 1, 2, [(0, 1)])
-        step(state, V("10"), 0)
+        state.step(V("10"), 0)
         with pytest.raises(AllChartsEmptyError):
-            step(state, V("10"), 1)
+            state.step(V("10"), 1)
         with pytest.raises(AllChartsEmptyError):
-            predict(state, V("10"))
+            state.fork().step(V("10"), 0)
 
     def test_length_checked(self):
         state = hand_state(3, 1, 1, 3, [(0, 1, 2)])
         with pytest.raises(ValueError):
-            predict(state, V("10"))
+            state.fork().step(V("10"), 0)
 
 
 class TestLearnerUpdate:
     def test_repeat_update_is_noop_on_mass(self):
         state = hand_state(3, 1, 1, 3, [(0, 1, 2)])
         learner_update(state, V("101"), 1)
-        first = state.mass_history[-1]
+        first = state.mass
         learner_update(state, V("101"), 1)
-        assert state.mass_history[-1] == first
+        assert state.mass == first
 
     def test_contradiction_kills_single_chart(self):
         state = hand_state(3, 1, 1, 3, [(0, 1, 2)])
         learner_update(state, V("101"), 0)
-        assert total_mass(state) == 4
+        assert state.mass == 4
         with pytest.raises(AllChartsEmptyError):
             learner_update(state, V("101"), 1)
         assert state.charts == []
-        assert state.mass_history[-1] == 0
+        assert state.mass == 0
 
     def test_hidden_vector_stays_in_union(self):
         state = new_learner(12, 2, 4, 2, rng_seed=3)
         hidden = gen_hidden(12, 2, 9)
         src = UniformSource(hidden, seed=21)
         for _ in range(60):
-            if isinstance(status(state), Identified):
+            if isinstance(state.status(), Identified):
                 break
             ex = src.next_example()
-            step(state, ex.a, ex.label)
+            state.step(ex.a, ex.label)
             assert hidden.value in embedded_union(state)
 
     def test_mass_never_increases(self):
         state = new_learner(12, 2, 4, 2, rng_seed=4)
         hidden = gen_hidden(12, 2, 11)
         src = UniformSource(hidden, seed=2)
+        hist = [state.mass]
         for _ in range(60):
-            if isinstance(status(state), Identified):
+            if isinstance(state.status(), Identified):
                 break
             ex = src.next_example()
-            step(state, ex.a, ex.label)
-        hist = state.mass_history
+            state.step(ex.a, ex.label)
+            hist.append(state.mass)
+        assert len(hist) > 2
         assert all(b <= a for a, b in zip(hist, hist[1:]))
 
     def test_mistake_rounds_halve_mass(self):
@@ -241,13 +241,13 @@ class TestLearnerUpdate:
         src = UniformSource(hidden, seed=5)
         halvings = 0
         for _ in range(80):
-            if isinstance(status(state), Identified):
+            if isinstance(state.status(), Identified):
                 break
             ex = src.next_example()
-            before = total_mass(state)
-            guess = step(state, ex.a, ex.label)
+            before = state.mass
+            guess = state.step(ex.a, ex.label)
             if guess != ex.label:
-                assert state.mass_history[-1] <= before // 2
+                assert state.mass <= before // 2
                 halvings += 1
         assert halvings == state.mistakes
 
@@ -255,18 +255,18 @@ class TestLearnerUpdate:
 class TestStatus:
     def test_fresh_learner_active(self):
         state = new_learner(8, 1, 2, 2, rng_seed=0)
-        st = status(state)
+        st = state.status()
         assert isinstance(st, Active)
         assert st.mistakes == 0
-        assert st.log2_mass_upper == pytest.approx(math.log2(total_mass(state)))
+        assert st.log2_mass_upper == pytest.approx(math.log2(state.mass))
 
     def test_identified_after_independent_examples(self):
         state = new_learner(4, 1, 2, 2, rng_seed=1)
         hidden = gen_hidden(4, 1, 3)
         for i in range(4):
             a = BitVector.from_support(4, [i])
-            step(state, a, dot(a, hidden))
-        st = status(state)
+            state.step(a, dot(a, hidden))
+        st = state.status()
         assert isinstance(st, Identified)
         assert st.f == hidden
         assert st.f.popcount() == 1
@@ -283,7 +283,7 @@ class TestStatus:
         for seed in range(5):
             state = new_learner(16, 2, 4, 2, rng_seed=seed)
             bound = state.mistake_bound
-            assert bound == math.floor(math.log2(state.mass_history[0]))
+            assert bound == math.floor(math.log2(state.initial_mass))
             hidden = gen_hidden(16, 2, 50 + seed)
             assert run_honest(state, hidden, seed=300 + seed) == hidden
             assert state.mistakes <= bound
@@ -305,15 +305,15 @@ class TestOracleEquivalence:
         src = UniformSource(hidden, seed=42)
         history = []
         for _ in range(40):
-            if isinstance(status(state), Identified):
+            if isinstance(state.status(), Identified):
                 break
             ex = src.next_example()
-            step(state, ex.a, ex.label)
+            state.step(ex.a, ex.label)
             history.append((ex.a, ex.label))
             brute = self.consistent_weight_k(n, k, history)
             union = embedded_union(state)
             assert brute <= union
-        st = status(state)
+        st = state.status()
         assert isinstance(st, Identified)
         assert self.consistent_weight_k(n, k, history) == {st.f.value}
 
@@ -356,7 +356,7 @@ class TestBestHypothesis:
 class TestZeroSparsity:
     def test_identified_immediately(self):
         state = new_learner(6, 0, 3, 2, rng_seed=0)
-        st = status(state)
+        st = state.status()
         assert isinstance(st, Identified)
         assert st.f == BitVector.zeros(6)
         assert state.mistake_bound == 0
@@ -373,9 +373,10 @@ class TestLocalReferenceEquivalence:
     def assert_same_state(self, state, ref, points):
         assert state.mistakes == ref.mistakes
         assert state.rounds == ref.rounds
-        assert state.mass_history == ref.mass_history
+        assert state.initial_mass == ref.mass_history[0]
+        assert state.mass == ref.mass_history[-1]
         assert len(state.charts) == len(ref.charts)
-        assert status(state) == ref.status()
+        assert state.status() == ref.status()
         assert state.best_hypothesis() == ref.best_hypothesis()
         assert [(c.support, c.rows) for c in state.charts] == ref.global_charts()
         if points:
@@ -387,17 +388,16 @@ class TestLocalReferenceEquivalence:
         ref = ReferenceLearner(state.n, state.k, state.family)
         self.assert_same_state(state, ref, points)
         for rounds, (a, y) in enumerate(examples):
-            if isinstance(status(state), Identified):
+            if isinstance(state.status(), Identified):
                 return rounds
-            assert predict(state, a) == ref.predict(a)
             try:
                 expected = ref.step(a, y)
             except AllChartsEmptyError:
                 with pytest.raises(AllChartsEmptyError):
-                    step(state, a, y)
+                    state.step(a, y)
                 self.assert_same_state(state, ref, points)
                 return rounds + 1
-            assert step(state, a, y) == expected
+            assert state.step(a, y) == expected
             self.assert_same_state(state, ref, points)
         return len(examples)
 
@@ -414,14 +414,14 @@ class TestLocalReferenceEquivalence:
             hidden = gen_hidden(n, k, 60 + trial)
             rounds = self.drive(state, self.honest(hidden, 80 + trial, 200))
             assert 0 < rounds < 200
-            assert status(state) == Identified(f=hidden)
+            assert state.status() == Identified(f=hidden)
 
     def test_zero_sparsity(self):
         state = new_learner(6, 0, 3, 2, rng_seed=0)
         assert self.drive(state, self.honest(BitVector.zeros(6), 1, 5), True) == 0
         ref = ReferenceLearner(6, 0, state.family)
         for a, y in self.honest(BitVector.zeros(6), 2, 5):
-            assert step(state, a, y) == ref.step(a, y)
+            assert state.step(a, y) == ref.step(a, y)
             self.assert_same_state(state, ref, True)
 
     def test_duplicate_subsets_and_dying_charts(self):
@@ -432,7 +432,7 @@ class TestLocalReferenceEquivalence:
             12, 1, 3, 2, [(0, 2), (1, 3), (0, 2), (4, 5), (0, 1), (2, 0)]
         )
         hidden = BitVector.from_support(12, [0, 2])
-        state = learner_from_family(family)
+        state = LearnerState(family)
         rounds = self.drive(state, self.honest(hidden, 3, 60), True)
         assert len(state.charts) == 2
         assert 0 < rounds < 60
@@ -441,7 +441,7 @@ class TestLocalReferenceEquivalence:
         family = hand_family(8, 1, 2, 2, [(0, 1), (2, 3), (0, 1), (1, 2)])
         src = UniformSource(BitVector.zeros(8), seed=7)
         examples = [(ex.a, 1) for ex in src.take(40)]
-        state = learner_from_family(family)
+        state = LearnerState(family)
         assert self.drive(state, examples, True) < 40
         assert state.charts == []
         assert state.best_hypothesis() is None

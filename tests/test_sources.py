@@ -52,6 +52,11 @@ class TestGenHidden:
         assert chi2 < 40
 
 
+def flips_of(examples, hidden):
+    """Each example's flip: its label XOR the hidden parity of its vector."""
+    return [ex.label ^ dot(ex.a, hidden) for ex in examples]
+
+
 class TestUniformSource:
     def test_noiseless_labels_are_exact(self):
         hidden = gen_hidden(20, 3, 5)
@@ -59,7 +64,6 @@ class TestUniformSource:
         for _ in range(300):
             ex = src.next_example()
             assert ex.label == dot(ex.a, hidden)
-        assert src.flips == []
 
     def test_seed_determinism(self):
         hidden = gen_hidden(16, 2, 1)
@@ -68,21 +72,21 @@ class TestUniformSource:
         e1 = s1.take(100)
         e2 = s2.take(100)
         assert e1 == e2
-        assert s1.flips == s2.flips
+        assert flips_of(e1, hidden) == flips_of(e2, hidden)
+        assert any(flips_of(e1, hidden))
 
     def test_noisy_labels_flip_exactly_when_logged(self):
         hidden = gen_hidden(16, 2, 3)
         src = UniformSource(hidden, seed=8, eta=0.25)
-        for i in range(500):
-            ex = src.next_example()
-            clean = dot(ex.a, hidden)
-            assert (ex.label != clean) == src.flips[i]
+        ref = ReferenceSource(hidden, SplitMix64(8), 0.25)
+        for _ in range(500):
+            ref.next_example()
+        assert flips_of(src.take(500), hidden) == ref.flips
 
     def test_flip_rate_near_eta(self):
         hidden = gen_hidden(10, 2, 2)
         src = UniformSource(hidden, seed=77, eta=0.25)
-        src.take(10**4)
-        rate = src.flip_count / 10**4
+        rate = sum(flips_of(src.take(10**4), hidden)) / 10**4
         assert abs(rate - 0.25) < 0.02
 
     def test_from_seed_is_reproducible(self):
@@ -156,6 +160,9 @@ class ReferenceSource:
 
 
 def assert_same_draws(fast, ref, count):
+    """Compare ``count`` draws; returns the fast source's flips."""
+    start = len(ref.flips)
+    examples = []
     for _ in range(count):
         got, want = fast.next_example(), ref.next_example()
         assert got == want
@@ -163,9 +170,15 @@ def assert_same_draws(fast, ref, count):
         assert got.label == want.label
         # a bool label would print as "True" in a stream file
         assert type(got.label) is int
-    assert fast.flips == ref.flips
+        examples.append(got)
+    flips = flips_of(examples, fast.hidden)
+    if ref.eta > 0.0:
+        assert flips == ref.flips[start:]
+    else:
+        assert not any(flips) and ref.flips == []
     assert fast.draws == ref.draws
     assert fast._rng._state == ref.rng._state
+    return flips
 
 
 class TestDrawEquivalence:
@@ -199,8 +212,7 @@ class TestDrawEquivalence:
         hidden = gen_hidden(10, 2, 1)
         fast = UniformSource(hidden, seed=4, eta=1e-30)
         ref = ReferenceSource(hidden, SplitMix64(4), 1e-30)
-        assert_same_draws(fast, ref, 50)
-        assert fast.flip_count == 0
+        assert not any(assert_same_draws(fast, ref, 50))
 
 
 class TestReplaySource:
