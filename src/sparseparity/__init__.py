@@ -23,7 +23,7 @@ from .noisy import (
     PacOnlineInner,
     noisy_learn_report,
 )
-from .online import Active, Identified, LearnerState, new_learner
+from .online import LearnerState, new_learner
 from .pac import PacParams, pac_learn
 from .rng import SplitMix64
 from .sources import (
@@ -38,12 +38,10 @@ from .sources import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Active",
     "AffineSpace",
     "BitVector",
     "CoverFamily",
     "CoverParams",
-    "Identified",
     "LabeledExample",
     "LearnerState",
     "MitmInner",

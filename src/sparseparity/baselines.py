@@ -21,7 +21,6 @@ from typing import Sequence
 from .cover import binom
 from .errors import BudgetExceededError, InconsistentStreamError
 from .gf2 import AffineSpace, BitVector, dot, mitm_tables
-from .online import Active, Identified, Status
 from .sources import LabeledExample
 
 DEFAULT_CANDIDATE_BUDGET = 10**6
@@ -110,17 +109,8 @@ class CandidateSet:
             )
         return guess
 
-    def status(self) -> Status:
-        if len(self.survivors) == 1:
-            return Identified(f=self.survivors[0])
-        return Active(
-            log2_mass_upper=(
-                math.log2(len(self.survivors))
-                if self.survivors
-                else float("-inf")
-            ),
-            mistakes=self.mistakes,
-        )
+    def identified(self) -> BitVector | None:
+        return self.survivors[0] if len(self.survivors) == 1 else None
 
     def best_hypothesis(self) -> BitVector | None:
         return self.survivors[0] if self.survivors else None

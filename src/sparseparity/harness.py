@@ -45,28 +45,11 @@ from .noisy import (
     noisy_learn_report,
     PacOnlineInner,
 )
-from .online import Identified, LearnerState, new_learner
+from .online import LearnerState, new_learner
 from .rng import SplitMix64
 from .sources import UniformSource, gen_hidden
 
 logger = logging.getLogger(__name__)
-
-CSV_HEADER = (
-    "seed",
-    "n",
-    "k",
-    "t",
-    "alpha",
-    "eta",
-    "delta",
-    "mistakes",
-    "samples",
-    "identified",
-    "exact_bound",
-    "paper_bound",
-    "wall_ns",
-    "inner_invocations",
-)
 
 BENCH_HEADER = (
     "t",
@@ -78,28 +61,6 @@ BENCH_HEADER = (
 )
 
 DEFAULT_SAMPLE_BUDGET = 10_000
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One parsed CLI invocation; optional fields are command-specific."""
-
-    command: str
-    seed: int
-    trials: int
-    fmt: str
-    out: str | None
-    n: int | None = None
-    k: int | None = None
-    t: int | None = None
-    alpha: int | None = None
-    eta: float | None = None
-    delta: float | None = None
-    s_prime: int | None = None
-    inner: str | None = None
-    sample_budget: int = DEFAULT_SAMPLE_BUDGET
-    flip_set_limit: int = DEFAULT_FLIP_SET_LIMIT
-    t_grid: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -120,6 +81,9 @@ class RunRow:
     paper_bound: float | None
     wall_ns: int
     inner_invocations: int | None
+
+
+CSV_HEADER = tuple(f.name for f in fields(RunRow))
 
 
 @dataclass(frozen=True)
@@ -175,16 +139,13 @@ def _noiseless_trial(
     state = new_learner(n, k, t, alpha, rng_seed=family_seed)
     samples = 0
     try:
-        while samples < sample_budget and not isinstance(
-            state.status(), Identified
-        ):
+        while samples < sample_budget and state.identified() is None:
             ex = source.next_example()
             samples += 1
             state.step(ex.a, ex.label)
     except AllChartsEmptyError as exc:
         logger.warning("trial %d not identified: %s", trial_seed, exc)
     wall_ns = time.perf_counter_ns() - start
-    final = state.status()
     row = RunRow(
         seed=trial_seed,
         n=n,
@@ -195,7 +156,7 @@ def _noiseless_trial(
         delta=None,
         mistakes=state.mistakes,
         samples=samples,
-        identified=isinstance(final, Identified) and final.f == hidden,
+        identified=state.identified() == hidden,
         exact_bound=state.mistake_bound,
         paper_bound=closed_form_mistake_bound(n, k, t),
         wall_ns=wall_ns,
@@ -395,11 +356,30 @@ def _t_grid(text: str) -> tuple[int, ...]:
     return values
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}"
+            )
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="master seed; every trial sub-seed derives from it")
-    common.add_argument("--trials", type=int, default=1,
+    common.add_argument("--trials", type=_int_at_least(1), default=1,
                         help="number of independent trials")
     common.add_argument("--format", dest="fmt", choices=("csv", "json"),
                         default="csv", help="report format")
@@ -418,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--sample-budget", type=int, default=DEFAULT_SAMPLE_BUDGET)
+    p.add_argument("--sample-budget", type=_int_at_least(0),
+                   default=DEFAULT_SAMPLE_BUDGET)
 
     p = sub.add_parser("learn-noisy", parents=[common],
                        help="flip-set reduction on noisy streams")
@@ -431,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner", choices=("mitm", "pac-online"), default="mitm")
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--alpha", type=int, default=None)
-    p.add_argument("--flip-set-limit", type=int,
+    p.add_argument("--flip-set-limit", type=_int_at_least(0),
                    default=DEFAULT_FLIP_SET_LIMIT)
 
     p = sub.add_parser("cover-check", parents=[common],
@@ -448,48 +429,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-grid", type=_t_grid, required=True,
                    help="comma-separated t values, e.g. 12,6")
     p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--sample-budget", type=int, default=DEFAULT_SAMPLE_BUDGET)
+    p.add_argument("--sample-budget", type=_int_at_least(0),
+                   default=DEFAULT_SAMPLE_BUDGET)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    known = {f.name for f in fields(ExperimentConfig)}
-    values = {k: v for k, v in vars(args).items() if k in known}
-    return ExperimentConfig(**values)
-
-
-def _render(cfg: ExperimentConfig) -> str:
-    if cfg.command == "learn-noiseless":
+def _render(args: argparse.Namespace) -> str:
+    if args.command == "learn-noiseless":
         report = run_learn_noiseless(
-            n=cfg.n, k=cfg.k, t=cfg.t, alpha=cfg.alpha,
-            trials=cfg.trials, seed=cfg.seed,
-            sample_budget=cfg.sample_budget,
+            n=args.n, k=args.k, t=args.t, alpha=args.alpha,
+            trials=args.trials, seed=args.seed,
+            sample_budget=args.sample_budget,
         )
-        return report.to_csv() if cfg.fmt == "csv" else report.to_json()
-    if cfg.command == "learn-noisy":
+        return report.to_csv() if args.fmt == "csv" else report.to_json()
+    if args.command == "learn-noisy":
         report = run_learn_noisy(
-            n=cfg.n, k=cfg.k, eta=cfg.eta, delta=cfg.delta,
-            s_prime=cfg.s_prime, trials=cfg.trials, seed=cfg.seed,
-            inner=cfg.inner, t=cfg.t, alpha=cfg.alpha,
-            flip_set_limit=cfg.flip_set_limit,
+            n=args.n, k=args.k, eta=args.eta, delta=args.delta,
+            s_prime=args.s_prime, trials=args.trials, seed=args.seed,
+            inner=args.inner, t=args.t, alpha=args.alpha,
+            flip_set_limit=args.flip_set_limit,
         )
-        return report.to_csv() if cfg.fmt == "csv" else report.to_json()
-    if cfg.command == "cover-check":
+        return report.to_csv() if args.fmt == "csv" else report.to_json()
+    if args.command == "cover-check":
         result = run_cover_check(
-            n=cfg.n, k=cfg.k, t=cfg.t, alpha=cfg.alpha, seed=cfg.seed
+            n=args.n, k=args.k, t=args.t, alpha=args.alpha, seed=args.seed
         )
         return json.dumps(result, indent=2) + "\n"
-    if cfg.command == "bench":
+    if args.command == "bench":
         table = bench_tradeoff(
-            n=cfg.n, k=cfg.k, t_values=cfg.t_grid, alpha=cfg.alpha,
-            trials=cfg.trials, seed=cfg.seed,
-            sample_budget=cfg.sample_budget,
+            n=args.n, k=args.k, t_values=args.t_grid, alpha=args.alpha,
+            trials=args.trials, seed=args.seed,
+            sample_budget=args.sample_budget,
         )
-        if cfg.fmt == "csv":
+        if args.fmt == "csv":
             return _bench_csv(table)
         return json.dumps(table, indent=2) + "\n"
-    raise ValueError(f"unknown command {cfg.command!r}")
+    raise ValueError(f"unknown command {args.command!r}")
 
 
 def cli(argv: Sequence[str]) -> int:
@@ -499,20 +475,16 @@ def cli(argv: Sequence[str]) -> int:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    cfg = _config_from_args(args)
-    if cfg.trials < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return 1
     try:
-        text = _render(cfg)
+        text = _render(args)
     except (ValueError, BudgetExceededError, InconsistentStreamError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        if cfg.out is None:
+        if args.out is None:
             sys.stdout.write(text)
         else:
-            Path(cfg.out).write_text(text)
+            Path(args.out).write_text(text)
     except OSError as exc:
         print(f"error writing report: {exc}", file=sys.stderr)
         return 2

@@ -67,15 +67,13 @@ def flip_set_count(s_prime: int, flip_budget: int) -> int:
 class NoisyParams:
     """Sample counts for one noisy-learning run.
 
-    ``flip_budget`` is always ``floor(3/2 * eta * s_prime)``; the named
-    constructors differ only in where ``s_prime`` comes from.
+    The named constructors differ only in where ``s_prime`` comes from.
     """
 
     eta: float
     delta: float
     s_prime: int
     s_doubleprime: int
-    flip_budget: int
 
     def __post_init__(self):
         if not 0.0 < self.eta < 1.0 / 3.0:
@@ -84,10 +82,11 @@ class NoisyParams:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.s_prime < 1 or self.s_doubleprime < 1:
             raise ValueError("sample counts must be positive")
-        if self.flip_budget != flip_budget_for(self.eta, self.s_prime):
-            raise ValueError(
-                "flip budget must equal floor(3/2 * eta * s_prime)"
-            )
+
+    @property
+    def flip_budget(self) -> int:
+        """floor(3/2 * eta * s_prime)."""
+        return flip_budget_for(self.eta, self.s_prime)
 
     @staticmethod
     def verification_count(eta: float, delta: float, s_prime: int) -> int:
@@ -124,7 +123,6 @@ class NoisyParams:
             delta=delta,
             s_prime=s_prime,
             s_doubleprime=s_doubleprime,
-            flip_budget=flip_budget_for(eta, s_prime),
         )
 
 

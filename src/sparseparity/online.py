@@ -14,8 +14,6 @@ least halves the total mass, which bounds the number of mistakes by
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .cover import CoverFamily, CoverParams, build_family
@@ -39,20 +37,6 @@ class SubspaceChart(NamedTuple):
     @property
     def log2_size(self) -> int:
         return self.dim - len(self.rows)
-
-
-@dataclass(frozen=True)
-class Identified:
-    f: BitVector
-
-
-@dataclass(frozen=True)
-class Active:
-    log2_mass_upper: float
-    mistakes: int
-
-
-Status = Identified | Active
 
 
 class LearnerState:
@@ -82,8 +66,6 @@ class LearnerState:
         self.charts: list[SubspaceChart] = list(charts)
         self.mistakes = 0
         self.rounds = 0
-        self.chart_updates = 0
-        self.work_units = 0
         # Exact number of points across charts, counted with multiplicity.
         self.initial_mass = self.mass = sum(
             1 << chart.log2_size for chart in self.charts
@@ -96,21 +78,17 @@ class LearnerState:
         """
         return learner_update(self, a, y)
 
-    def status(self) -> Status:
-        """Identified once every chart pins the same single global vector."""
+    def identified(self) -> BitVector | None:
+        """The vector every chart pins once all are at full rank, or None."""
         point = None
         for _support, dim, rows in self.charts:
             # At full rank every row is a unit vector; the rhs-1 rows sum to
             # the sole point.
             value = sum(m for m, r in rows if r)
             if len(rows) != dim or point not in (None, value):
-                break
+                return None
             point = value
-        else:
-            if point is not None:
-                return Identified(f=BitVector(self.n, point))
-        log2_mass = math.log2(self.mass) if self.mass else float("-inf")
-        return Active(log2_mass_upper=log2_mass, mistakes=self.mistakes)
+        return None if point is None else BitVector(self.n, point)
 
     def fork(self) -> "LearnerState":
         """An independent copy that can be stepped on its own.
@@ -179,11 +157,9 @@ def learner_update(state: LearnerState, a: BitVector, y: int) -> int:
     halves = 0
     forced_mass = [0, 0]
     survivors: list[SubspaceChart] = []
-    work = 0
     for chart in state.charts:
         support, dim, rows = chart
         rank = len(rows)
-        work += (rank + 1) * ((dim + 63) >> 6 or 1)
         residual, forced = reduce_rows(rows, bits & support, 0)
         if not residual:
             forced_mass[forced] += 1 << (dim - rank)
@@ -196,8 +172,6 @@ def learner_update(state: LearnerState, a: BitVector, y: int) -> int:
     guess = 0 if forced_mass[0] >= forced_mass[1] else 1
     if guess != y:
         state.mistakes += 1
-    state.chart_updates += len(state.charts)
-    state.work_units += work
     state.charts = survivors
     state.rounds += 1
     state.mass = halves + forced_mass[y]

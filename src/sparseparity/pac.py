@@ -9,9 +9,11 @@ distinct hypotheses the learner can move through (its mistake bound).
 
 The driver is prediction-driven: the learner need not expose a point
 hypothesis while active, so "the hypothesis survives" means "the
-learner's predictions were all correct in the run".  Every example is
-one ``step`` of the learner, which predicts, counts its own mistake and
-updates, mistaken or not.
+learner's predictions were all correct in the run".  A learner offers
+four members: ``step(a, y)`` predicts, counts its own mistake and
+updates, mistaken or not; ``identified()`` is the pinned vector or None;
+``best_hypothesis()`` is its uncertified point; ``mistake_bound`` sizes
+the survival run.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 
 from .errors import BudgetExhaustedError, NotSingletonError
 from .gf2 import BitVector
-from .online import Identified
 
 DEFAULT_SAMPLE_BUDGET = 10**6
 
@@ -63,9 +64,9 @@ def pac_learn(
     threshold = survival_threshold(learner.mistake_bound, params.delta)
     samples_used = 0
     while True:
-        st = learner.status()
-        if isinstance(st, Identified):
-            return st.f
+        found = learner.identified()
+        if found is not None:
+            return found
         if run_length >= threshold:
             return extract_hypothesis(learner)
         if samples_used >= params.sample_budget:

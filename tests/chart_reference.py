@@ -11,14 +11,12 @@ the library's learner must agree with it round by round.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from sparseparity.cover import CoverFamily
 from sparseparity.errors import AllChartsEmptyError, LengthMismatchError
 from sparseparity.gf2 import AffineSpace, BitVector, reduce_rows
-from sparseparity.online import Active, Identified
 
 
 def restrict(v: BitVector, coords: Sequence[int]) -> BitVector:
@@ -120,22 +118,17 @@ class ReferenceLearner:
         self.update(a, y)
         return guess
 
-    def status(self):
-        if not self.charts:
-            return Active(log2_mass_upper=float("-inf"), mistakes=self.mistakes)
-        active = Active(
-            log2_mass_upper=math.log2(self.total_mass()), mistakes=self.mistakes
-        )
+    def identified(self) -> BitVector | None:
         point = None
         for chart in self.charts:
             if chart.space.rank != chart.space.ambient_dim:
-                return active
+                return None
             value = chart.embed_value(chart.space.sole_point().value)
             if point is None:
                 point = value
             elif value != point:
-                return active
-        return Identified(f=BitVector(self.n, point))
+                return None
+        return None if point is None else BitVector(self.n, point)
 
     def best_hypothesis(self) -> BitVector | None:
         best = None

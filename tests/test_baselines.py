@@ -15,7 +15,6 @@ from sparseparity.baselines import (
 from sparseparity.cover import binom
 from sparseparity.errors import BudgetExceededError, InconsistentStreamError
 from sparseparity.gf2 import BitVector, dot
-from sparseparity.online import Identified
 from sparseparity.pac import PacParams, pac_learn
 from sparseparity.rng import SplitMix64
 from sparseparity.sources import LabeledExample, UniformSource, gen_hidden
@@ -151,14 +150,12 @@ class TestCandidateSet:
 
     def test_status_transitions(self):
         cs = CandidateSet(4, 1)
-        assert not isinstance(cs.status(), Identified)
+        assert cs.identified() is None
         f = BitVector.from_support(4, [1])
         for i in range(4):
             a = BitVector.from_support(4, [i])
             cs.step(a, dot(a, f))
-        st = cs.status()
-        assert isinstance(st, Identified)
-        assert st.f == f
+        assert cs.identified() == f
 
 
 class TestMitmLearn:

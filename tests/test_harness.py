@@ -81,6 +81,28 @@ def test_zero_trials_rejected(capsys):
     assert cli(argv) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["learn-noiseless", "--n", "8", "--k", "1", "--t", "4", "--alpha", "2",
+         "--sample-budget", "-3"],
+        ["bench", "--n", "8", "--k", "1", "--t-grid", "4", "--alpha", "2",
+         "--sample-budget", "-1"],
+        ["learn-noisy", "--n", "8", "--k", "1", "--eta", "0.05",
+         "--delta", "0.2", "--s-prime", "10", "--flip-set-limit", "-1"],
+        ["cover-check", "--n", "8", "--k", "1", "--t", "2", "--alpha", "2",
+         "--trials", "0"],
+        ["learn-noiseless", "--n", "8", "--k", "1", "--t", "4", "--alpha", "2",
+         "--trials", "two"],
+    ],
+)
+def test_out_of_range_counts_exit_one_with_usage(argv, capsys):
+    assert cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: sparseparity ")
+
+
 def test_unwritable_out_exits_two(tmp_path, capsys):
     argv = ["cover-check", "--n", "8", "--k", "1", "--t", "2", "--alpha", "2",
             "--out", str(tmp_path / "missing" / "x.json")]

@@ -30,7 +30,7 @@ from sparseparity.noisy import (
     flip_set_count,
     noisy_learn_report,
 )
-from sparseparity.online import Identified, LearnerState
+from sparseparity.online import LearnerState
 from sparseparity.pac import PacParams, pac_learn, survival_threshold
 from sparseparity.rng import SplitMix64
 from sparseparity.sources import (
@@ -251,7 +251,8 @@ def test_from_counts_fields():
 
 
 def test_tampered_flip_budget_rejected():
-    with pytest.raises(ValueError):
+    # the budget is derived from eta and s_prime, so it cannot be passed in
+    with pytest.raises(TypeError):
         NoisyParams(
             eta=0.05, delta=0.2, s_prime=40, s_doubleprime=12417, flip_budget=4
         )
@@ -761,7 +762,7 @@ def _exit(inner, examples):
         return "empty"
     if x.popcount() != inner.k:
         return "popcount"
-    return "identified" if isinstance(learner.status(), Identified) else "threshold"
+    return "threshold" if learner.identified() is None else "identified"
 
 
 STREAM_KINDS = ("noisy", "contradictory", "wrong-weight", "zero", "honest")

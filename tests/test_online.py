@@ -8,13 +8,7 @@ import pytest
 from sparseparity.cover import CoverFamily, CoverParams, round_robin_parts
 from sparseparity.errors import AllChartsEmptyError, BudgetExceededError
 from sparseparity.gf2 import AffineSpace, BitVector, dot
-from sparseparity.online import (
-    Active,
-    Identified,
-    LearnerState,
-    learner_update,
-    new_learner,
-)
+from sparseparity.online import LearnerState, learner_update, new_learner
 from sparseparity.sources import UniformSource, gen_hidden
 
 from chart_reference import ReferenceLearner
@@ -61,9 +55,9 @@ def run_honest(state, hidden, seed, max_rounds=500):
     """Drive the protocol with uniform honest examples until identified."""
     src = UniformSource(hidden, seed=seed)
     for _ in range(max_rounds):
-        st = state.status()
-        if isinstance(st, Identified):
-            return st.f
+        found = state.identified()
+        if found is not None:
+            return found
         ex = src.next_example()
         state.step(ex.a, ex.label)
     return None
@@ -117,8 +111,7 @@ class TestFork:
     def snapshot(state):
         return (
             list(state.charts), state.mistakes, state.rounds,
-            state.chart_updates, state.work_units, state.initial_mass,
-            state.mass,
+            state.initial_mass, state.mass,
         )
 
     def test_stepping_a_fork_leaves_the_original_unchanged(self):
@@ -149,7 +142,7 @@ class TestFork:
         for ex in examples[4:]:
             assert whole.step(ex.a, ex.label) == twin.step(ex.a, ex.label)
         assert self.snapshot(twin) == self.snapshot(whole)
-        assert twin.status() == whole.status()
+        assert twin.identified() == whole.identified()
 
 
 class TestPredict:
@@ -215,7 +208,7 @@ class TestLearnerUpdate:
         hidden = gen_hidden(12, 2, 9)
         src = UniformSource(hidden, seed=21)
         for _ in range(60):
-            if isinstance(state.status(), Identified):
+            if state.identified() is not None:
                 break
             ex = src.next_example()
             state.step(ex.a, ex.label)
@@ -227,7 +220,7 @@ class TestLearnerUpdate:
         src = UniformSource(hidden, seed=2)
         hist = [state.mass]
         for _ in range(60):
-            if isinstance(state.status(), Identified):
+            if state.identified() is not None:
                 break
             ex = src.next_example()
             state.step(ex.a, ex.label)
@@ -241,7 +234,7 @@ class TestLearnerUpdate:
         src = UniformSource(hidden, seed=5)
         halvings = 0
         for _ in range(80):
-            if isinstance(state.status(), Identified):
+            if state.identified() is not None:
                 break
             ex = src.next_example()
             before = state.mass
@@ -252,13 +245,11 @@ class TestLearnerUpdate:
         assert halvings == state.mistakes
 
 
-class TestStatus:
+class TestIdentified:
     def test_fresh_learner_active(self):
         state = new_learner(8, 1, 2, 2, rng_seed=0)
-        st = state.status()
-        assert isinstance(st, Active)
-        assert st.mistakes == 0
-        assert st.log2_mass_upper == pytest.approx(math.log2(state.mass))
+        assert state.identified() is None
+        assert state.mistakes == 0
 
     def test_identified_after_independent_examples(self):
         state = new_learner(4, 1, 2, 2, rng_seed=1)
@@ -266,10 +257,7 @@ class TestStatus:
         for i in range(4):
             a = BitVector.from_support(4, [i])
             state.step(a, dot(a, hidden))
-        st = state.status()
-        assert isinstance(st, Identified)
-        assert st.f == hidden
-        assert st.f.popcount() == 1
+        assert state.identified() == hidden
 
     def test_identified_via_random_stream_matches_hidden(self):
         for seed in range(5):
@@ -305,7 +293,7 @@ class TestOracleEquivalence:
         src = UniformSource(hidden, seed=42)
         history = []
         for _ in range(40):
-            if isinstance(state.status(), Identified):
+            if state.identified() is not None:
                 break
             ex = src.next_example()
             state.step(ex.a, ex.label)
@@ -313,21 +301,33 @@ class TestOracleEquivalence:
             brute = self.consistent_weight_k(n, k, history)
             union = embedded_union(state)
             assert brute <= union
-        st = state.status()
-        assert isinstance(st, Identified)
-        assert self.consistent_weight_k(n, k, history) == {st.f.value}
+        found = state.identified()
+        assert found is not None
+        assert self.consistent_weight_k(n, k, history) == {found.value}
 
 
-class TestInstrumentation:
-    def test_operation_count_ceiling(self):
-        state = new_learner(16, 2, 4, 2, rng_seed=2)
-        m = len(state.charts)
-        lmax = max(c.dim for c in state.charts)
-        hidden = gen_hidden(16, 2, 6)
-        run_honest(state, hidden, seed=9)
-        assert state.chart_updates <= state.rounds * m
-        words = max(1, (lmax + 63) // 64)
-        assert state.work_units <= state.rounds * m * (lmax + 1) * words
+class TestChartInvariants:
+    def test_live_charts_and_ranks_stay_bounded(self):
+        """Before and after every step: live charts never increase and stay
+        at most m, and no chart holds more rows than its dimension."""
+        for flip in (0, 1):
+            state = new_learner(16, 2, 4, 2, rng_seed=2)
+            src = UniformSource(gen_hidden(16, 2, 6), seed=9)
+            live = state.family.m
+            for _ in range(200):
+                assert len(state.charts) <= live
+                live = len(state.charts)
+                assert all(len(c.rows) <= c.dim for c in state.charts)
+                if not state.charts or state.identified() is not None:
+                    break
+                ex = src.next_example()
+                try:
+                    # a complemented stream fits no parity: every chart dies
+                    state.step(ex.a, ex.label ^ flip)
+                except AllChartsEmptyError:
+                    pass
+            assert state.rounds > 0
+            assert bool(state.charts) == (state.identified() is not None)
 
 
 class TestBestHypothesis:
@@ -356,9 +356,7 @@ class TestBestHypothesis:
 class TestZeroSparsity:
     def test_identified_immediately(self):
         state = new_learner(6, 0, 3, 2, rng_seed=0)
-        st = state.status()
-        assert isinstance(st, Identified)
-        assert st.f == BitVector.zeros(6)
+        assert state.identified() == BitVector.zeros(6)
         assert state.mistake_bound == 0
 
 
@@ -376,7 +374,7 @@ class TestLocalReferenceEquivalence:
         assert state.initial_mass == ref.mass_history[0]
         assert state.mass == ref.mass_history[-1]
         assert len(state.charts) == len(ref.charts)
-        assert state.status() == ref.status()
+        assert state.identified() == ref.identified()
         assert state.best_hypothesis() == ref.best_hypothesis()
         assert [(c.support, c.rows) for c in state.charts] == ref.global_charts()
         if points:
@@ -388,7 +386,7 @@ class TestLocalReferenceEquivalence:
         ref = ReferenceLearner(state.n, state.k, state.family)
         self.assert_same_state(state, ref, points)
         for rounds, (a, y) in enumerate(examples):
-            if isinstance(state.status(), Identified):
+            if state.identified() is not None:
                 return rounds
             try:
                 expected = ref.step(a, y)
@@ -414,7 +412,7 @@ class TestLocalReferenceEquivalence:
             hidden = gen_hidden(n, k, 60 + trial)
             rounds = self.drive(state, self.honest(hidden, 80 + trial, 200))
             assert 0 < rounds < 200
-            assert state.status() == Identified(f=hidden)
+            assert state.identified() == hidden
 
     def test_zero_sparsity(self):
         state = new_learner(6, 0, 3, 2, rng_seed=0)
