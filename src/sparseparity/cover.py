@@ -4,13 +4,13 @@ The construction splits the ``n`` coordinates round-robin into ``T = alpha*t``
 parts and draws ``m`` random ``alpha*k``-element subsets of the part indices.
 A family *covers* when every ``k``-subset of part indices is contained in
 some drawn subset; ``m`` is sized so a single draw covers with probability
-better than 1/2, and :func:`build_verified_family` resamples until an
-exhaustive check certifies coverage.
+better than 1/2, and :func:`build_verified_family` resamples until
+:func:`verify_cover` certifies coverage by ANDing per-part bitsets of the
+drawn subsets along a walk of the ``C(T, k)`` k-subsets of parts.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -116,10 +116,16 @@ def sample_family(params: CoverParams, rng_seed: int) -> CoverFamily:
 def verify_cover(
     family: CoverFamily, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> tuple[CoverFamily, tuple[int, ...] | None]:
-    """Exhaustively check coverage of every k-subset of parts.
+    """Check that every k-subset of parts lies inside some drawn subset.
 
-    Returns ``(certified_family, None)`` on success, or the unchanged family
-    with the lexicographically first uncovered k-subset as witness.
+    ``holders[p]`` is the bitset of drawn subsets that contain part ``p``,
+    so a k-subset of parts is covered exactly when the AND of its parts'
+    holders is nonzero.  The k-subsets are walked depth first in
+    lexicographic order with one running AND per depth; a prefix whose AND
+    is already 0 leaves every completion uncovered, so its first
+    completion is the witness.  Returns ``(certified_family, None)`` on
+    success, or the unchanged family with the lexicographically first
+    uncovered k-subset as witness.
     """
     T, k = family.params.T, family.params.k
     total = binom(T, k)
@@ -127,19 +133,13 @@ def verify_cover(
         raise BudgetExceededError(
             f"C(T={T}, k={k}) = {total} exceeds enumeration budget {budget}"
         )
-    covered: set[int] = set()
-    for subset in family.subsets:
-        for combo in itertools.combinations(subset, k):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            covered.add(mask)
-    for combo in itertools.combinations(range(T), k):
-        mask = 0
-        for i in combo:
-            mask |= 1 << i
-        if mask not in covered:
-            return family, combo
+    holders = [0] * T
+    for index, subset in enumerate(family.subsets):
+        for part in subset:
+            holders[part] |= 1 << index
+    witness = _first_uncovered(holders, k, (1 << family.m) - 1)
+    if witness is not None:
+        return family, witness
     certified = CoverFamily(
         params=family.params,
         parts=family.parts,
@@ -147,6 +147,40 @@ def verify_cover(
         verified=True,
     )
     return certified, None
+
+
+def _first_uncovered(
+    holders: list[int], k: int, drawn: int
+) -> tuple[int, ...] | None:
+    """The lex-first k-subset of parts whose holders AND to 0, or None.
+
+    ``drawn`` has one bit per drawn subset: the empty k-subset is covered
+    exactly when at least one subset was drawn.
+    """
+    if k == 0:
+        return None if drawn else ()
+    T = len(holders)
+    combo = list(range(k))
+    # ands[d] is the AND of drawn and the holders of combo[:d].
+    ands = [drawn] * k
+    d = 0
+    while True:
+        part = combo[d]
+        if part > T - k + d:
+            if d == 0:
+                return None
+            d -= 1
+            combo[d] += 1
+            continue
+        held = ands[d] & holders[part]
+        if not held:
+            return (*combo[:d], *range(part, part + k - d))
+        if d == k - 1:
+            combo[d] += 1
+        else:
+            d += 1
+            ands[d] = held
+            combo[d] = part + 1
 
 
 def build_verified_family(

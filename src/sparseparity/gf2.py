@@ -1,13 +1,16 @@
-"""Word-packed GF(2) vectors and canonical affine subspace arithmetic.
+"""Word-packed GF(2) vectors, row elimination and affine subspaces.
 
 A :class:`BitVector` is a fixed-length bit sequence; bit ``i`` is
 coordinate ``i``, stored little-endian (64 bits per storage word, so word
-``j`` holds coordinates ``64*j .. 64*j+63``).  An :class:`AffineSpace` is
-the solution set of a linear system kept in reduced row echelon form, so
-that equal solution sets have identical stored rows regardless of the
-order in which constraints arrived.  :func:`mitm_tables` indexes the
-low-weight supports of a coordinate split by syndrome, for the
-meet-in-the-middle searches.
+``j`` holds coordinates ``64*j .. 64*j+63``).  Rows are (mask, rhs) pairs
+whose pivot is the mask's lowest set bit; :func:`reduce_rows` eliminates a
+vector against any rows that are each free of the earlier rows' pivots,
+which is how the online learner's charts store them.  An
+:class:`AffineSpace` is the solution set of a linear system kept in
+reduced row echelon form, so that equal solution sets have identical
+stored rows regardless of the order in which constraints arrived.
+:func:`mitm_tables` indexes the low-weight supports of a coordinate split
+by syndrome, for the meet-in-the-middle searches.
 """
 
 from __future__ import annotations
@@ -134,7 +137,13 @@ Row = tuple[int, int]
 
 
 def reduce_rows(rows: Sequence[Row], bits: int, rhs: int) -> Row:
-    """Eliminate ``bits`` against RREF (mask, rhs) rows; the rhs follows."""
+    """Eliminate ``bits`` against (mask, rhs) rows; the rhs follows.
+
+    Each row must hold none of the pivots (lowest set bits) of the rows
+    before it; canonical RREF is the special case.  One pass in row order
+    then clears every pivot, and the residual is the one vector of
+    ``bits`` plus the row span that holds no pivot.
+    """
     for m, r in rows:
         if bits & (m & -m):
             bits ^= m
@@ -143,7 +152,11 @@ def reduce_rows(rows: Sequence[Row], bits: int, rhs: int) -> Row:
 
 
 def insert_row(rows: Sequence[Row], mask: int, rhs: int) -> list[Row]:
-    """Canonical RREF of ``rows`` plus their nonzero residual ``mask``."""
+    """Canonical RREF of ``rows`` plus their nonzero residual ``mask``.
+
+    Only :class:`AffineSpace` keeps canonical rows; the online learner's
+    charts append residuals in insertion order instead.
+    """
     piv = mask & -mask
     new_rows: list[Row] = []
     inserted = False

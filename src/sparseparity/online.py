@@ -18,21 +18,23 @@ from typing import NamedTuple, Sequence
 
 from .cover import CoverFamily, CoverParams, build_family
 from .errors import AllChartsEmptyError
-from .gf2 import BitVector, insert_row, reduce_rows
+from .gf2 import BitVector, Row, reduce_rows
 
 
 class SubspaceChart(NamedTuple):
     """An affine constraint system over one covering subset's coordinates.
 
     ``support`` masks the chart's ``dim`` global coordinates; ``rows`` are
-    canonical RREF (mask, rhs) pairs inside it, i.e. the rows over the
-    local coordinates spread out in order, so they store ``rank * dim``
-    bits.  Points are zero off the support.  Charts are never mutated.
+    (mask, rhs) pairs inside it in insertion order, not canonical RREF:
+    each row holds none of the pivots (lowest set bits) of the rows before
+    it, which is all one :func:`~sparseparity.gf2.reduce_rows` pass needs.
+    They store ``rank * dim`` bits, and :func:`back_substitute` solves
+    them.  Points are zero off the support.  Charts are never mutated.
     """
 
     support: int
     dim: int
-    rows: list[tuple[int, int]]
+    rows: list[Row]
 
     @property
     def log2_size(self) -> int:
@@ -80,15 +82,11 @@ class LearnerState:
 
     def identified(self) -> BitVector | None:
         """The vector every chart pins once all are at full rank, or None."""
-        point = None
         for _support, dim, rows in self.charts:
-            # At full rank every row is a unit vector; the rhs-1 rows sum to
-            # the sole point.
-            value = sum(m for m, r in rows if r)
-            if len(rows) != dim or point not in (None, value):
+            if len(rows) != dim:
                 return None
-            point = value
-        return None if point is None else BitVector(self.n, point)
+        points = {back_substitute(rows) for _s, _d, rows in self.charts}
+        return BitVector(self.n, points.pop()) if len(points) == 1 else None
 
     def fork(self) -> "LearnerState":
         """An independent copy that can be stepped on its own.
@@ -105,17 +103,33 @@ class LearnerState:
         """A canonical point from the most-constrained chart, or None.
 
         Within the chosen chart this is the point with every free
-        coordinate zero: the pivots of the rows whose rhs is 1.
+        coordinate zero; see :func:`back_substitute`.
         """
         if not self.charts:
             return None
         best = min(self.charts, key=lambda chart: chart.log2_size)
-        return BitVector(self.n, sum(m & -m for m, r in best.rows if r))
+        return BitVector(self.n, back_substitute(best.rows))
 
     @property
     def mistake_bound(self) -> int:
         initial = self.initial_mass
         return initial.bit_length() - 1 if initial > 0 else 0
+
+
+def back_substitute(rows: Sequence[Row]) -> int:
+    """The solution of chart rows with every free coordinate set to zero.
+
+    Each row holds none of the earlier rows' pivots, so its other bits are
+    free coordinates or pivots of later rows.  Solving from the last row
+    back sets each pivot from the pivots already set.  The pivot set
+    depends only on the span, so this is the point canonical RREF gives,
+    and at full rank it is the sole point.
+    """
+    point = 0
+    for mask, rhs in reversed(rows):
+        if (mask & point).bit_count() & 1 != rhs:
+            point |= mask & -mask
+    return point
 
 
 def new_learner(
@@ -167,7 +181,7 @@ def learner_update(state: LearnerState, a: BitVector, y: int) -> int:
                 survivors.append(chart)
         else:
             halves += 1 << (dim - rank - 1)
-            rows = insert_row(rows, residual, forced ^ y)
+            rows = [*rows, (residual, forced ^ y)]
             survivors.append(new_chart(SubspaceChart, (support, dim, rows)))
     guess = 0 if forced_mass[0] >= forced_mass[1] else 1
     if guess != y:

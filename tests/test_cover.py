@@ -1,5 +1,6 @@
 """Tests for covering-family construction and verification."""
 
+import dataclasses
 import logging
 import math
 
@@ -20,6 +21,8 @@ from sparseparity.cover import (
 )
 from sparseparity.errors import BudgetExceededError
 from sparseparity.rng import SplitMix64
+
+from cover_reference import reference_verify_cover
 
 
 class TestBinom:
@@ -175,6 +178,76 @@ class TestVerifyCover:
         fam = hand_family(4, 2, 2, 2, [(0, 1, 2, 3)])
         verify_cover(fam)
         assert not fam.verified
+
+    def test_zero_sparsity_with_no_subsets_has_empty_witness(self):
+        fam = hand_family(6, 0, 3, 2, [])
+        unchanged, witness = verify_cover(fam)
+        assert witness == ()
+        assert unchanged is fam
+
+    def test_zero_sparsity_with_one_subset_verifies(self):
+        fam = hand_family(6, 0, 3, 2, [()])
+        certified, witness = verify_cover(fam)
+        assert witness is None
+        assert certified.verified
+
+    def test_witness_completes_the_first_dead_prefix(self):
+        # Part 0 is in no subset, so every k-subset holding it is
+        # uncovered and the first one in lex order is the witness.
+        fam = hand_family(6, 3, 3, 2, [(1, 2, 3, 4, 5)])
+        assert verify_cover(fam)[1] == (0, 1, 2)
+        fam = hand_family(6, 3, 3, 2, [(0, 1, 2, 3, 4), (0, 1, 5), (2, 3, 5)])
+        assert verify_cover(fam)[1] == (0, 2, 5)
+
+
+def gate_configs():
+    """The gate-2 learner configs and the gate-3 certification grid."""
+    configs = [(64, 3, 12, 2), (96, 2, 16, 2), (32, 4, 8, 3)]
+    for alpha in (2, 3):
+        for T in range(alpha, 25, alpha):
+            for k in range(0, min(3, T // alpha) + 1):
+                configs.append((T, k, T // alpha, alpha))
+    return configs
+
+
+def assert_same_check(family):
+    got, witness = verify_cover(family)
+    expected, expected_witness = reference_verify_cover(family)
+    assert witness == expected_witness
+    assert got == expected
+    assert (got is family) == (witness is not None)
+
+
+class TestReferenceEquivalence:
+    """Same ``(verified, witness)`` as the exhaustive reference check, on
+    drawn families and on prefixes of them cut short so witnesses appear."""
+
+    @pytest.mark.parametrize("n,k,t,alpha", gate_configs())
+    def test_gate_configs_and_cuts(self, n, k, t, alpha):
+        params = CoverParams(n=n, k=k, t=t, alpha=alpha)
+        seeds = range(2) if n <= 24 else range(3)
+        for seed in seeds:
+            family = sample_family(params, 500 + seed)
+            m = family.m
+            for cut in (m, m // 3, m // 10, 1, 0):
+                assert_same_check(
+                    dataclasses.replace(family, subsets=family.subsets[:cut])
+                )
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_small_hand_families(self, data):
+        alpha = data.draw(st.integers(min_value=2, max_value=3))
+        t = data.draw(st.integers(min_value=1, max_value=4))
+        k = data.draw(st.integers(min_value=0, max_value=t))
+        T = alpha * t
+        subsets = data.draw(
+            st.lists(
+                st.sets(st.integers(min_value=0, max_value=T - 1), max_size=T),
+                max_size=12,
+            )
+        )
+        assert_same_check(hand_family(T, k, t, alpha, map(sorted, subsets)))
 
 
 class TestBuildVerifiedFamily:

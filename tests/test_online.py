@@ -4,11 +4,18 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparseparity.cover import CoverFamily, CoverParams, round_robin_parts
 from sparseparity.errors import AllChartsEmptyError, BudgetExceededError
-from sparseparity.gf2 import AffineSpace, BitVector, dot
-from sparseparity.online import LearnerState, learner_update, new_learner
+from sparseparity.gf2 import AffineSpace, BitVector, dot, insert_row, reduce_rows
+from sparseparity.online import (
+    LearnerState,
+    back_substitute,
+    learner_update,
+    new_learner,
+)
 from sparseparity.sources import UniformSource, gen_hidden
 
 from chart_reference import ReferenceLearner
@@ -39,6 +46,25 @@ def chart_points(chart, n):
     for mask, rhs in chart.rows:
         space = space.constrain(BitVector(n, mask), rhs)
     return {p.value for p in space.points()}
+
+
+def canonical_rows(rows):
+    """Canonical RREF of a chart's stored rows, inserted one by one."""
+    canon = []
+    for mask, rhs in rows:
+        residual, rhs = reduce_rows(canon, mask, rhs)
+        assert residual, "stored rows must be independent"
+        canon = insert_row(canon, residual, rhs)
+    return canon
+
+
+def assert_pivot_free(chart):
+    """No stored row contains the pivot (lowest set bit) of an earlier row."""
+    pivots = 0
+    for mask, _ in chart.rows:
+        assert mask and not mask & ~chart.support
+        assert not mask & pivots
+        pivots |= mask & -mask
 
 
 def embedded_union(state, max_points=1 << 20):
@@ -309,7 +335,8 @@ class TestOracleEquivalence:
 class TestChartInvariants:
     def test_live_charts_and_ranks_stay_bounded(self):
         """Before and after every step: live charts never increase and stay
-        at most m, and no chart holds more rows than its dimension."""
+        at most m, no chart holds more rows than its dimension, and no
+        stored row contains the pivot of an earlier row in its chart."""
         for flip in (0, 1):
             state = new_learner(16, 2, 4, 2, rng_seed=2)
             src = UniformSource(gen_hidden(16, 2, 6), seed=9)
@@ -318,6 +345,8 @@ class TestChartInvariants:
                 assert len(state.charts) <= live
                 live = len(state.charts)
                 assert all(len(c.rows) <= c.dim for c in state.charts)
+                for chart in state.charts:
+                    assert_pivot_free(chart)
                 if not state.charts or state.identified() is not None:
                     break
                 ex = src.next_example()
@@ -328,6 +357,34 @@ class TestChartInvariants:
                     pass
             assert state.rounds > 0
             assert bool(state.charts) == (state.identified() is not None)
+            for chart in state.charts:
+                assert_pivot_free(chart)
+
+
+class TestBackSubstitute:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_canonical_point(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=10))
+        point = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+        masks = data.draw(
+            st.lists(st.integers(min_value=1, max_value=(1 << n) - 1), max_size=14)
+        )
+        rows = []
+        space = AffineSpace.full(n)
+        # Consistent constraints, inserted as learner_update inserts them
+        # and into the canonical space.
+        for mask in masks:
+            rhs = (mask & point).bit_count() & 1
+            residual, forced = reduce_rows(rows, mask, rhs)
+            if residual:
+                rows = [*rows, (residual, forced)]
+            space = space.constrain(BitVector(n, mask), rhs)
+        assert len(rows) == space.rank
+        canonical = sum(bv.value & -bv.value for bv, r in space.rows if r)
+        assert back_substitute(rows) == canonical
+        if space.rank == n:
+            assert back_substitute(rows) == space.sole_point().value == point
 
 
 class TestBestHypothesis:
@@ -363,9 +420,10 @@ class TestZeroSparsity:
 class TestLocalReferenceEquivalence:
     """Round-by-round agreement with the local-coordinate reference learner.
 
-    Charts are compared as support masks with their canonical rows, which
-    fix the solution sets; on the hand-built families the solution sets
-    themselves are enumerated and compared as global vectors too.
+    Charts are compared as support masks with the canonical RREF of their
+    stored rows, which fixes the solution sets; on the hand-built families
+    the solution sets themselves are enumerated and compared as global
+    vectors too.
     """
 
     def assert_same_state(self, state, ref, points):
@@ -376,7 +434,11 @@ class TestLocalReferenceEquivalence:
         assert len(state.charts) == len(ref.charts)
         assert state.identified() == ref.identified()
         assert state.best_hypothesis() == ref.best_hypothesis()
-        assert [(c.support, c.rows) for c in state.charts] == ref.global_charts()
+        assert [
+            (c.support, canonical_rows(c.rows)) for c in state.charts
+        ] == ref.global_charts()
+        for chart in state.charts:
+            assert_pivot_free(chart)
         if points:
             for i, chart in enumerate(state.charts):
                 assert chart_points(chart, state.n) == ref.global_points(i)
