@@ -4,11 +4,12 @@ A :class:`BitVector` is a fixed-length bit sequence; bit ``i`` is
 coordinate ``i``, stored little-endian (64 bits per storage word, so word
 ``j`` holds coordinates ``64*j .. 64*j+63``).  Rows are (mask, rhs) pairs
 whose pivot is the mask's lowest set bit; :func:`reduce_rows` eliminates a
-vector against any rows that are each free of the earlier rows' pivots,
-which is how the online learner's charts store them.  An
-:class:`AffineSpace` is the solution set of a linear system kept in
+vector against any rows that are each free of the earlier rows' pivots.
+An :class:`AffineSpace` is the solution set of a linear system kept in
 reduced row echelon form, so that equal solution sets have identical
-stored rows regardless of the order in which constraints arrived.
+stored rows regardless of the order in which constraints arrived.  (The
+online learner's charts keep generator form instead, a point plus a
+null-space basis, and use no row kernel.)
 :func:`mitm_tables` indexes the low-weight supports of a coordinate split
 by syndrome, for the meet-in-the-middle searches.
 """
@@ -152,11 +153,7 @@ def reduce_rows(rows: Sequence[Row], bits: int, rhs: int) -> Row:
 
 
 def insert_row(rows: Sequence[Row], mask: int, rhs: int) -> list[Row]:
-    """Canonical RREF of ``rows`` plus their nonzero residual ``mask``.
-
-    Only :class:`AffineSpace` keeps canonical rows; the online learner's
-    charts append residuals in insertion order instead.
-    """
+    """Canonical RREF of ``rows`` plus their nonzero residual ``mask``."""
     piv = mask & -mask
     new_rows: list[Row] = []
     inserted = False

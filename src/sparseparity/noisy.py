@@ -22,7 +22,7 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .cover import CoverFamily, CoverParams, binom, build_family
 from .errors import (
@@ -127,18 +127,34 @@ class NoisyParams:
 
 
 def agreement_select(
-    candidates: Sequence[BitVector], verif: Sequence[LabeledExample]
+    candidates: Sequence[BitVector], verif: Iterable[LabeledExample]
 ) -> int:
     """Index of the candidate agreeing with the most verification labels.
 
-    Ties go to the lowest index.  A candidate whose length differs from a
-    verification vector's raises :class:`LengthMismatchError`; a lone
-    candidate is returned without scoring.  Under DEBUG logging the margin
-    between the best and second best disagreement fractions is logged.
+    ``verif`` is read once, in order: each example is scored as it
+    arrives and only per-candidate disagreement counts are kept, so a
+    stream of draws is never stored.  A lone candidate wins without
+    scoring, but the examples are still read.  Ties go to the lowest
+    index.  A candidate whose length differs from a verification vector's
+    raises :class:`LengthMismatchError` once every example is read.  Under
+    DEBUG logging the margin between the best and second best
+    disagreement fractions is logged.
     """
     if not candidates:
         raise ValueError("agreement_select needs at least one candidate")
-    lengths = {ex.a.n for ex in verif}
+    if len(candidates) == 1:
+        lengths = {ex.a.n for ex in verif}
+    else:
+        lengths = set()
+        count = 0
+        values = [x.value for x in candidates]
+        disagreements = [0] * len(values)
+        for count, ex in enumerate(verif, 1):
+            a = ex.a
+            lengths.add(a.n)
+            bits, y = a.value, ex.label
+            for i, x in enumerate(values):
+                disagreements[i] += ((bits & x).bit_count() & 1) ^ y
     for x in candidates:
         if lengths - {x.n}:
             raise LengthMismatchError(
@@ -147,19 +163,14 @@ def agreement_select(
             )
     if len(candidates) == 1:
         return 0
-    examples = [(ex.a.value, ex.label) for ex in verif]
-    disagreements = [
-        sum(((a & x).bit_count() & 1) ^ y for a, y in examples)
-        for x in (c.value for c in candidates)
-    ]
     best = min(range(len(candidates)), key=disagreements.__getitem__)
-    if verif and logger.isEnabledFor(logging.DEBUG):
+    if count and logger.isEnabledFor(logging.DEBUG):
         runner_up = min(d for i, d in enumerate(disagreements) if i != best)
         logger.debug(
             "agreement margin: best %.4f, runner-up %.4f (of %d examples)",
-            disagreements[best] / len(verif),
-            runner_up / len(verif),
-            len(verif),
+            disagreements[best] / count,
+            runner_up / count,
+            count,
         )
     return best
 
@@ -201,7 +212,7 @@ def noisy_learn_report(
             "hypothesis: noise rate too high for the budget, or the inner "
             "learner is broken"
         )
-    verif = [source.next_example() for _ in range(params.s_doubleprime)]
+    verif = (source.next_example() for _ in range(params.s_doubleprime))
     winner = agreement_select(candidates, verif)
     return NoisyReport(
         output=candidates[winner],

@@ -1,15 +1,17 @@
 """Online mistake-bound learner for sparse parities over subspace charts.
 
-The learner owns one *chart* per covering subset: an affine space over the
-coordinates in that subset's parts, stored as rows over the n global
-coordinates inside the chart's support mask.  Every weight-``k`` parity is
-supported inside at least one chart of a verified family, so the union of
-chart solution sets always contains the hidden vector.  Each round reduces
-the example once per chart; that one reduction gives both the weighted
-majority over exact chart sizes (the prediction) and the intersection of
-every chart with ``<a, f> = y`` (the update).  A mistaken prediction at
-least halves the total mass, which bounds the number of mistakes by
-``floor(log2`` of the initial mass``)``.
+The learner owns one *chart* per covering subset: the affine space of
+parities supported inside that subset's parts that agree with every label
+so far.  A chart is stored in generator form, as its canonical point plus
+one null-space vector per free coordinate, all as masks over the n global
+coordinates.  Every weight-``k`` parity is supported inside at least one
+chart of a verified family, so the union of chart solution sets always
+contains the hidden vector.  Each round takes one parity of the example
+against the point and at most one against each basis vector; that gives
+both the weighted majority over exact chart sizes (the prediction) and the
+intersection of every chart with ``<a, f> = y`` (the update).  A mistaken
+prediction at least halves the total mass, which bounds the number of
+mistakes by ``floor(log2`` of the initial mass``)``.
 """
 
 from __future__ import annotations
@@ -18,27 +20,24 @@ from typing import NamedTuple, Sequence
 
 from .cover import CoverFamily, CoverParams, build_family
 from .errors import AllChartsEmptyError
-from .gf2 import BitVector, Row, reduce_rows
+from .gf2 import BitVector
 
 
 class SubspaceChart(NamedTuple):
-    """An affine constraint system over one covering subset's coordinates.
+    """An affine space ``point + span(basis)`` inside one support mask.
 
-    ``support`` masks the chart's ``dim`` global coordinates; ``rows`` are
-    (mask, rhs) pairs inside it in insertion order, not canonical RREF:
-    each row holds none of the pivots (lowest set bits) of the rows before
-    it, which is all one :func:`~sparseparity.gf2.reduce_rows` pass needs.
-    They store ``rank * dim`` bits, and :func:`back_substitute` solves
-    them.  Points are zero off the support.  Charts are never mutated.
+    ``basis`` holds one null-space vector per free coordinate ``c``, in
+    ascending ``c``: the vector has ``c`` as its highest bit, and neither
+    another basis vector nor the point contains ``c``.  ``point`` is zero on
+    every free coordinate, so it is the point canonical RREF gives, and at
+    full rank (no basis) the sole point.  The chart has
+    ``2 ** len(basis)`` points and stores ``(len(basis) + 1) * dim`` bits.
+    Charts are never mutated.
     """
 
     support: int
-    dim: int
-    rows: list[Row]
-
-    @property
-    def log2_size(self) -> int:
-        return self.dim - len(self.rows)
+    point: int
+    basis: list[int]
 
 
 class LearnerState:
@@ -46,7 +45,8 @@ class LearnerState:
 
     ``n`` and ``k`` come from the family's parameters.  ``charts`` may
     share the starting charts of another learner over the same family; by
-    default each distinct subset gets a full chart.
+    default each distinct subset gets a full chart, whose basis is the
+    unit vectors of its support.
     """
 
     def __init__(
@@ -58,19 +58,19 @@ class LearnerState:
         self.k = family.params.k
         self.family = family
         if charts is None:
-            masks = [BitVector.from_support(n, part).value for part in family.parts]
+            # Fresh charts share these ints instead of allocating their own.
+            units = [1 << c for c in range(n)]
             charts = []
             for subset in dict.fromkeys(family.subsets):
-                support = 0
-                for part_index in subset:
-                    support |= masks[part_index]
-                charts.append(SubspaceChart(support, support.bit_count(), []))
+                coords = sorted({c for p in subset for c in family.parts[p]})
+                basis = [units[c] for c in coords]
+                charts.append(SubspaceChart(sum(basis), 0, basis))
         self.charts: list[SubspaceChart] = list(charts)
         self.mistakes = 0
         self.rounds = 0
         # Exact number of points across charts, counted with multiplicity.
         self.initial_mass = self.mass = sum(
-            1 << chart.log2_size for chart in self.charts
+            1 << len(chart.basis) for chart in self.charts
         )
 
     def step(self, a: BitVector, y: int) -> int:
@@ -82,10 +82,11 @@ class LearnerState:
 
     def identified(self) -> BitVector | None:
         """The vector every chart pins once all are at full rank, or None."""
-        for _support, dim, rows in self.charts:
-            if len(rows) != dim:
+        points = set()
+        for _support, point, basis in self.charts:
+            if basis:
                 return None
-        points = {back_substitute(rows) for _s, _d, rows in self.charts}
+            points.add(point)
         return BitVector(self.n, points.pop()) if len(points) == 1 else None
 
     def fork(self) -> "LearnerState":
@@ -100,36 +101,16 @@ class LearnerState:
         return twin
 
     def best_hypothesis(self) -> BitVector | None:
-        """A canonical point from the most-constrained chart, or None.
-
-        Within the chosen chart this is the point with every free
-        coordinate zero; see :func:`back_substitute`.
-        """
+        """The canonical point of the most-constrained chart, or None."""
         if not self.charts:
             return None
-        best = min(self.charts, key=lambda chart: chart.log2_size)
-        return BitVector(self.n, back_substitute(best.rows))
+        best = min(self.charts, key=lambda chart: len(chart.basis))
+        return BitVector(self.n, best.point)
 
     @property
     def mistake_bound(self) -> int:
         initial = self.initial_mass
         return initial.bit_length() - 1 if initial > 0 else 0
-
-
-def back_substitute(rows: Sequence[Row]) -> int:
-    """The solution of chart rows with every free coordinate set to zero.
-
-    Each row holds none of the earlier rows' pivots, so its other bits are
-    free coordinates or pivots of later rows.  Solving from the last row
-    back sets each pivot from the pivots already set.  The pivot set
-    depends only on the span, so this is the point canonical RREF gives,
-    and at full rank it is the sole point.
-    """
-    point = 0
-    for mask, rhs in reversed(rows):
-        if (mask & point).bit_count() & 1 != rhs:
-            point |= mask & -mask
-    return point
 
 
 def new_learner(
@@ -145,13 +126,17 @@ def new_learner(
 
 
 def learner_update(state: LearnerState, a: BitVector, y: int) -> int:
-    """Reduce ``a`` once per chart; predict, then update with ``<a, f> = y``.
+    """Predict from each chart's parities with ``a``; update by ``<a, f> = y``.
 
-    Where ``a`` reduces to zero, ``<a, f>`` is forced on the whole chart
-    and all its mass votes for that label.  Other charts split in half, so
-    they cancel in the vote; ties predict 0.  The label-``y`` side is the
-    new state and dead charts are dropped.  Returns the prediction made
-    before the update and counts a mistake when it differs from ``y``.
+    ``<a, f>`` is constant on a chart exactly when ``a`` has even parity
+    with every basis vector; then all its mass votes for the point's
+    label.  Otherwise the first basis vector ``z`` with odd parity is the
+    pivot: the chart splits in half, so it cancels in the vote (ties
+    predict 0), and its label-``y`` half drops ``z``, adds ``z`` to every
+    later odd basis vector, and adds ``z`` to the point when the point's
+    label is not ``y``.  Dead charts are dropped.  Returns the prediction
+    made before the update and counts a mistake when it differs from
+    ``y``.
     """
     if y not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {y!r}")
@@ -172,17 +157,26 @@ def learner_update(state: LearnerState, a: BitVector, y: int) -> int:
     forced_mass = [0, 0]
     survivors: list[SubspaceChart] = []
     for chart in state.charts:
-        support, dim, rows = chart
-        rank = len(rows)
-        residual, forced = reduce_rows(rows, bits & support, 0)
-        if not residual:
-            forced_mass[forced] += 1 << (dim - rank)
+        support, point, basis = chart
+        forced = (bits & point).bit_count() & 1
+        i = 0
+        for pivot in basis:
+            if (bits & pivot).bit_count() & 1:
+                break
+            i += 1
+        else:
+            # no odd basis vector, and i == len(basis)
+            forced_mass[forced] += 1 << i
             if forced == y:
                 survivors.append(chart)
-        else:
-            halves += 1 << (dim - rank - 1)
-            rows = [*rows, (residual, forced ^ y)]
-            survivors.append(new_chart(SubspaceChart, (support, dim, rows)))
+            continue
+        rest = basis[:i]
+        for z in basis[i + 1:]:
+            rest.append(z ^ pivot if (bits & z).bit_count() & 1 else z)
+        halves += 1 << len(rest)
+        if forced != y:
+            point ^= pivot
+        survivors.append(new_chart(SubspaceChart, (support, point, rest)))
     guess = 0 if forced_mass[0] >= forced_mass[1] else 1
     if guess != y:
         state.mistakes += 1

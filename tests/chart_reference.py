@@ -1,22 +1,28 @@
-"""Slow reference chart learner in local coordinates, for equivalence tests.
+"""Reference chart learners, for equivalence tests.
 
-Each chart is an :class:`AffineSpace` over its own ``dim`` coordinates
+:class:`ReferenceLearner` is the slow learner in local coordinates.  Each
+chart is an :class:`AffineSpace` over its own ``dim`` coordinates
 plus the sorted tuple of global coordinates they stand for.  Every round
 projects the example into every chart (:func:`restrict`) twice, once to
 predict through :func:`split_sizes` and once to update through
 ``constrain``, and recounts the total mass from scratch.  This is the
 learner the library shipped before charts moved to global coordinates;
 the library's learner must agree with it round by round.
+
+:class:`RowLearner` is the learner the library shipped before charts moved
+to generator form: global-coordinate constraint rows appended in insertion
+order, reduced once per chart per round, and solved by
+:func:`back_substitute` for the canonical point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from sparseparity.cover import CoverFamily
 from sparseparity.errors import AllChartsEmptyError, LengthMismatchError
-from sparseparity.gf2 import AffineSpace, BitVector, reduce_rows
+from sparseparity.gf2 import AffineSpace, BitVector, Row, reduce_rows
 
 
 def restrict(v: BitVector, coords: Sequence[int]) -> BitVector:
@@ -155,3 +161,95 @@ class ReferenceLearner:
     def global_points(self, chart_index: int) -> set[int]:
         chart = self.charts[chart_index]
         return {chart.embed_value(p.value) for p in chart.space.points()}
+
+
+class RowChart(NamedTuple):
+    """Constraint rows inside ``support``, in insertion order.
+
+    Each row holds none of the pivots (lowest set bits) of the rows before
+    it, which is all one :func:`reduce_rows` pass needs.
+    """
+
+    support: int
+    dim: int
+    rows: list[Row]
+
+
+def back_substitute(rows: Sequence[Row]) -> int:
+    """The solution of chart rows with every free coordinate set to zero.
+
+    Each row holds none of the earlier rows' pivots, so its other bits are
+    free coordinates or pivots of later rows.  Solving from the last row
+    back sets each pivot from the pivots already set.  The pivot set
+    depends only on the span, so this is the point canonical RREF gives,
+    and at full rank it is the sole point.
+    """
+    point = 0
+    for mask, rhs in reversed(rows):
+        if (mask & point).bit_count() & 1 != rhs:
+            point |= mask & -mask
+    return point
+
+
+class RowLearner:
+    """The append-row chart learner, with the library learner's protocol."""
+
+    def __init__(self, family: CoverFamily):
+        self.n = n = family.params.n
+        self.k = family.params.k
+        masks = [BitVector.from_support(n, part).value for part in family.parts]
+        self.charts: list[RowChart] = []
+        for subset in dict.fromkeys(family.subsets):
+            support = 0
+            for part_index in subset:
+                support |= masks[part_index]
+            self.charts.append(RowChart(support, support.bit_count(), []))
+        self.mistakes = 0
+        self.rounds = 0
+        self.initial_mass = self.mass = sum(
+            1 << (chart.dim - len(chart.rows)) for chart in self.charts
+        )
+
+    def step(self, a: BitVector, y: int) -> int:
+        """Reduce ``a`` once per chart; predict, then update with
+        ``<a, f> = y``."""
+        if not self.charts:
+            raise AllChartsEmptyError("no live charts")
+        bits = a.value
+        halves = 0
+        forced_mass = [0, 0]
+        survivors = []
+        for chart in self.charts:
+            support, dim, rows = chart
+            rank = len(rows)
+            residual, forced = reduce_rows(rows, bits & support, 0)
+            if not residual:
+                forced_mass[forced] += 1 << (dim - rank)
+                if forced == y:
+                    survivors.append(chart)
+            else:
+                halves += 1 << (dim - rank - 1)
+                rows = [*rows, (residual, forced ^ y)]
+                survivors.append(RowChart(support, dim, rows))
+        guess = 0 if forced_mass[0] >= forced_mass[1] else 1
+        if guess != y:
+            self.mistakes += 1
+        self.charts = survivors
+        self.rounds += 1
+        self.mass = halves + forced_mass[y]
+        if not survivors:
+            raise AllChartsEmptyError("all charts died")
+        return guess
+
+    def identified(self) -> BitVector | None:
+        for _support, dim, rows in self.charts:
+            if len(rows) != dim:
+                return None
+        points = {back_substitute(rows) for _s, _d, rows in self.charts}
+        return BitVector(self.n, points.pop()) if len(points) == 1 else None
+
+    def best_hypothesis(self) -> BitVector | None:
+        if not self.charts:
+            return None
+        best = min(self.charts, key=lambda chart: chart.dim - len(chart.rows))
+        return BitVector(self.n, back_substitute(best.rows))

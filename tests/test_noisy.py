@@ -377,6 +377,95 @@ def test_agreement_margin_logged_only_at_debug(caplog):
     assert any("agreement margin" in r.message for r in caplog.records)
 
 
+def list_agreement_select(candidates, verif):
+    """The list-based scoring agreement_select used before it streamed:
+    lengths checked up front, then one pass over the whole list per
+    candidate."""
+    if not candidates:
+        raise ValueError("agreement_select needs at least one candidate")
+    lengths = {ex.a.n for ex in verif}
+    for x in candidates:
+        if lengths - {x.n}:
+            raise LengthMismatchError(
+                f"candidate of length {x.n} against verification vectors "
+                f"of lengths {sorted(lengths)}"
+            )
+    if len(candidates) == 1:
+        return 0
+    examples = [(ex.a.value, ex.label) for ex in verif]
+    disagreements = [
+        sum(((a & x).bit_count() & 1) ^ y for a, y in examples)
+        for x in (c.value for c in candidates)
+    ]
+    best = min(range(len(candidates)), key=disagreements.__getitem__)
+    if verif:
+        runner_up = min(d for i, d in enumerate(disagreements) if i != best)
+        logging.getLogger("sparseparity.noisy").debug(
+            "agreement margin: best %.4f, runner-up %.4f (of %d examples)",
+            disagreements[best] / len(verif),
+            runner_up / len(verif),
+            len(verif),
+        )
+    return best
+
+
+def outcome(select, candidates, verif):
+    try:
+        return select(candidates, verif)
+    except LengthMismatchError as e:
+        return str(e)
+
+
+@given(st.integers(1, 70), st.integers(1, 4), st.integers(0, 40), st.data())
+@settings(deadline=None, max_examples=200)
+def test_streamed_agreement_matches_list_scoring(n, count, verif_len, data):
+    lengths = st.sampled_from([n, n, n, n + 1])
+    candidates = data.draw(
+        st.lists(lengths.flatmap(lambda m: st.integers(0, (1 << m) - 1).map(
+            lambda v: BitVector(m, v))), min_size=count, max_size=count)
+    )
+    verif = [
+        LabeledExample(BitVector(m, v), y)
+        for m, v, y in data.draw(st.lists(
+            st.tuples(lengths, st.integers(0, (1 << n) - 1), st.integers(0, 1)),
+            max_size=verif_len,
+        ))
+    ]
+    want = outcome(list_agreement_select, candidates, verif)
+    draws = iter(verif)
+    assert outcome(agreement_select, candidates, draws) == want
+    assert next(draws, None) is None  # every example was read
+
+
+def test_streamed_agreement_logs_the_list_margin(caplog):
+    hidden = BitVector.from_support(16, (1, 5))
+    candidates = [BitVector.from_support(16, (2, 9)), hidden, BitVector.zeros(16)]
+    verif = UniformSource(hidden, seed=31, eta=0.05).take(200)
+    with caplog.at_level(logging.DEBUG, logger="sparseparity.noisy"):
+        list_agreement_select(candidates, verif)
+        agreement_select(candidates, iter(verif))
+    listed, streamed = [r.getMessage() for r in caplog.records]
+    assert streamed == listed
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_report_streams_verification_like_the_list_path(count):
+    """noisy_learn_report draws and scores s'' examples one by one; the
+    output, the counters and the source state match drawing them into a
+    list and scoring that."""
+    hidden = gen_hidden(24, 2, 71)
+    candidates = [hidden, gen_hidden(24, 2, 72), gen_hidden(24, 2, 73)][:count]
+    params = NoisyParams.from_counts(eta=0.05, delta=0.2, s_prime=40)
+    source = UniformSource(hidden, seed=74, eta=0.05)
+    report = noisy_learn_report(ListInner(candidates), source, params)
+    twin = UniformSource(hidden, seed=74, eta=0.05)
+    twin.take(params.s_prime)
+    verif = twin.take(params.s_doubleprime)
+    assert report.output == candidates[list_agreement_select(candidates, verif)]
+    assert report.samples_drawn == source.draws == twin.draws
+    assert source.next_example() == twin.next_example()
+
+
 # ---------------------------------------------------------------------------
 # the reduction end to end
 

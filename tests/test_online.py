@@ -9,16 +9,11 @@ from hypothesis import strategies as st
 
 from sparseparity.cover import CoverFamily, CoverParams, round_robin_parts
 from sparseparity.errors import AllChartsEmptyError, BudgetExceededError
-from sparseparity.gf2 import AffineSpace, BitVector, dot, insert_row, reduce_rows
-from sparseparity.online import (
-    LearnerState,
-    back_substitute,
-    learner_update,
-    new_learner,
-)
+from sparseparity.gf2 import AffineSpace, BitVector, dot
+from sparseparity.online import LearnerState, learner_update, new_learner
 from sparseparity.sources import UniformSource, gen_hidden
 
-from chart_reference import ReferenceLearner
+from chart_reference import ReferenceLearner, RowLearner, back_substitute
 
 V = BitVector.from01
 
@@ -38,33 +33,52 @@ def hand_state(n, k, t, alpha, subsets):
 
 
 def chart_points(chart, n):
-    """A chart's solution set as packed global vectors, zero off-support."""
-    space = AffineSpace.full(n)
-    for i in range(n):
-        if not (chart.support >> i) & 1:
-            space = space.constrain(BitVector.from_support(n, [i]), 0)
-    for mask, rhs in chart.rows:
-        space = space.constrain(BitVector(n, mask), rhs)
-    return {p.value for p in space.points()}
+    """A chart's solution set ``point + span(basis)`` as packed vectors."""
+    points = [chart.point]
+    for z in chart.basis:
+        points += [p ^ z for p in points]
+    return set(points)
 
 
-def canonical_rows(rows):
-    """Canonical RREF of a chart's stored rows, inserted one by one."""
-    canon = []
+def canonical_form(support, rows):
+    """(point, basis) of the chart whose constraints are the RREF ``rows``.
+
+    In RREF each row holds its pivot (lowest set bit) and free coordinates
+    only, so the point sets the pivots of the rows with rhs 1, and the
+    basis vector of free coordinate ``c`` sets ``c`` and the pivot of
+    every row that contains ``c``.
+    """
+    pivots = point = 0
     for mask, rhs in rows:
-        residual, rhs = reduce_rows(canon, mask, rhs)
-        assert residual, "stored rows must be independent"
-        canon = insert_row(canon, residual, rhs)
-    return canon
-
-
-def assert_pivot_free(chart):
-    """No stored row contains the pivot (lowest set bit) of an earlier row."""
-    pivots = 0
-    for mask, _ in chart.rows:
-        assert mask and not mask & ~chart.support
-        assert not mask & pivots
         pivots |= mask & -mask
+        if rhs:
+            point |= mask & -mask
+    basis = []
+    for c in range(support.bit_length()):
+        if (support >> c) & 1 and not (pivots >> c) & 1:
+            z = 1 << c
+            for mask, _ in rows:
+                if (mask >> c) & 1:
+                    z |= mask & -mask
+            basis.append(z)
+    return point, basis
+
+
+def assert_canonical(chart):
+    """The generator-form invariant of a stored chart.
+
+    Basis vectors lie inside the support and have distinct highest bits in
+    ascending order; no highest bit appears in another basis vector or in
+    the point, and the point lies inside the support.
+    """
+    support, point, basis = chart
+    assert all(basis) and len(basis) <= support.bit_count()
+    tops = [1 << (z.bit_length() - 1) for z in basis]
+    assert tops == sorted(set(tops))
+    free = sum(tops)
+    assert not point & ~support and not point & free
+    for z, top in zip(basis, tops):
+        assert not z & ~support and z & free == top
 
 
 def embedded_union(state, max_points=1 << 20):
@@ -95,11 +109,11 @@ class TestNewLearner:
         T = 4
         bound = 2 * 1 * math.ceil(8 / T)
         assert state.charts
-        for chart in state.charts:
-            assert chart.dim <= bound
-            assert chart.dim == chart.support.bit_count()
-            assert chart.support >> 8 == 0
-            assert chart.rows == []
+        for support, point, basis in state.charts:
+            assert support.bit_count() <= bound
+            assert support >> 8 == 0
+            assert point == 0
+            assert basis == [1 << c for c in range(8) if (support >> c) & 1]
 
     def test_initial_mass_bound(self):
         state = new_learner(8, 1, 2, 2, rng_seed=0)
@@ -335,8 +349,7 @@ class TestOracleEquivalence:
 class TestChartInvariants:
     def test_live_charts_and_ranks_stay_bounded(self):
         """Before and after every step: live charts never increase and stay
-        at most m, no chart holds more rows than its dimension, and no
-        stored row contains the pivot of an earlier row in its chart."""
+        at most m, and every chart is in canonical generator form."""
         for flip in (0, 1):
             state = new_learner(16, 2, 4, 2, rng_seed=2)
             src = UniformSource(gen_hidden(16, 2, 6), seed=9)
@@ -344,9 +357,8 @@ class TestChartInvariants:
             for _ in range(200):
                 assert len(state.charts) <= live
                 live = len(state.charts)
-                assert all(len(c.rows) <= c.dim for c in state.charts)
                 for chart in state.charts:
-                    assert_pivot_free(chart)
+                    assert_canonical(chart)
                 if not state.charts or state.identified() is not None:
                     break
                 ex = src.next_example()
@@ -358,33 +370,34 @@ class TestChartInvariants:
             assert state.rounds > 0
             assert bool(state.charts) == (state.identified() is not None)
             for chart in state.charts:
-                assert_pivot_free(chart)
+                assert_canonical(chart)
 
 
-class TestBackSubstitute:
+class TestCanonicalForm:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
-    def test_matches_canonical_point(self, data):
-        n = data.draw(st.integers(min_value=1, max_value=10))
-        point = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    def test_matches_affine_space(self, data):
+        """One full chart fed consistent constraints holds the canonical
+        point and null-space basis of the RREF the constraints give."""
+        n = data.draw(st.integers(min_value=2, max_value=10))
+        target = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
         masks = data.draw(
-            st.lists(st.integers(min_value=1, max_value=(1 << n) - 1), max_size=14)
+            st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=14)
         )
-        rows = []
+        state = hand_state(n, 1, 1, n, [tuple(range(n))])
         space = AffineSpace.full(n)
-        # Consistent constraints, inserted as learner_update inserts them
-        # and into the canonical space.
         for mask in masks:
-            rhs = (mask & point).bit_count() & 1
-            residual, forced = reduce_rows(rows, mask, rhs)
-            if residual:
-                rows = [*rows, (residual, forced)]
+            rhs = (mask & target).bit_count() & 1
+            state.step(BitVector(n, mask), rhs)
             space = space.constrain(BitVector(n, mask), rhs)
-        assert len(rows) == space.rank
-        canonical = sum(bv.value & -bv.value for bv, r in space.rows if r)
-        assert back_substitute(rows) == canonical
+            (chart,) = state.charts
+            assert_canonical(chart)
+            rows = [(bv.value, r) for bv, r in space.rows]
+            assert (chart.point, chart.basis) == canonical_form((1 << n) - 1, rows)
+            assert state.mass == 1 << space.log2_size
         if space.rank == n:
-            assert back_substitute(rows) == space.sole_point().value == point
+            assert state.identified() == space.sole_point()
+            assert space.sole_point().value == target
 
 
 class TestBestHypothesis:
@@ -420,10 +433,10 @@ class TestZeroSparsity:
 class TestLocalReferenceEquivalence:
     """Round-by-round agreement with the local-coordinate reference learner.
 
-    Charts are compared as support masks with the canonical RREF of their
-    stored rows, which fixes the solution sets; on the hand-built families
-    the solution sets themselves are enumerated and compared as global
-    vectors too.
+    Each chart is compared with the canonical generator form derived from
+    the reference chart's RREF rows, which fixes the solution set; on the
+    hand-built families the solution sets themselves are enumerated and
+    compared as global vectors too.
     """
 
     def assert_same_state(self, state, ref, points):
@@ -434,11 +447,10 @@ class TestLocalReferenceEquivalence:
         assert len(state.charts) == len(ref.charts)
         assert state.identified() == ref.identified()
         assert state.best_hypothesis() == ref.best_hypothesis()
-        assert [
-            (c.support, canonical_rows(c.rows)) for c in state.charts
-        ] == ref.global_charts()
-        for chart in state.charts:
-            assert_pivot_free(chart)
+        assert state.charts == [
+            (support, *canonical_form(support, rows))
+            for support, rows in ref.global_charts()
+        ]
         if points:
             for i, chart in enumerate(state.charts):
                 assert chart_points(chart, state.n) == ref.global_points(i)
@@ -505,3 +517,79 @@ class TestLocalReferenceEquivalence:
         assert self.drive(state, examples, True) < 40
         assert state.charts == []
         assert state.best_hypothesis() is None
+
+
+class TestRowReferenceEquivalence:
+    """Round-by-round agreement with the append-row learner it replaced.
+
+    Every chart's point must be the back-substituted point of the
+    reference chart's rows, and its basis must have one vector per free
+    coordinate, ``dim - rank``.
+    """
+
+    STREAMS = ("honest", "complemented", "noisy")
+
+    @staticmethod
+    def stream(hidden, kind, seed, count):
+        eta = 0.2 if kind == "noisy" else 0.0
+        flip = int(kind == "complemented")
+        src = UniformSource(hidden, seed=seed, eta=eta)
+        return [(ex.a, ex.label ^ flip) for ex in src.take(count)]
+
+    @staticmethod
+    def assert_same_state(state, ref):
+        assert (state.mistakes, state.rounds) == (ref.mistakes, ref.rounds)
+        assert (state.initial_mass, state.mass) == (ref.initial_mass, ref.mass)
+        assert len(state.charts) == len(ref.charts)
+        for chart, (support, dim, rows) in zip(state.charts, ref.charts):
+            assert chart.support == support
+            assert chart.point == back_substitute(rows)
+            assert len(chart.basis) == dim - len(rows)
+        assert state.identified() == ref.identified()
+        assert state.best_hypothesis() == ref.best_hypothesis()
+
+    def drive(self, family, examples):
+        """Step both learners on the same pairs until every chart dies;
+        returns the rounds run."""
+        state, ref = LearnerState(family), RowLearner(family)
+        self.assert_same_state(state, ref)
+        for a, y in examples:
+            try:
+                expected = ref.step(a, y)
+            except AllChartsEmptyError:
+                with pytest.raises(AllChartsEmptyError):
+                    state.step(a, y)
+                self.assert_same_state(state, ref)
+                break
+            assert state.step(a, y) == expected
+            self.assert_same_state(state, ref)
+        return state
+
+    @pytest.mark.parametrize("kind", STREAMS)
+    @pytest.mark.parametrize(
+        "n,k,t,alpha",
+        [(64, 3, 12, 2), (96, 2, 16, 2), (32, 4, 8, 3), (48, 2, 12, 2)],
+    )
+    def test_gate_configs(self, n, k, t, alpha, kind):
+        family = new_learner(n, k, t, alpha, rng_seed=n + k).family
+        hidden = gen_hidden(n, k, 7 * n)
+        state = self.drive(family, self.stream(hidden, kind, n, 60))
+        if kind == "honest":
+            assert state.identified() == hidden
+        if kind == "complemented":
+            assert not state.charts
+
+    @pytest.mark.parametrize("kind", STREAMS)
+    def test_zero_sparsity(self, kind):
+        family = new_learner(6, 0, 3, 2, rng_seed=0).family
+        state = self.drive(family, self.stream(BitVector.zeros(6), kind, 5, 20))
+        assert state.rounds > 0
+
+    @pytest.mark.parametrize("kind", STREAMS)
+    def test_duplicate_subsets(self, kind):
+        family = hand_family(
+            12, 1, 3, 2, [(0, 2), (1, 3), (0, 2), (4, 5), (0, 1), (2, 0)]
+        )
+        hidden = BitVector.from_support(12, [0, 2])
+        state = self.drive(family, self.stream(hidden, kind, 3, 60))
+        assert state.rounds > 0
