@@ -198,17 +198,18 @@ def noisy_learn_report(
     flip_set_limit: int = DEFAULT_FLIP_SET_LIMIT,
 ) -> NoisyReport:
     """Run the reduction and return the output with its run counters."""
-    total_sets = flip_set_count(params.s_prime, params.flip_budget)
+    flip_budget = params.flip_budget
+    total_sets = flip_set_count(params.s_prime, flip_budget)
     if total_sets > flip_set_limit:
         raise BudgetExceededError(
             f"{total_sets} flip sets exceed the enumeration limit "
             f"{flip_set_limit}; shrink s_prime or eta"
         )
     primary = [source.next_example() for _ in range(params.s_prime)]
-    candidates = list(inner.candidates(primary, params.flip_budget))
+    candidates = list(inner.candidates(primary, flip_budget))
     if not candidates:
         raise NoCandidatesError(
-            f"no flip set of size <= {params.flip_budget} yielded a "
+            f"no flip set of size <= {flip_budget} yielded a "
             "hypothesis: noise rate too high for the budget, or the inner "
             "learner is broken"
         )
@@ -218,7 +219,7 @@ def noisy_learn_report(
         output=candidates[winner],
         s_prime=params.s_prime,
         s_doubleprime=params.s_doubleprime,
-        flip_budget=params.flip_budget,
+        flip_budget=flip_budget,
         inner_invocations=total_sets,
         candidate_count=len(candidates),
         samples_drawn=params.s_prime + params.s_doubleprime,

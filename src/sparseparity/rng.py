@@ -14,18 +14,50 @@ versions.  The derived draws are pinned as follows:
 * ``sample_sorted(n, k)`` -- partial Fisher-Yates over ``range(n)`` driven
   by ``below``, result sorted.
 * ``bernoulli(p)`` -- ``next_u64() < floor(p * 2**64)``.
-* ``bits_and_flip(m, threshold)`` -- one labeled example's randomness in
-  one call: the words of ``bits(m)``, then, only when ``threshold`` is not
-  None, one more word ``w`` giving the flip ``w < threshold``.  With
-  ``threshold = floor(p * 2**64)`` it consumes and returns exactly what
-  ``bits(m)`` followed by ``bernoulli(p)`` would.
+* ``words(count)`` -- the next ``count`` u64 words as a list, exactly
+  ``[next_u64() for _ in range(count)]``, mixed all at once.
 * ``split()`` -- child generator seeded with ``next_u64()``.
 """
 
 from __future__ import annotations
 
+import sys
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+
+# words() mixes each counter in its own 128-bit lane of one int: a lane's
+# product of two 64-bit words fits in 128 bits, and the right shifts only
+# spill a neighbour's low bits into the upper half, which is masked off
+# ("SIMD within a register"; Warren, Hacker's Delight, ch. 2 and 5).  The
+# low words come back out as native u64s, in lane order.
+_LANE_BYTES = 16
+if sys.byteorder == "little":
+    _BYTEORDER, _LOW_WORDS = "little", slice(None, None, 2)
+else:
+    _BYTEORDER, _LOW_WORDS = "big", slice(None, None, -2)
+_lanes = (0, 0, 0, 0)  # _lane_constants(0)
+
+
+def _lane_constants(count: int) -> tuple[int, int, int, int]:
+    """``(count, ones, steps, mask)`` over ``count`` lanes.
+
+    Lane ``i`` holds 1 in ``ones``, ``(i + 1) * gamma`` mod 2**64 in
+    ``steps`` and 2**64 - 1 in ``mask``.  The last count is cached.
+    """
+    global _lanes
+    if _lanes[0] != count:
+        steps = b"".join(
+            ((i * _GAMMA) & _MASK64).to_bytes(_LANE_BYTES, "little")
+            for i in range(1, count + 1)
+        )
+        _lanes = (
+            count,
+            int.from_bytes((b"\x01" + bytes(15)) * count, "little"),
+            int.from_bytes(steps, "little"),
+            int.from_bytes((b"\xff" * 8 + bytes(8)) * count, "little"),
+        )
+    return _lanes
 
 
 class SplitMix64:
@@ -75,30 +107,22 @@ class SplitMix64:
     def bernoulli(self, p: float) -> bool:
         return self.next_u64() < int(p * 2.0**64)
 
-    def bits_and_flip(
-        self, nbits: int, threshold: int | None
-    ) -> tuple[int, bool]:
-        """``bits(nbits)``, then ``next_u64() < threshold`` unless None.
+    def words(self, count: int) -> list[int]:
+        """The next ``count`` words: ``[next_u64() for _ in range(count)]``.
 
-        The flip is False when no threshold is given.  The mixing is
-        inlined, and a vector of 1..64 bits takes one word without a loop.
+        Counter ``state + (i + 1) * gamma`` sits in lane ``i`` of one int,
+        so each step of the output function runs once over every word.
         """
-        if 0 < nbits <= 64:
-            s = (self._state + _GAMMA) & _MASK64
-            z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            bits = (z ^ (z >> 31)) & ((1 << nbits) - 1)
-        else:
-            bits = self.bits(nbits)
-            s = self._state
-        flip = False
-        if threshold is not None:
-            s = (s + _GAMMA) & _MASK64
-            z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            flip = (z ^ (z >> 31)) < threshold
-        self._state = s
-        return bits, flip
+        if count < 0:
+            raise ValueError(f"cannot draw {count} words")
+        _, ones, steps, mask = _lane_constants(count)
+        z = (self._state * ones + steps) & mask
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+        z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+        z ^= z >> 31
+        raw = z.to_bytes(count * _LANE_BYTES, _BYTEORDER)
+        return memoryview(raw).cast("Q")[_LOW_WORDS].tolist()
 
     def split(self) -> "SplitMix64":
         """Fork a child generator; advances this generator by one word."""

@@ -47,13 +47,19 @@ def gen_hidden(n: int, k: int, seed: int) -> BitVector:
     return BitVector.from_support(n, support)
 
 
+# Words UniformSource mixes per refill: SplitMix64.words amortises its
+# per-call cost over the block, and a block of this size drew fastest.
+_BLOCK_WORDS = 256
+
+
 class UniformSource:
     """Uniform example vectors labeled by a hidden parity, with optional noise.
 
     Per example the generator draws the vector words first and then, only
-    when ``eta > 0``, one word for the label flip, in one
-    :meth:`~sparseparity.rng.SplitMix64.bits_and_flip` call.  A flip is not
-    stored: it equals ``label ^ <a, hidden>``.
+    when ``eta > 0``, one word for the label flip.  The words come from a
+    block of :meth:`~sparseparity.rng.SplitMix64.words` and are consumed
+    in stream order, so the examples are exactly those of per-word draws.
+    A flip is not stored: it equals ``label ^ <a, hidden>``.
     """
 
     def __init__(self, hidden: BitVector, seed: int, eta: float = 0.0):
@@ -64,8 +70,14 @@ class UniformSource:
         self.eta = eta
         self._rng = SplitMix64(seed)
         self._hidden_bits = hidden.value
-        # bernoulli(eta)'s threshold; None draws no flip word.
-        self._threshold = int(eta * 2.0**64) if eta > 0.0 else None
+        self._mask = (1 << self.n) - 1
+        self._vector_words = (self.n + 63) // 64
+        # bernoulli(eta)'s threshold; eta = 0 draws no flip word.
+        self._noisy = eta > 0.0
+        self._threshold = int(eta * 2.0**64)
+        self._width = self._vector_words + self._noisy
+        self._block: list[int] = []
+        self._cursor = 0
         self.draws = 0
 
     @classmethod
@@ -82,22 +94,43 @@ class UniformSource:
         return cls(hidden, meta.next_u64(), eta=eta)
 
     def next_example(self) -> LabeledExample:
-        bits, flip = self._rng.bits_and_flip(self.n, self._threshold)
+        c = self._cursor
+        block = self._block
+        if c + self._width > len(block):
+            # keep the unconsumed words, then a freshly mixed block
+            block = self._block = block[c:] + self._rng.words(
+                max(_BLOCK_WORDS, self._width)
+            )
+            c = 0
+        self._cursor = c + self._width
+        if self._vector_words == 1:
+            bits = block[c] & self._mask
+        else:
+            bits = 0
+            for j in range(self._vector_words):
+                bits |= block[c + j] << (64 * j)
+            bits &= self._mask
+        label = (bits & self._hidden_bits).bit_count() & 1
+        if self._noisy and block[c + self._vector_words] < self._threshold:
+            label ^= 1
         self.draws += 1
         ex = _new(LabeledExample)
         _set_a(ex, BitVector(self.n, bits))
-        # int ^ bool is an int, so a stream file prints 0/1, not True.
-        _set_label(ex, ((bits & self._hidden_bits).bit_count() & 1) ^ flip)
+        _set_label(ex, label)
         return ex
 
     def take(self, count: int) -> list[LabeledExample]:
         return [self.next_example() for _ in range(count)]
 
     def fork(self) -> "UniformSource":
-        """A child source over the same hidden vector with a split RNG."""
-        child = UniformSource(self.hidden, 0, eta=self.eta)
-        child._rng = self._rng.split()
-        return child
+        """A child source over the same hidden vector, seeded with the next
+        unconsumed word (what ``SplitMix64.split`` would give)."""
+        if self._cursor < len(self._block):
+            seed = self._block[self._cursor]
+            self._cursor += 1
+        else:
+            seed = self._rng.next_u64()
+        return UniformSource(self.hidden, seed, eta=self.eta)
 
 
 class ReplaySource:

@@ -73,38 +73,29 @@ class TestBits:
         assert follow == reference_stream(8, 3)[2]
 
 
-class TestBitsAndFlip:
+class TestWords:
     @given(
-        st.one_of(st.sampled_from([0, 63, 64, 65, 128, 129]), st.integers(1, 200)),
-        st.one_of(st.none(), st.sampled_from([0.0, 1e-30, 0.01, 0.05, 0.3, 0.49])),
-        st.integers(0, MASK64),
+        st.one_of(st.sampled_from([0, MASK64]), st.integers(0, MASK64)),
+        st.one_of(
+            st.sampled_from([0, 1, 255, 256, 257, 1000]), st.integers(0, 600)
+        ),
     )
-    @settings(max_examples=300, deadline=None)
-    def test_matches_bits_then_threshold(self, nbits, p, seed):
-        threshold = None if p is None else int(p * 2**64)
-        fused, ref = SplitMix64(seed), SplitMix64(seed)
-        for _ in range(3):
-            bits, flip = fused.bits_and_flip(nbits, threshold)
-            assert bits == ref.bits(nbits)
-            if threshold is None:
-                assert flip is False
-            else:
-                assert flip == (ref.next_u64() < threshold)
-        assert fused.next_u64() == ref.next_u64()
+    @settings(max_examples=200, deadline=None)
+    def test_matches_next_u64_loop(self, seed, count):
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        assert block.words(count) == [scalar.next_u64() for _ in range(count)]
+        assert block.next_u64() == scalar.next_u64()
 
-    def test_threshold_is_bernoullis(self):
-        p = 0.05
-        fused, ref = SplitMix64(3), SplitMix64(3)
-        for _ in range(2000):
-            bits, flip = fused.bits_and_flip(24, int(p * 2.0**64))
-            assert bits == ref.bits(24)
-            assert flip == ref.bernoulli(p)
+    @pytest.mark.parametrize("seed", [0, MASK64, 1 << 63])
+    def test_matches_reference_transcription(self, seed):
+        # Consecutive calls of different sizes continue one stream.
+        r = SplitMix64(seed)
+        got = r.words(3) + r.words(256) + r.words(1) + r.words(40)
+        assert got == reference_stream(seed, 300)
 
-    def test_word_order(self):
-        words = reference_stream(11, 4)
-        bits, flip = SplitMix64(11).bits_and_flip(100, 1 << 63)
-        assert bits == (words[0] | words[1] << 64) & ((1 << 100) - 1)
-        assert flip == (words[2] < 1 << 63)
+    def test_rejects_negative_count(self):
+        with pytest.raises(ValueError):
+            SplitMix64(0).words(-1)
 
 
 class TestBelow:

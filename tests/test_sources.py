@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparseparity import sources
 from sparseparity.errors import SourceExhaustedError
 from sparseparity.gf2 import BitVector, dot
 from sparseparity.rng import SplitMix64
@@ -159,6 +160,22 @@ class ReferenceSource:
         return ReferenceSource(self.hidden, self.rng.split(), self.eta)
 
 
+def upcoming_words(source, count=3):
+    """The next ``count`` words the source would consume, without drawing.
+
+    A ``UniformSource`` hands out the rest of its block before its
+    generator's words; a ``ReferenceSource`` draws straight from its
+    generator.  Equal upcoming words mean equal stream positions.
+    """
+    if isinstance(source, UniformSource):
+        words = source._block[source._cursor:][:count]
+        rng = SplitMix64(source._rng._state)
+    else:
+        words = []
+        rng = SplitMix64(source.rng._state)
+    return words + [rng.next_u64() for _ in range(count - len(words))]
+
+
 def assert_same_draws(fast, ref, count):
     """Compare ``count`` draws; returns the fast source's flips."""
     start = len(ref.flips)
@@ -177,17 +194,44 @@ def assert_same_draws(fast, ref, count):
     else:
         assert not any(flips) and ref.flips == []
     assert fast.draws == ref.draws
-    assert fast._rng._state == ref.rng._state
+    assert upcoming_words(fast) == upcoming_words(ref)
     return flips
+
+
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def unmix(word):
+    """The counter state whose SplitMix64 output is ``word``."""
+    mask = (1 << 64) - 1
+
+    def unshift(y, shift):
+        x = y
+        for _ in range(64 // shift + 1):
+            x = y ^ (x >> shift)
+        return x
+
+    z = unshift(word, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & mask, 27)
+    return unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask, 30)
+
+
+def words_per_example(n, eta):
+    return (n + 63) // 64 + (eta > 0.0)
+
+
+ETAS = (0.0, 0.01, 0.05, 0.3, 0.49)
 
 
 class TestDrawEquivalence:
     @given(
-        st.one_of(st.sampled_from([63, 64, 65, 128, 129]), st.integers(1, 200)),
-        st.sampled_from([0.0, 0.01, 0.05, 0.3, 0.49]),
+        st.one_of(
+            st.sampled_from([0, 1, 63, 64, 65, 128, 129]), st.integers(1, 200)
+        ),
+        st.sampled_from(ETAS),
         st.integers(0, (1 << 64) - 1),
         st.integers(0, (1 << 64) - 1),
-        st.integers(0, 40),
+        st.integers(0, 300),
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_draw(self, n, eta, hidden_seed, seed, before):
@@ -199,13 +243,67 @@ class TestDrawEquivalence:
         assert_same_draws(fast_child, ref_child, 25)
         assert_same_draws(fast, ref, 25)
 
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129])
+    # 64 * 300 + 1 bits: one example takes more words than a block holds.
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 128, 129, 19201])
     def test_every_eta_at_word_boundaries(self, n):
-        hidden = gen_hidden(n, 1, n)
-        for eta in (0.0, 0.01, 0.05, 0.3, 0.49):
+        hidden = gen_hidden(n, min(n, 1), n)
+        for eta in ETAS:
+            # enough draws to refill the block at least twice
+            width = max(words_per_example(n, eta), 1)
+            count = 3 * sources._BLOCK_WORDS // width + 1
             fast = UniformSource(hidden, seed=n, eta=eta)
             ref = ReferenceSource(hidden, SplitMix64(n), eta)
-            assert_same_draws(fast, ref, 200)
+            assert_same_draws(fast, ref, count)
+
+    @pytest.mark.parametrize("n", [0, 1, 24, 64, 65, 129])
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_fork_around_a_refill(self, n, shift):
+        # The first refill comes with example BLOCK // width: fork just
+        # before it, where the last block words run out, and just after.
+        hidden = gen_hidden(n, min(n, 2), 7)
+        for eta in ETAS:
+            width = words_per_example(n, eta)
+            at = sources._BLOCK_WORDS // width if width else 1
+            fast = UniformSource(hidden, seed=n + 1, eta=eta)
+            ref = ReferenceSource(hidden, SplitMix64(n + 1), eta)
+            assert_same_draws(fast, ref, at + shift)
+            fast_child, ref_child = fast.fork(), ref.fork()
+            assert upcoming_words(fast) == upcoming_words(ref)
+            assert_same_draws(fast_child, ref_child, at + 1)
+            assert_same_draws(fast, ref, at + 1)
+
+    def test_word_order(self):
+        # Vector words little-endian, then the flip word w < floor(eta 2^64).
+        hidden = gen_hidden(100, 3, 2)
+        rng = SplitMix64(11)
+        src = UniformSource(hidden, seed=11, eta=0.25)
+        for _ in range(300):
+            w0, w1, w2 = rng.next_u64(), rng.next_u64(), rng.next_u64()
+            ex = src.next_example()
+            assert ex.a.value == (w0 | w1 << 64) & ((1 << 100) - 1)
+            assert ex.label == dot(ex.a, hidden) ^ (w2 < 1 << 62)
+
+    def test_flip_is_bernoulli(self):
+        hidden = gen_hidden(24, 2, 3)
+        src = UniformSource(hidden, seed=3, eta=0.05)
+        rng = SplitMix64(3)
+        for _ in range(2000):
+            ex = src.next_example()
+            assert ex.a.value == rng.bits(24)
+            assert ex.label ^ dot(ex.a, hidden) == rng.bernoulli(0.05)
+
+    @pytest.mark.parametrize("offset, flipped", [(0, False), (-1, True)])
+    def test_flip_word_at_the_threshold(self, offset, flipped):
+        # Seed the stream so example 0's flip word (its second word) is
+        # threshold + offset: a flip needs the word strictly below.
+        threshold = int(0.25 * 2.0**64)
+        seed = (unmix(threshold + offset) - 2 * GAMMA) % (1 << 64)
+        hidden = gen_hidden(24, 2, 3)
+        rng = SplitMix64(seed)
+        rng.next_u64()
+        assert rng.next_u64() == threshold + offset
+        ex = UniformSource(hidden, seed=seed, eta=0.25).next_example()
+        assert ex.label ^ dot(ex.a, hidden) == flipped
 
     def test_flip_word_drawn_below_threshold_resolution(self):
         # eta * 2**64 < 1: bernoulli never flips but still draws its word
