@@ -3,8 +3,9 @@
 The package splits [n] into parts, covers every k-subset of parts with a
 random family of larger subsets, and runs a halving learner over the
 affine solution spaces those subsets induce.  On top of that core sit a
-PAC driver, exhaustive baselines for cross-checking, and a reduction
-that tolerates label noise by enumerating candidate mislabel sets.
+PAC driver and a reduction that tolerates label noise by enumerating
+candidate mislabel sets, with a meet-in-the-middle inner learner as the
+exhaustive-search alternative to the chart learner.
 """
 
 from .cover import (
@@ -16,7 +17,7 @@ from .cover import (
     sample_family,
     verify_cover,
 )
-from .gf2 import AffineSpace, BitVector
+from .gf2 import BitVector
 from .noisy import (
     MitmInner,
     NoisyParams,
@@ -31,14 +32,11 @@ from .sources import (
     ReplaySource,
     UniformSource,
     gen_hidden,
-    read_stream,
-    write_stream,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineSpace",
     "BitVector",
     "CoverFamily",
     "CoverParams",
@@ -58,8 +56,6 @@ __all__ = [
     "noisy_learn_report",
     "pac_learn",
     "ratio_bound_report",
-    "read_stream",
     "sample_family",
     "verify_cover",
-    "write_stream",
 ]

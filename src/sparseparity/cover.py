@@ -76,13 +76,6 @@ class CoverFamily:
     def m(self) -> int:
         return len(self.subsets)
 
-    def support_coords(self, subset_index: int) -> tuple[int, ...]:
-        """Coordinates of the union of parts named by one subset, sorted."""
-        coords: list[int] = []
-        for part_index in self.subsets[subset_index]:
-            coords.extend(self.parts[part_index])
-        return tuple(sorted(coords))
-
 
 def family_size_m(params: CoverParams) -> int:
     """Number of random subsets to draw: ceil(2 * ratio * ln C(T,k)), >= 1.

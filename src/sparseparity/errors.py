@@ -6,7 +6,8 @@ class LengthMismatchError(ValueError):
 
 
 class NotSingletonError(Exception):
-    """An affine space was asked for its unique point but has rank < dimension."""
+    """Raised by :func:`~sparseparity.pac.extract_hypothesis` when the learner
+    has no candidate hypothesis left."""
 
 
 class BudgetExceededError(Exception):

@@ -1,7 +1,7 @@
 """Command-line experiment runner.
 
-Wires the example sources, the chart learner, the baselines, and the
-noise reduction together, and emits machine-readable reports that place
+Wires the example sources, the chart learner, the covering families and
+the noise reduction together, and emits machine-readable reports that place
 empirical mistake/sample counts next to the exact and closed-form bounds
 they are supposed to respect.  All randomness flows from a single
 ``--seed``: each trial draws its own sub-seed from a master stream, so

@@ -18,6 +18,7 @@ occurrence with flip sets taken by size, then lexicographically.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -33,9 +34,9 @@ from .errors import (
     NoCandidatesError,
     SourceExhaustedError,
 )
-from .gf2 import BitVector, mitm_tables
+from .gf2 import BitVector
 from .online import LearnerState
-from .pac import PacParams, pac_learn, survival_threshold
+from .pac import PacParams, pac_learn
 from .sources import LabeledExample, ReplaySource
 
 logger = logging.getLogger(__name__)
@@ -67,7 +68,8 @@ def flip_set_count(s_prime: int, flip_budget: int) -> int:
 class NoisyParams:
     """Sample counts for one noisy-learning run.
 
-    The named constructors differ only in where ``s_prime`` comes from.
+    :meth:`from_counts` derives ``s_doubleprime`` from the other three
+    when it is not given.
     """
 
     eta: float
@@ -94,18 +96,6 @@ class NoisyParams:
         return math.ceil(
             600 * (s_prime * entropy(1.5 * eta) + math.log2(8.0 / delta))
         )
-
-    @classmethod
-    def from_inner(cls, inner, eta: float, delta: float) -> "NoisyParams":
-        """Size the run from the inner learner's declared sample complexity.
-
-        ``s_prime = ceil(20 * s(delta/2) * log2(1/delta))``.  Exhaustively
-        enumerating the flip sets this implies is usually far beyond desk
-        scale; see :meth:`from_counts` for explicitly sized runs.
-        """
-        s_inner = inner.sample_complexity(delta / 2.0)
-        s_prime = math.ceil(20 * s_inner * math.log2(1.0 / delta))
-        return cls.from_counts(eta, delta, s_prime)
 
     @classmethod
     def from_counts(
@@ -226,45 +216,89 @@ def noisy_learn_report(
     )
 
 
+def syndrome_owners(
+    vectors: Sequence[BitVector], n: int, k: int
+) -> dict[int, tuple[int, ...] | None]:
+    """Every weight-k syndrome against ``vectors``, with its owner.
+
+    The syndrome of a support has bit i set when ``vectors[i]`` has an odd
+    number of ones on it.  A syndrome maps to its only weight-k support,
+    or to None when two or more supports share it.  The supports meet in
+    the middle of the coordinate split: for each j, the j-subsets of the
+    left half ``range((n + 1) // 2)`` are grouped by syndrome and each
+    (k-j)-subset of the right half is paired with every group, at one XOR
+    per support.  No labels are read, so the map serves every labeling of
+    the same vectors.
+    """
+    columns = [0] * n
+    for i, v in enumerate(vectors):
+        if v.n != n:
+            raise ValueError(f"example length {v.n} != n={n}")
+        bits = v.value
+        for c in range(n):
+            if (bits >> c) & 1:
+                columns[c] |= 1 << i
+
+    def subsets(coords, size):
+        for support in itertools.combinations(coords, size):
+            syndrome = 0
+            for c in support:
+                syndrome ^= columns[c]
+            yield support, syndrome
+
+    half = (n + 1) // 2
+    owner: dict[int, tuple[int, ...] | None] = {}
+    for j in range(k + 1):
+        left: dict[int, list[tuple[int, ...]]] = {}
+        for support, syndrome in subsets(range(half), j):
+            left.setdefault(syndrome, []).append(support)
+        right = list(subsets(range(half, n), k - j))
+        for left_syndrome, left_supports in left.items():
+            shared = len(left_supports) > 1
+            for support, syndrome in right:
+                syndrome ^= left_syndrome
+                if shared or syndrome in owner:
+                    owner[syndrome] = None
+                else:
+                    owner[syndrome] = left_supports[0] + support
+    return owner
+
+
 class MitmInner:
     """Noiseless inner learner backed by the meet-in-the-middle search.
 
     Succeeds only when exactly one weight-k vector is consistent with the
-    examples.  The half tables depend on the example vectors but not their
-    labels, so they are cached and reused across relabelings of the same
-    vectors.
+    examples.  The syndrome map depends on the example vectors but not
+    their labels, so it is cached and reused across relabelings of the
+    same vectors.
     """
 
     def __init__(self, n: int, k: int):
         self.n = n
         self.k = k
         self._cache_key: tuple[int, ...] | None = None
-        self._cache: tuple[dict, list] | None = None
+        self._cache: dict[int, tuple[int, ...] | None] | None = None
 
-    def sample_complexity(self, delta: float) -> int:
-        """Union bound: C(n,k) impostors each survive one example w.p. 1/2."""
-        return math.ceil(math.log2(binom(self.n, self.k) / delta))
-
-    def _tables(self, examples: Sequence[LabeledExample]) -> tuple[dict, list]:
+    def _owners(
+        self, examples: Sequence[LabeledExample]
+    ) -> dict[int, tuple[int, ...] | None]:
         vectors = [ex.a for ex in examples]
         key = tuple(v.value for v in vectors)
         if key != self._cache_key:
             self._cache_key = key
-            self._cache = mitm_tables(vectors, self.n, self.k)
+            self._cache = syndrome_owners(vectors, self.n, self.k)
         return self._cache
 
     def run(self, examples: Sequence[LabeledExample]) -> BitVector | None:
-        left, right = self._tables(examples)
+        """The only weight-k vector consistent with the examples, or None.
+
+        A vector is consistent when its syndrome equals the labels.
+        """
         labels = BitVector.from_bits(ex.label for ex in examples).value
-        found: tuple[int, ...] | None = None
-        for support, syndrome, size in right:
-            for left_support in left.get((syndrome ^ labels, self.k - size), ()):
-                if found is not None:
-                    return None  # ambiguous: more than one consistent vector
-                found = left_support + support
-        if found is None:
+        support = self._owners(examples).get(labels)
+        if support is None:
             return None
-        return BitVector.from_support(self.n, found)
+        return BitVector.from_support(self.n, support)
 
     def candidates(
         self, examples: Sequence[LabeledExample], flip_budget: int
@@ -272,36 +306,17 @@ class MitmInner:
         """What ``run`` yields over every flip set, without running it.
 
         ``run`` on the examples with the labels in flip set F inverted
-        returns v exactly when v is the only weight-k vector whose
-        syndrome is ``labels ^ F``.  So the distinct outputs over all
-        flip sets of size at most ``flip_budget`` are the weight-k vectors
-        that share their syndrome with no other and lie within Hamming
-        distance ``flip_budget`` of the labels: bounded-distance syndrome
-        decoding (Prange 1962; Stern 1988).  Each vector comes from one F,
-        so sorting by (|F|, indices of F) gives the flip-set loop's
+        returns v exactly when v owns the syndrome ``labels ^ F``.  So the
+        distinct outputs over all flip sets of size at most
+        ``flip_budget`` are the owned syndromes within Hamming distance
+        ``flip_budget`` of the labels: bounded-distance syndrome decoding
+        (Prange 1962; Stern 1988).  Each vector comes from one F, so
+        sorting by (|F|, indices of F) gives the flip-set loop's
         first-occurrence order.
         """
-        if flip_budget == 0:
-            x = self.run(examples)
-            return [] if x is None else [x]
-        left, right = self._tables(examples)
         labels = BitVector.from_bits(ex.label for ex in examples).value
-        right_by_size: list[list[tuple[tuple[int, ...], int]]] = [
-            [] for _ in range(self.k + 1)
-        ]
-        for support, syndrome, size in right:
-            right_by_size[size].append((support, syndrome))
-        # syndrome -> its only weight-k support, or None when shared
-        owner: dict[int, tuple[int, ...] | None] = {}
-        for (left_syndrome, j), left_supports in left.items():
-            for support, syndrome in right_by_size[self.k - j]:
-                syndrome ^= left_syndrome
-                if len(left_supports) > 1 or syndrome in owner:
-                    owner[syndrome] = None
-                else:
-                    owner[syndrome] = left_supports[0] + support
         found = []
-        for syndrome, support in owner.items():
+        for syndrome, support in self._owners(examples).items():
             flips = syndrome ^ labels
             if support is not None and flips.bit_count() <= flip_budget:
                 flip_set = tuple(
@@ -332,13 +347,6 @@ class PacOnlineInner:
         self.family: CoverFamily = build_family(params, rng_seed)
         self._start = LearnerState(self.family)
         self.mistake_bound = self._start.mistake_bound
-
-    def sample_complexity(self, delta: float) -> int:
-        """Deterministic ceiling: every mistake-free run is shorter than
-        the survival threshold except the last."""
-        return (self.mistake_bound + 1) * survival_threshold(
-            self.mistake_bound, delta
-        )
 
     def run(self, examples: Sequence[LabeledExample]) -> BitVector | None:
         return self._verdict(

@@ -5,16 +5,12 @@ product of the drawn vector with a hidden weight-``k`` vector, optionally
 XORed with an independent Bernoulli flip.  All randomness flows through a
 seeded :class:`~sparseparity.rng.SplitMix64`, so streams are reproducible
 across runs and platforms.
-
-Stream file format (one example per line, ASCII):
-``<n bits as a 0/1 string> <label 0/1>`` where character ``i`` of the bit
-string is coordinate ``i``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import SourceExhaustedError
 from .gf2 import BitVector
@@ -80,19 +76,6 @@ class UniformSource:
         self._cursor = 0
         self.draws = 0
 
-    @classmethod
-    def from_seed(
-        cls, n: int, k: int, seed: int, eta: float = 0.0
-    ) -> "UniformSource":
-        """Draw the hidden vector and the stream from one seed.
-
-        The hidden vector uses the first split of the seed stream and the
-        examples use the second, so hidden and stream are independent.
-        """
-        meta = SplitMix64(seed)
-        hidden = gen_hidden(n, k, meta.next_u64())
-        return cls(hidden, meta.next_u64(), eta=eta)
-
     def next_example(self) -> LabeledExample:
         c = self._cursor
         block = self._block
@@ -119,19 +102,6 @@ class UniformSource:
         _set_label(ex, label)
         return ex
 
-    def take(self, count: int) -> list[LabeledExample]:
-        return [self.next_example() for _ in range(count)]
-
-    def fork(self) -> "UniformSource":
-        """A child source over the same hidden vector, seeded with the next
-        unconsumed word (what ``SplitMix64.split`` would give)."""
-        if self._cursor < len(self._block):
-            seed = self._block[self._cursor]
-            self._cursor += 1
-        else:
-            seed = self._rng.next_u64()
-        return UniformSource(self.hidden, seed, eta=self.eta)
-
 
 class ReplaySource:
     """Replays a fixed example list; raises SourceExhausted at the end."""
@@ -148,14 +118,6 @@ class ReplaySource:
         self._cursor = 0
 
     @property
-    def n(self) -> int | None:
-        return self._examples[0].a.n if self._examples else None
-
-    @property
-    def remaining(self) -> int:
-        return len(self._examples) - self._cursor
-
-    @property
     def draws(self) -> int:
         return self._cursor
 
@@ -167,53 +129,3 @@ class ReplaySource:
         ex = self._examples[self._cursor]
         self._cursor += 1
         return ex
-
-    def take(self, count: int) -> list[LabeledExample]:
-        return [self.next_example() for _ in range(count)]
-
-
-def parse_stream_line(line: str, lineno: int = 0) -> LabeledExample:
-    parts = line.split()
-    if len(parts) != 2:
-        raise ValueError(
-            f"line {lineno}: expected '<bits> <label>', got {line!r}"
-        )
-    bits, label = parts
-    if not set(bits) <= {"0", "1"}:
-        raise ValueError(f"line {lineno}: bit string has non-binary characters")
-    if label not in ("0", "1"):
-        raise ValueError(f"line {lineno}: label must be 0 or 1, got {label!r}")
-    return LabeledExample(BitVector.from01(bits), int(label))
-
-
-def read_stream(path_or_file) -> list[LabeledExample]:
-    """Read a stream file; blank lines are skipped."""
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "r", encoding="ascii") as fh:
-            return read_stream(fh)
-    examples = []
-    n = None
-    for lineno, line in enumerate(path_or_file, start=1):
-        if not line.strip():
-            continue
-        ex = parse_stream_line(line, lineno)
-        if n is None:
-            n = ex.a.n
-        elif ex.a.n != n:
-            raise ValueError(
-                f"line {lineno}: example length {ex.a.n} differs from {n}"
-            )
-        examples.append(ex)
-    return examples
-
-
-def format_stream(examples: Iterable[LabeledExample]) -> str:
-    return "".join(f"{ex.a.to01()} {ex.label}\n" for ex in examples)
-
-
-def write_stream(path_or_file, examples: Iterable[LabeledExample]) -> None:
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "w", encoding="ascii") as fh:
-            fh.write(format_stream(examples))
-    else:
-        path_or_file.write(format_stream(examples))

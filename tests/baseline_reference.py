@@ -1,14 +1,12 @@
-"""Reference learners: Gaussian elimination, explicit halving, meet-in-middle.
-
-These are the yardsticks the chart learner is measured against:
+"""Exhaustive reference learners, the yardsticks for the library's learners.
 
 * :func:`gauss_learn` solves the full n-column linear system — sample-hungry
   (needs rank n) but polynomial time, and ignores sparsity entirely.
 * :class:`CandidateSet` materializes every weight-k parity and halves the
   survivor set by majority vote — few samples, C(n,k) space and time.
-* :func:`mitm_learn` meets in the middle over a coordinate split: left-half
-  support candidates are indexed by syndrome, right-half candidates probe
-  the table, and matching pairs combine into consistent weight-k vectors.
+* :func:`brute_force_owners` and :func:`brute_force_candidates` decode
+  syndromes by listing every weight-k vector, the oracle for the
+  meet-in-the-middle inner learner of the noisy reduction.
 """
 
 from __future__ import annotations
@@ -18,10 +16,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cover import binom
-from .errors import BudgetExceededError, InconsistentStreamError
-from .gf2 import AffineSpace, BitVector, dot, mitm_tables
-from .sources import LabeledExample
+from sparseparity.cover import binom
+from sparseparity.errors import BudgetExceededError, InconsistentStreamError
+from sparseparity.gf2 import BitVector, dot
+from sparseparity.sources import LabeledExample
+
+from affine_reference import AffineSpace
 
 DEFAULT_CANDIDATE_BUDGET = 10**6
 
@@ -116,30 +116,40 @@ class CandidateSet:
         return self.survivors[0] if self.survivors else None
 
 
-# -- meet in the middle ---------------------------------------------------
+# -- brute-force syndrome decoding ----------------------------------------
 
 
-def mitm_learn(
+def syndrome_of(examples: Sequence[LabeledExample], x: BitVector) -> int:
+    """Bit i is <a_i, x>: the labels x would give the examples."""
+    return sum(dot(ex.a, x) << i for i, ex in enumerate(examples))
+
+
+def brute_force_owners(
     examples: Sequence[LabeledExample], n: int, k: int
-) -> list[BitVector]:
-    """All weight-k vectors consistent with the examples.
+) -> dict[int, BitVector]:
+    """Each syndrome that exactly one weight-k vector has, with that vector.
 
-    Coordinates are split into halves L and R.  For each split profile
-    (j coordinates of the support in L, k-j in R) the left candidates are
-    indexed by their syndrome — the column-XOR of the examples restricted
-    to the candidate support — and right candidates probe with syndrome
-    XOR labels.  Matches combine into full supports.  Enumerating every
-    profile keeps the output identical to the brute-force filter; the
-    balanced profile dominates the running time.
+    Every weight-k support is grouped by its syndrome; the syndromes two
+    or more supports share are left out.
     """
-    if k < 0 or k > n:
-        return []
-    left, right = mitm_tables([ex.a for ex in examples], n, k)
-    labels = BitVector.from_bits(ex.label for ex in examples).value
-    found: set[tuple[int, ...]] = set()
-    for support, syndrome, r in right:
-        for left_support in left.get((syndrome ^ labels, k - r), ()):
-            found.add(left_support + support)
-    return [
-        BitVector.from_support(n, support) for support in sorted(found)
-    ]
+    groups: dict[int, list[BitVector]] = {}
+    for support in itertools.combinations(range(n), k):
+        x = BitVector.from_support(n, support)
+        groups.setdefault(syndrome_of(examples, x), []).append(x)
+    return {s: xs[0] for s, xs in groups.items() if len(xs) == 1}
+
+
+def brute_force_candidates(
+    examples: Sequence[LabeledExample], n: int, k: int, flip_budget: int
+) -> list[BitVector]:
+    """The owned syndromes within Hamming distance ``flip_budget`` of the
+    labels, ordered by (|F|, F) for the flip set F = syndrome XOR labels."""
+    labels = sum(ex.label << i for i, ex in enumerate(examples))
+    found = []
+    for syndrome, x in brute_force_owners(examples, n, k).items():
+        flips = syndrome ^ labels
+        flip_set = tuple(i for i in range(len(examples)) if (flips >> i) & 1)
+        if len(flip_set) <= flip_budget:
+            found.append((len(flip_set), flip_set, x))
+    found.sort(key=lambda entry: entry[:2])
+    return [x for _, _, x in found]

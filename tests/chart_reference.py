@@ -22,7 +22,9 @@ from typing import NamedTuple, Sequence
 
 from sparseparity.cover import CoverFamily
 from sparseparity.errors import AllChartsEmptyError, LengthMismatchError
-from sparseparity.gf2 import AffineSpace, BitVector, Row, reduce_rows
+from sparseparity.gf2 import BitVector
+
+from affine_reference import AffineSpace, Row, reduce_rows
 
 
 def restrict(v: BitVector, coords: Sequence[int]) -> BitVector:

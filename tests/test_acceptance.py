@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from sparseparity.baselines import mitm_learn
 from sparseparity.cover import (
     CoverParams,
     binom,
@@ -21,7 +20,7 @@ from sparseparity.cover import (
     ratio_bound_report,
 )
 from sparseparity.errors import NoCandidatesError
-from sparseparity.gf2 import AffineSpace, BitVector
+from sparseparity.gf2 import BitVector
 from sparseparity.harness import (
     cli,
     closed_form_mistake_bound,
@@ -38,6 +37,8 @@ from sparseparity.noisy import (
 from sparseparity.rng import SplitMix64
 from sparseparity.sources import UniformSource, gen_hidden
 
+from affine_reference import AffineSpace
+from baseline_reference import brute_force_candidates, brute_force_owners
 from chart_reference import split_sizes
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -202,6 +203,8 @@ def test_ratio_bound_matches_high_precision_fixture(capsys):
 
 
 def test_mitm_equals_brute_force(capsys):
+    # MitmInner as the noisy reduction runs it: ``run`` and the decoding
+    # hook ``candidates`` against a decoder that lists every weight-k vector
     start = time.time()
     pairs = [(n, k) for n in range(1, 13) for k in range(0, min(3, n) + 1)]
     rng = SplitMix64(5)
@@ -211,27 +214,28 @@ def test_mitm_equals_brute_force(capsys):
         n, k = pairs[sets_checked % len(pairs)]
         hidden = gen_hidden(n, k, rng.next_u64())
         source = UniformSource(hidden, seed=rng.next_u64(), eta=0.0)
-        examples = source.take(1 + rng.below(14))
+        count = 1 + rng.below(14)
+        examples = [source.next_example() for _ in range(count)]
         if rng.below(2):  # corrupt half the streams to hit non-unique cases
             examples = [
                 type(ex)(ex.a, rng.below(2)) for ex in examples
             ]
-        brute = [
-            BitVector.from_support(n, support)
-            for support in __import__("itertools").combinations(range(n), k)
-        ]
-        brute = sorted(
-            (x for x in brute
-             if all(ex.a.dot(x) == ex.label for ex in examples)),
-            key=lambda x: x.support(),
-        )
-        all_ok &= mitm_learn(examples, n, k) == brute
+        labels = sum(ex.label << i for i, ex in enumerate(examples))
+        inner = MitmInner(n, k)
+        all_ok &= inner.run(examples) == brute_force_owners(
+            examples, n, k
+        ).get(labels)
+        for budget in (0, 1, 2):
+            all_ok &= inner.candidates(
+                examples, budget
+            ) == brute_force_candidates(examples, n, k, budget)
         sets_checked += 1
     elapsed = time.time() - start
     _report(
         capsys, 5, "meet-in-the-middle vs brute force",
         all_ok and elapsed < 120.0,
-        f"{sets_checked} example sets, n <= 12, k <= 3, {elapsed:.1f}s < 120s",
+        f"{sets_checked} example sets, n <= 12, k <= 3, run and "
+        f"candidates(b <= 2), {elapsed:.1f}s < 120s",
     )
 
 

@@ -1,23 +1,30 @@
-"""Tests for the reference learners."""
+"""Tests for the baseline learners.
+
+The Gaussian-elimination and explicit-halving oracles live in
+``baseline_reference``; the meet-in-the-middle baseline is the library's
+``MitmInner``, the exhaustive-search inner learner of the noisy reduction.
+"""
 
 import itertools
 
 import pytest
 
-from sparseparity.baselines import (
+from sparseparity.cover import binom
+from sparseparity.errors import BudgetExceededError, InconsistentStreamError
+from sparseparity.gf2 import BitVector, dot
+from sparseparity.noisy import MitmInner
+from sparseparity.pac import PacParams, pac_learn
+from sparseparity.rng import SplitMix64
+from sparseparity.sources import LabeledExample, UniformSource, gen_hidden
+
+from baseline_reference import (
     CandidateSet,
     Inconsistent,
     Underdetermined,
     UniqueSolution,
+    brute_force_candidates,
     gauss_learn,
-    mitm_learn,
 )
-from sparseparity.cover import binom
-from sparseparity.errors import BudgetExceededError, InconsistentStreamError
-from sparseparity.gf2 import BitVector, dot
-from sparseparity.pac import PacParams, pac_learn
-from sparseparity.rng import SplitMix64
-from sparseparity.sources import LabeledExample, UniformSource, gen_hidden
 
 V = BitVector.from01
 
@@ -159,27 +166,32 @@ class TestCandidateSet:
 
 
 class TestMitmLearn:
-    def test_zero_examples_returns_everything(self):
-        out = mitm_learn([], 6, 2)
-        assert len(out) == binom(6, 2)
-        assert sorted(f.support() for f in out) == list(
-            itertools.combinations(range(6), 2)
-        )
+    """``MitmInner``: the one weight-k vector consistent with the examples,
+    found through the syndrome map, or None."""
+
+    def test_zero_examples_decode_only_a_lone_support(self):
+        # with no examples every support has the empty syndrome
+        assert MitmInner(6, 2).run([]) is None
+        assert MitmInner(6, 2).candidates([], 2) == []
+        assert MitmInner(2, 2).run([]) == BitVector.ones(2)
 
     def test_zero_sparsity(self):
         zeros = BitVector.zeros(4)
         ok = [LabeledExample(V("1010"), 0), LabeledExample(V("0111"), 0)]
-        assert mitm_learn(ok, 4, 0) == [zeros]
+        assert MitmInner(4, 0).run(ok) == zeros
         bad = [LabeledExample(V("1010"), 1)]
-        assert mitm_learn(bad, 4, 0) == []
+        assert MitmInner(4, 0).run(bad) is None
+        assert MitmInner(4, 0).candidates(bad, 1) == [zeros]
 
     def test_contains_hidden_and_converges(self):
         f = BitVector.from_support(6, [0, 3])
         examples = random_examples(6, 8, 11, labeler=lambda a: dot(a, f))
-        out = mitm_learn(examples, 6, 2)
-        assert f in out
+        consistent = brute_force_consistent(examples, 6, 2)
+        assert f in consistent
+        want = f if consistent == [f] else None
+        assert MitmInner(6, 2).run(examples) == want
         more = random_examples(6, 12, 12, labeler=lambda a: dot(a, f))
-        assert mitm_learn(more, 6, 2) == [f]
+        assert MitmInner(6, 2).run(more) == f
 
     def test_matches_brute_force_on_seeded_sets(self):
         cases = 0
@@ -198,41 +210,43 @@ class TestMitmLearn:
                 seed + 2000,
                 labeler=(lambda a: dot(a, f)) if honest else None,
             )
-            got = mitm_learn(examples, n, k)
             want = brute_force_consistent(examples, n, k)
-            assert {x.value for x in got} == {x.value for x in want}
+            got = MitmInner(n, k).run(examples)
+            assert got == (want[0] if len(want) == 1 else None)
             cases += 1
         assert cases >= 50
 
-    def test_output_is_sorted_by_support(self):
-        out = mitm_learn([], 7, 2)
-        assert [f.support() for f in out] == sorted(f.support() for f in out)
+    def test_candidates_ordered_by_flip_set(self):
+        examples = random_examples(7, 6, 3)
+        got = MitmInner(7, 2).candidates(examples, 6)
+        assert len(got) > 1
+        assert got == brute_force_candidates(examples, 7, 2, 6)
 
     def test_unbalanced_supports_found(self):
         # Support entirely inside one half of the coordinate split.
         f = BitVector.from_support(8, [0, 1, 2])
         examples = random_examples(8, 14, 5, labeler=lambda a: dot(a, f))
-        out = mitm_learn(examples, 8, 3)
-        assert f in out
+        assert MitmInner(8, 3).run(examples) == f
         g = BitVector.from_support(8, [5, 6, 7])
         examples = random_examples(8, 14, 6, labeler=lambda a: dot(a, g))
-        assert g in mitm_learn(examples, 8, 3)
+        assert MitmInner(8, 3).run(examples) == g
 
     def test_sample_phase_transition(self):
         # With 3*k*log2(n) honest examples the consistent set is almost
         # always a singleton at n=64, k=2.
         singletons = 0
         trials = 100
+        inner = MitmInner(64, 2)
         for seed in range(trials):
             f = gen_hidden(64, 2, 7000 + seed)
             examples = random_examples(
                 64, 36, 8000 + seed, labeler=lambda a: dot(a, f)
             )
-            out = mitm_learn(examples, 64, 2)
-            assert f in out
-            singletons += len(out) == 1
+            got = inner.run(examples)
+            assert got in (f, None)
+            singletons += got == f
         assert singletons >= 95
 
     def test_rejects_mixed_lengths(self):
         with pytest.raises(ValueError):
-            mitm_learn([LabeledExample(V("10"), 0)], 3, 1)
+            MitmInner(3, 1).run([LabeledExample(V("10"), 0)])

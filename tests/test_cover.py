@@ -130,16 +130,6 @@ class TestSampleFamily:
             assert list(s) == sorted(s)
             assert all(0 <= i < p.T for i in s)
 
-    def test_support_coords(self):
-        p = CoverParams(n=12, k=1, t=3, alpha=2)
-        fam = CoverFamily(
-            params=p,
-            parts=round_robin_parts(12, 6),
-            subsets=((0, 3),),
-            verified=False,
-        )
-        assert fam.support_coords(0) == (0, 3, 6, 9)
-
 
 def hand_family(n, k, t, alpha, subsets):
     p = CoverParams(n=n, k=k, t=t, alpha=alpha)
@@ -296,11 +286,13 @@ class TestVerifiedCoverageSemantics:
     def test_every_sparse_support_lands_in_one_chart(self):
         p = CoverParams(n=20, k=2, t=4, alpha=2)
         fam = build_verified_family(p, rng_seed=11)
-        supports = [fam.support_coords(i) for i in range(fam.m)]
+        supports = [
+            {c for j in subset for c in fam.parts[j]} for subset in fam.subsets
+        ]
         rng = SplitMix64(99)
         for _ in range(200):
             coords = rng.sample_sorted(p.n, p.k)
-            assert any(set(coords) <= set(s) for s in supports)
+            assert any(set(coords) <= s for s in supports)
 
     def test_sparse_support_touches_at_most_k_parts(self):
         parts = round_robin_parts(30, 10)

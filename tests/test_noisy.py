@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparseparity.cover import binom
 from sparseparity.errors import (
     AllChartsEmptyError,
     BudgetExceededError,
@@ -31,7 +30,7 @@ from sparseparity.noisy import (
     noisy_learn_report,
 )
 from sparseparity.online import LearnerState
-from sparseparity.pac import PacParams, pac_learn, survival_threshold
+from sparseparity.pac import PacParams, pac_learn
 from sparseparity.rng import SplitMix64
 from sparseparity.sources import (
     LabeledExample,
@@ -39,6 +38,11 @@ from sparseparity.sources import (
     UniformSource,
     gen_hidden,
 )
+
+
+def take(source, count):
+    """The next ``count`` examples of ``source``, in draw order."""
+    return [source.next_example() for _ in range(count)]
 
 
 def flip_set_iterator(s_prime, flip_budget):
@@ -117,18 +121,6 @@ class ListInner:
 
     def candidates(self, primary, flip_budget):
         return self.listed
-
-
-class FixedComplexityInner:
-    """Inner learner stub declaring a fixed sample complexity."""
-
-    def __init__(self, s):
-        self.s = s
-        self.deltas = []
-
-    def sample_complexity(self, delta):
-        self.deltas.append(delta)
-        return self.s
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +203,7 @@ def test_flip_set_count_within_entropy_bound():
 
 def test_apply_flips_involution_and_no_aliasing():
     src = UniformSource(BitVector.from_support(10, (2, 7)), seed=13, eta=0.0)
-    examples = src.take(6)
+    examples = take(src, 6)
     original_labels = [ex.label for ex in examples]
     flipped = apply_flips(examples, (0, 3, 5))
     assert [ex.label for ex in examples] == original_labels
@@ -269,18 +261,6 @@ def test_param_domain_errors():
         NoisyParams.from_counts(eta=0.05, delta=0.2, s_prime=0)
 
 
-def test_from_inner_uses_declared_sample_complexity():
-    stub = FixedComplexityInner(10)
-    params = NoisyParams.from_inner(stub, eta=0.05, delta=0.25)
-    # s' = ceil(20 * s(delta/2) * log2(1/delta)) with log2(1/0.25) = 2
-    assert stub.deltas == [0.125]
-    assert params.s_prime == 400
-    assert params.flip_budget == flip_budget_for(0.05, 400) == 30
-    assert params.s_doubleprime == NoisyParams.verification_count(
-        0.05, 0.25, 400
-    )
-
-
 # ---------------------------------------------------------------------------
 # candidate selection by verification agreement
 
@@ -293,7 +273,7 @@ def test_agreement_single_candidate():
 def test_agreement_tie_prefers_lowest_index():
     x = BitVector.from_support(8, (1,))
     y = BitVector.from_support(8, (1,))
-    verif = UniformSource(x, seed=2, eta=0.0).take(10)
+    verif = take(UniformSource(x, seed=2, eta=0.0), 10)
     assert agreement_select([x, y], verif) == 0
     assert agreement_select([y, x], verif) == 0
 
@@ -306,7 +286,7 @@ def test_agreement_rejects_empty_candidate_list():
 def test_agreement_separates_hidden_from_impostor():
     hidden = BitVector.from_support(16, (1, 5))
     impostor = BitVector.from_support(16, (2, 9))
-    verif = UniformSource(hidden, seed=31, eta=0.05).take(200)
+    verif = take(UniformSource(hidden, seed=31, eta=0.05), 200)
     assert agreement_select([impostor, hidden], verif) == 1
 
 
@@ -329,7 +309,7 @@ def test_agreement_matches_dot_scoring(n, count, verif_len, data):
     hidden = data.draw(st.sampled_from(candidates))
     eta = data.draw(st.sampled_from([0.0, 0.1, 0.45]))
     verif = UniformSource(hidden, seed=data.draw(st.integers(0, 99)), eta=eta)
-    verif = verif.take(verif_len)
+    verif = take(verif, verif_len)
     assert agreement_select(candidates, verif) == dot_agreement_select(
         candidates, verif
     )
@@ -353,7 +333,7 @@ def test_agreement_tie_between_distinct_candidates_goes_lowest():
     [BitVector.from_support(8, (1,)), BitVector.from_support(9, (1,))],
 ])
 def test_agreement_rejects_wrong_length_candidate(candidates):
-    verif = UniformSource(BitVector.from_support(8, (2,)), seed=1).take(5)
+    verif = take(UniformSource(BitVector.from_support(8, (2,)), seed=1), 5)
     with pytest.raises(LengthMismatchError):
         agreement_select(candidates, verif)
 
@@ -368,7 +348,7 @@ def test_agreement_lone_candidate_is_chosen_unscored():
 def test_agreement_margin_logged_only_at_debug(caplog):
     hidden = BitVector.from_support(16, (1, 5))
     impostor = BitVector.from_support(16, (2, 9))
-    verif = UniformSource(hidden, seed=31, eta=0.05).take(200)
+    verif = take(UniformSource(hidden, seed=31, eta=0.05), 200)
     with caplog.at_level(logging.INFO, logger="sparseparity.noisy"):
         agreement_select([impostor, hidden], verif)
     assert not caplog.records
@@ -440,7 +420,7 @@ def test_streamed_agreement_matches_list_scoring(n, count, verif_len, data):
 def test_streamed_agreement_logs_the_list_margin(caplog):
     hidden = BitVector.from_support(16, (1, 5))
     candidates = [BitVector.from_support(16, (2, 9)), hidden, BitVector.zeros(16)]
-    verif = UniformSource(hidden, seed=31, eta=0.05).take(200)
+    verif = take(UniformSource(hidden, seed=31, eta=0.05), 200)
     with caplog.at_level(logging.DEBUG, logger="sparseparity.noisy"):
         list_agreement_select(candidates, verif)
         agreement_select(candidates, iter(verif))
@@ -459,8 +439,8 @@ def test_report_streams_verification_like_the_list_path(count):
     source = UniformSource(hidden, seed=74, eta=0.05)
     report = noisy_learn_report(ListInner(candidates), source, params)
     twin = UniformSource(hidden, seed=74, eta=0.05)
-    twin.take(params.s_prime)
-    verif = twin.take(params.s_doubleprime)
+    take(twin, params.s_prime)
+    verif = take(twin, params.s_doubleprime)
     assert report.output == candidates[list_agreement_select(candidates, verif)]
     assert report.samples_drawn == source.draws == twin.draws
     assert source.next_example() == twin.next_example()
@@ -536,7 +516,7 @@ def test_inverted_labels_yield_no_candidates():
     # labels complemented everywhere are inconsistent with every sparse
     # parity, so the empty flip set (the only one under this budget) fails
     hidden = gen_hidden(8, 2, 5)
-    honest = UniformSource(hidden, seed=6, eta=0.0).take(30)
+    honest = take(UniformSource(hidden, seed=6, eta=0.0), 30)
     inverted = [LabeledExample(ex.a, ex.label ^ 1) for ex in honest]
     params = NoisyParams.from_counts(eta=0.001, delta=0.2, s_prime=30)
     assert params.flip_budget == 0
@@ -581,21 +561,15 @@ def test_small_monte_carlo_success_rate():
 # meet-in-the-middle inner learner
 
 
-def test_mitm_inner_sample_complexity():
-    assert MitmInner(24, 2).sample_complexity(0.1) == math.ceil(
-        math.log2(binom(24, 2) / 0.1)
-    )
-
-
 def test_mitm_inner_recovers_unique_hidden():
     hidden = BitVector.from_support(8, (1, 4))
-    examples = UniformSource(hidden, seed=3, eta=0.0).take(20)
+    examples = take(UniformSource(hidden, seed=3, eta=0.0), 20)
     assert MitmInner(8, 2).run(examples) == hidden
 
 
 def test_mitm_inner_declines_when_ambiguous():
     hidden = BitVector.from_support(8, (1, 4))
-    examples = UniformSource(hidden, seed=3, eta=0.0).take(1)
+    examples = take(UniformSource(hidden, seed=3, eta=0.0), 1)
     assert MitmInner(8, 2).run(examples) is None
 
 
@@ -618,7 +592,7 @@ def test_mitm_inner_cache_survives_label_changes():
     inner = MitmInner(10, 2)
     x1 = BitVector.from_support(10, (0, 3))
     x2 = BitVector.from_support(10, (5, 8))
-    vectors = [ex.a for ex in UniformSource(x1, seed=21, eta=0.0).take(25)]
+    vectors = [ex.a for ex in take(UniformSource(x1, seed=21, eta=0.0), 25)]
     ex1 = [LabeledExample(a, a.dot(x1)) for a in vectors]
     ex2 = [LabeledExample(a, a.dot(x2)) for a in vectors]
     assert inner.run(ex1) == x1
@@ -633,8 +607,8 @@ def test_mitm_inner_matches_exhaustive_consistency(seed):
     n = 6 + rng.below(5)
     k = rng.below(min(3, n) + 1)
     hidden = gen_hidden(n, k, rng.next_u64())
-    examples = UniformSource(hidden, seed=rng.next_u64(), eta=0.0).take(
-        2 + rng.below(12)
+    examples = take(
+        UniformSource(hidden, seed=rng.next_u64(), eta=0.0), 2 + rng.below(12)
     )
     consistent = [
         BitVector.from_support(n, support)
@@ -653,8 +627,8 @@ def test_mitm_inner_tables_follow_the_example_vectors():
     # a second stream of different vectors must not reuse the first's tables
     inner = MitmInner(10, 2)
     x = BitVector.from_support(10, (2, 6))
-    first = UniformSource(x, seed=1, eta=0.0).take(20)
-    second = UniformSource(x, seed=2, eta=0.0).take(20)
+    first = take(UniformSource(x, seed=1, eta=0.0), 20)
+    second = take(UniformSource(x, seed=2, eta=0.0), 20)
     assert inner.candidates(first, 0) == [x]
     assert inner.candidates(second, 0) == [x]
     assert inner.run(first) == x
@@ -703,7 +677,7 @@ def test_mitm_candidates_keep_the_loop_order_across_sizes():
 
 def test_mitm_candidates_empty_when_no_flip_set_decodes():
     hidden = gen_hidden(8, 2, 5)
-    honest = UniformSource(hidden, seed=6, eta=0.0).take(30)
+    honest = take(UniformSource(hidden, seed=6, eta=0.0), 30)
     inverted = [LabeledExample(ex.a, ex.label ^ 1) for ex in honest]
     assert MitmInner(8, 2).candidates(inverted, 0) == []
     assert loop_candidates(MitmInner(8, 2), inverted, 0) == []
@@ -744,7 +718,7 @@ def test_reports_match_on_both_paths(n, k, eta, s_prime, seed):
         source_seed = master.next_u64()
         reports = []
         hook_inner, runs = MitmInner(n, k), []
-        # every budget here is positive, so the hook never calls run
+        # the hook decodes from the syndrome map and never calls run
         hook_inner.run = runs.append
         for inner in (hook_inner, RunOnly(MitmInner(n, k))):
             source = UniformSource(hidden, seed=source_seed, eta=eta)
@@ -776,7 +750,7 @@ def test_reports_match_on_both_paths(n, k, eta, s_prime, seed):
 def test_pac_online_inner_recovers_and_is_reusable():
     inner = PacOnlineInner(16, 2, t=4, alpha=2, delta=0.05, rng_seed=9)
     hidden = gen_hidden(16, 2, 45)
-    examples = UniformSource(hidden, seed=46, eta=0.0).take(120)
+    examples = take(UniformSource(hidden, seed=46, eta=0.0), 120)
     assert inner.run(examples) == hidden
     assert inner.run(examples) == hidden
 
@@ -793,16 +767,8 @@ def test_pac_online_inner_declines_on_wrong_weight():
     # the wrong popcount; both must come back as a decline
     inner = PacOnlineInner(16, 2, t=4, alpha=2, delta=0.05, rng_seed=9)
     hidden = BitVector.from_support(16, (0, 5, 9))
-    examples = UniformSource(hidden, seed=44, eta=0.0).take(120)
+    examples = take(UniformSource(hidden, seed=44, eta=0.0), 120)
     assert inner.run(examples) is None
-
-
-def test_pac_online_inner_sample_complexity_formula():
-    inner = PacOnlineInner(16, 2, t=4, alpha=2, delta=0.05, rng_seed=9)
-    bound = inner.mistake_bound
-    assert inner.sample_complexity(0.1) == (bound + 1) * survival_threshold(
-        bound, 0.1
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -963,7 +929,7 @@ def test_chart_candidates_flip_the_last_example():
     # that fork to the end of the stream
     inner = _chart_inner(12, 2, 0.25)
     hidden = gen_hidden(12, 2, 8)
-    honest = UniformSource(hidden, seed=9).take(60)
+    honest = take(UniformSource(hidden, seed=9), 60)
     probe = ReplaySource(honest)
     assert pac_learn(
         LearnerState(inner.family), probe,

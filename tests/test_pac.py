@@ -73,7 +73,8 @@ class TestPacLearn:
     def test_replay_exhaustion_propagates(self):
         learner = new_learner(16, 2, 4, 2, rng_seed=1)
         hidden = gen_hidden(16, 2, 2)
-        feed = UniformSource(hidden, seed=4).take(2)
+        source = UniformSource(hidden, seed=4)
+        feed = [source.next_example() for _ in range(2)]
         with pytest.raises(SourceExhaustedError):
             pac_learn(learner, ReplaySource(feed), PacParams(delta=0.1))
 
