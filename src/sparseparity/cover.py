@@ -15,6 +15,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .errors import BudgetExceededError
 from .rng import SplitMix64
@@ -23,6 +24,9 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 DEFAULT_SAMPLE_ATTEMPTS = 10
+# Words mixed at once while sampling a family: UniformSource's block size,
+# so SplitMix64.words keeps one set of cached lane constants for both.
+_WORD_BLOCK = 256
 
 
 def binom(x: int, y: int) -> int:
@@ -97,13 +101,38 @@ def round_robin_parts(n: int, T: int) -> tuple[tuple[int, ...], ...]:
 
 
 def sample_family(params: CoverParams, rng_seed: int) -> CoverFamily:
-    """Draw an unverified family deterministically from the seed."""
-    rng = SplitMix64(rng_seed)
-    parts = round_robin_parts(params.n, params.T)
-    m = family_size_m(params)
-    ak = params.alpha * params.k
-    subsets = tuple(rng.sample_sorted(params.T, ak) for _ in range(m))
-    return CoverFamily(params=params, parts=parts, subsets=subsets, verified=False)
+    """Draw an unverified family deterministically from the seed.
+
+    The subsets are ``m`` calls of ``rng.sample_sorted(T, alpha*k)`` on
+    ``SplitMix64(rng_seed)``: the same partial Fisher-Yates shuffle and the
+    same rejection of each word's low bits, fed from ``words`` blocks
+    instead of one ``next_u64`` call per word.  The generator is private to
+    the family, so the words drawn past the last one used are never seen.
+    """
+    T, ak = params.T, params.alpha * params.k
+    words = chain.from_iterable(
+        map(SplitMix64(rng_seed).words, repeat(_WORD_BLOCK))
+    )
+    # below(1) draws no word, so only the first T - 1 swaps draw.
+    draws = min(ak, T - 1)
+    masks = [(1 << (T - 1 - i).bit_length()) - 1 for i in range(draws)]
+    subsets = []
+    for _ in range(family_size_m(params)):
+        pool = list(range(T))
+        for i, mask in enumerate(masks):
+            bound = T - i
+            offset = next(words) & mask
+            while offset >= bound:
+                offset = next(words) & mask
+            j = i + offset
+            pool[i], pool[j] = pool[j], pool[i]
+        subsets.append(tuple(sorted(pool[:ak])))
+    return CoverFamily(
+        params=params,
+        parts=round_robin_parts(params.n, T),
+        subsets=tuple(subsets),
+        verified=False,
+    )
 
 
 def verify_cover(

@@ -305,7 +305,7 @@ def bench_tradeoff(
             wall_total += row.wall_ns
             identified_count += row.identified
             samples_total += row.samples
-            charts_total += len(state.charts)
+            charts_total += state.live_charts
             rounds_total += state.rounds
         table.append(
             {

@@ -332,9 +332,9 @@ class MitmInner:
 class PacOnlineInner:
     """Noiseless inner learner backed by the chart learner's PAC driver.
 
-    The covering family and its starting charts are built once and shared
-    across runs; each run replays its example list through a fresh learner,
-    and :meth:`candidates` shares replay prefixes across flip sets.
+    The covering family and its starting learner are built once; each run
+    replays its example list through a fork of that learner, and
+    :meth:`candidates` shares replay prefixes across flip sets.
     """
 
     def __init__(
@@ -388,7 +388,7 @@ class PacOnlineInner:
         return list(distinct.values())
 
     def _fresh(self) -> LearnerState:
-        return LearnerState(self.family, self._start.charts)
+        return self._start.fork()
 
     def _verdict(self, learner, source, budget, run_length) -> BitVector | None:
         """The PAC driver's verdict as a candidate: a weight-k vector or

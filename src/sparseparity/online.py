@@ -2,75 +2,117 @@
 
 The learner owns one *chart* per covering subset: the affine space of
 parities supported inside that subset's parts that agree with every label
-so far.  A chart is stored in generator form, as its canonical point plus
-one null-space vector per free coordinate, all as masks over the n global
-coordinates.  Every weight-``k`` parity is supported inside at least one
-chart of a verified family, so the union of chart solution sets always
-contains the hidden vector.  Each round takes one parity of the example
-against the point and at most one against each basis vector; that gives
-both the weighted majority over exact chart sizes (the prediction) and the
-intersection of every chart with ``<a, f> = y`` (the update).  A mistaken
-prediction at least halves the total mass, which bounds the number of
-mistakes by ``floor(log2`` of the initial mass``)``.
+so far.  A chart is ``point + span(basis)``, with one null-space vector per
+free coordinate; the point is zero on every free coordinate.  Every
+weight-``k`` parity is supported inside at least one chart of a verified
+family, so the union of chart solution sets always contains the hidden
+vector.  A mistaken prediction at least halves the total mass, which
+bounds the number of mistakes by ``floor(log2`` of the initial mass``)``.
+
+The charts are stored bit-sliced (Biham, FSE 1997), transposed the way
+M4RI packs GF(2) rows into words (Albrecht, Bard & Pernet,
+arXiv:1111.6549).  Chart ``i`` owns ``dim_i + 2`` consecutive positions of
+one index space: its basis vectors in ascending free coordinate, then its
+point, then a guard bit.  Column ``c`` is one int whose bit ``p`` says that
+vector ``p`` holds coordinate ``c``.  A round XORs the columns of the
+example's set coordinates, which gives every parity of every vector at
+once; one guarded subtraction per round finds each chart's first odd basis
+vector (Warren, *Hacker's Delight*, ch. 2), and a few more whole-int
+operations per column apply every chart's update.  Positions of dropped
+pivots and dead charts stay in place; masks say which are live.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from bisect import bisect_left
+from functools import reduce
+from itertools import compress
+from operator import or_, xor
 
-from .cover import CoverFamily, CoverParams, build_family
+from .cover import CoverFamily, CoverParams, build_family, round_robin_parts
 from .errors import AllChartsEmptyError
 from .gf2 import BitVector
 
-
-class SubspaceChart(NamedTuple):
-    """An affine space ``point + span(basis)`` inside one support mask.
-
-    ``basis`` holds one null-space vector per free coordinate ``c``, in
-    ascending ``c``: the vector has ``c`` as its highest bit, and neither
-    another basis vector nor the point contains ``c``.  ``point`` is zero on
-    every free coordinate, so it is the point canonical RREF gives, and at
-    full rank (no basis) the sole point.  The chart has
-    ``2 ** len(basis)`` points and stores ``(len(basis) + 1) * dim`` bits.
-    Charts are never mutated.
-    """
-
-    support: int
-    point: int
-    basis: list[int]
+# Maps the ASCII digits of bin() to the 0/1 bytes compress() selects by.
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class LearnerState:
     """Mutable state of one learning session over a covering family.
 
-    ``n`` and ``k`` come from the family's parameters.  ``charts`` may
-    share the starting charts of another learner over the same family; by
-    default each distinct subset gets a full chart, whose basis is the
-    unit vectors of its support.
+    ``n`` and ``k`` come from the family's parameters, whose parts must be
+    round robin over ``range(n)``.  Each distinct subset gets a full chart,
+    whose basis is the unit vectors of its support.  ``live_charts`` counts
+    the charts that are still consistent with every label.
+
+    With round-robin parts, the ``r``-th coordinate of the ``j``-th part of
+    a chart of ``s`` parts is its ``(s*r + j)``-th smallest coordinate.  So
+    the columns come from one int per part and per subset size: column
+    ``p + T*r`` is ``base[p] << (s*r)``, where ``base[p]`` marks the
+    positions of part ``p``'s first coordinate.
     """
 
-    def __init__(
-        self,
-        family: CoverFamily,
-        charts: Sequence[SubspaceChart] | None = None,
-    ):
+    def __init__(self, family: CoverFamily):
         self.n = n = family.params.n
         self.k = family.params.k
         self.family = family
-        if charts is None:
-            # Fresh charts share these ints instead of allocating their own.
-            units = [1 << c for c in range(n)]
-            charts = []
-            for subset in dict.fromkeys(family.subsets):
-                coords = sorted({c for p in subset for c in family.parts[p]})
-                basis = [units[c] for c in coords]
-                charts.append(SubspaceChart(sum(basis), 0, basis))
-        self.charts: list[SubspaceChart] = list(charts)
+        parts = family.parts
+        T = len(parts)
+        if parts != round_robin_parts(n, T):
+            raise ValueError("charts are laid out over round-robin parts")
+        subsets = dict.fromkeys(family.subsets)
+        rows, extra = divmod(n, T) if T else (0, 0)
+        # Room for the longest layout the subsets could need.
+        room = (rows + 1) * sum(map(len, subsets)) + 2 * len(subsets)
+        nbytes = room // 8 + 1
+        bases: dict[int, list[bytearray]] = {}
+        guards_by_dim: dict[int, bytearray] = {}
+        width = 0
+        for subset in subsets:
+            chart = sorted(subset)
+            size = len(chart)
+            per_part = bases.get(size)
+            if per_part is None:
+                per_part = bases[size] = [bytearray(nbytes) for _ in range(T)]
+            for pos, part in enumerate(chart, width):
+                per_part[part][pos >> 3] |= 1 << (pos & 7)
+            dim = rows * size + bisect_left(chart, extra)
+            width += dim + 2
+            guard = guards_by_dim.get(dim)
+            if guard is None:
+                guard = guards_by_dim[dim] = bytearray(nbytes)
+            guard[(width - 1) >> 3] |= 1 << ((width - 1) & 7)
+        cols = [0] * n
+        for size, per_part in bases.items():
+            for part, buf in enumerate(per_part):
+                base = int.from_bytes(buf, "little")
+                if base & (base >> 1):
+                    # only a part listed twice in one subset sets two
+                    # neighbouring positions
+                    raise ValueError(f"a subset lists part {part} twice")
+                for row, c in enumerate(range(part, n, T)):
+                    cols[c] |= base << (size * row)
+        dims = sorted(
+            (d, int.from_bytes(buf, "little"))
+            for d, buf in guards_by_dim.items()
+        )
+        guards = reduce(or_, (mask for _, mask in dims), 0)
+        # Segment i starts one past guard i - 1.
+        starts = ((guards << 1) | 1) ^ (1 << width) if width else 0
+        self._cols = cols
+        self._guards = guards
+        self._starts = starts
+        self._initial_dims = tuple((d, mask) for d, mask in dims if d)
+        self._dims = dims
+        # Every position below its segment's point holds a basis vector.
+        self._basis = (guards >> 1) - starts
+        self._live = guards
+        self.live_charts = guards.bit_count()
         self.mistakes = 0
         self.rounds = 0
         # Exact number of points across charts, counted with multiplicity.
         self.initial_mass = self.mass = sum(
-            1 << len(chart.basis) for chart in self.charts
+            mask.bit_count() << d for d, mask in dims
         )
 
     def step(self, a: BitVector, y: int) -> int:
@@ -82,30 +124,44 @@ class LearnerState:
 
     def identified(self) -> BitVector | None:
         """The vector every chart pins once all are at full rank, or None."""
-        points = set()
-        for _support, point, basis in self.charts:
-            if basis:
-                return None
-            points.add(point)
-        return BitVector(self.n, points.pop()) if len(points) == 1 else None
+        dims = self._dims
+        if not dims or dims[-1][0]:
+            return None
+        points = self._live >> 1
+        value = 0
+        for c, col in enumerate(self._cols):
+            held = col & points
+            if held:
+                if held != points:
+                    return None
+                value |= 1 << c
+        return BitVector(self.n, value)
 
     def fork(self) -> "LearnerState":
         """An independent copy that can be stepped on its own.
 
-        Charts are immutable and every round rebinds ``charts`` to a new
-        list, so the copy shares the chart list and copies only the
-        counters.
+        Every int is immutable and a round replaces the columns it
+        changes, so the copy shares them and copies only the column list.
         """
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__)
+        twin._cols = self._cols.copy()
         return twin
 
     def best_hypothesis(self) -> BitVector | None:
-        """The canonical point of the most-constrained chart, or None."""
-        if not self.charts:
+        """The canonical point of the most-constrained chart, or None.
+
+        Ties go to the chart that comes first in the family.
+        """
+        if not self._dims:
             return None
-        best = min(self.charts, key=lambda chart: len(chart.basis))
-        return BitVector(self.n, best.point)
+        guards = self._dims[0][1]
+        point = (guards & -guards) >> 1
+        value = 0
+        for c, col in enumerate(self._cols):
+            if col & point:
+                value |= 1 << c
+        return BitVector(self.n, value)
 
     @property
     def mistake_bound(self) -> int:
@@ -126,17 +182,17 @@ def new_learner(
 
 
 def learner_update(state: LearnerState, a: BitVector, y: int) -> int:
-    """Predict from each chart's parities with ``a``; update by ``<a, f> = y``.
+    """Predict from all chart parities with ``a``; update by ``<a, f> = y``.
 
     ``<a, f>`` is constant on a chart exactly when ``a`` has even parity
     with every basis vector; then all its mass votes for the point's
-    label.  Otherwise the first basis vector ``z`` with odd parity is the
-    pivot: the chart splits in half, so it cancels in the vote (ties
-    predict 0), and its label-``y`` half drops ``z``, adds ``z`` to every
-    later odd basis vector, and adds ``z`` to the point when the point's
-    label is not ``y``.  Dead charts are dropped.  Returns the prediction
-    made before the update and counts a mistake when it differs from
-    ``y``.
+    label, and the chart dies if that label is not ``y``.  Otherwise the
+    first basis vector ``z`` with odd parity is the pivot: the chart splits
+    in half, so it cancels in the vote (ties predict 0), and its label-``y``
+    half drops ``z``, adds ``z`` to every later odd basis vector, and adds
+    ``z`` to the point when the point's label is not ``y``.  Returns the
+    prediction made before the update and counts a mistake when it differs
+    from ``y``.
     """
     if y not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {y!r}")
@@ -145,45 +201,79 @@ def learner_update(state: LearnerState, a: BitVector, y: int) -> int:
             f"example has length {a.n} but the learner is over {state.n} "
             "coordinates"
         )
-    if not state.charts:
+    live = state._live
+    if not live:
         raise AllChartsEmptyError(
             "no live charts: the stream is inconsistent with every "
             "tracked hypothesis"
         )
-    bits = a.value
-    # tuple.__new__ skips the NamedTuple's slow Python-level __new__.
-    new_chart = tuple.__new__
-    halves = 0
-    forced_mass = [0, 0]
-    survivors: list[SubspaceChart] = []
-    for chart in state.charts:
-        support, point, basis = chart
-        forced = (bits & point).bit_count() & 1
-        i = 0
-        for pivot in basis:
-            if (bits & pivot).bit_count() & 1:
-                break
-            i += 1
-        else:
-            # no odd basis vector, and i == len(basis)
-            forced_mass[forced] += 1 << i
-            if forced == y:
-                survivors.append(chart)
-            continue
-        rest = basis[:i]
-        for z in basis[i + 1:]:
-            rest.append(z ^ pivot if (bits & z).bit_count() & 1 else z)
-        halves += 1 << len(rest)
-        if forced != y:
-            point ^= pivot
-        survivors.append(new_chart(SubspaceChart, (support, point, rest)))
-    guess = 0 if forced_mass[0] >= forced_mass[1] else 1
+    cols = state._cols
+    basis = state._basis
+    # Bit p of parities is <a, vector p>.
+    coords = bin(a.value)[:1:-1].encode().translate(_DIGITS)
+    parities = reduce(xor, compress(cols, coords), 0)
+    # Each segment's lowest set bit of x: its first odd basis vector, else
+    # its guard.  The guards stop every borrow inside its own segment.
+    x = (parities & basis) | state._guards
+    low = x & (x ^ (x - state._starts))
+    pivots = low & basis
+    const = low & live
+    # Guards of the constant charts whose point has odd parity.
+    ones = const & (parities << 1)
+    dead = const ^ ones if y else ones
+    split = live ^ const
+    mass = [0, 0]
+    dims = []
+    for d, guards in state._dims:
+        held = guards & const
+        kept = 0
+        if held:
+            odd = held & ones
+            even = held ^ odd
+            mass[1] += odd.bit_count() << d
+            mass[0] += even.bit_count() << d
+            kept = odd if y else even
+            guards ^= held
+        if guards:
+            # Split charts lose one dimension; dims ascend, so only the
+            # last entry can be at d - 1.
+            if dims and dims[-1][0] == d - 1:
+                dims[-1] = (d - 1, dims[-1][1] | guards)
+            else:
+                dims.append((d - 1, guards))
+        if kept:
+            dims.append((d, kept))
+    guess = 0 if mass[0] >= mass[1] else 1
     if guess != y:
         state.mistakes += 1
-    state.charts = survivors
+    if split:
+        points = split >> 1
+        flips = points & parities
+        if y:
+            flips ^= points
+        # Odd basis vectors (their pivot included, which is dropped anyway)
+        # and the points whose label is not y.
+        flips |= parities & basis
+        # From each pivot up to its segment's point.
+        fill = split - pivots
+        for c, col in enumerate(cols):
+            held = col & pivots
+            if held:
+                cols[c] = col ^ ((((fill + held) & split) - held) & flips)
+        basis ^= pivots
+    if dead:
+        for d, guards in state._initial_dims:
+            gone = dead & guards
+            if gone:
+                basis &= ~((gone >> (d + 1)) * ((1 << d) - 1))
+        live ^= dead
+        state.live_charts -= dead.bit_count()
+    state._basis = basis
+    state._live = live
+    state._dims = dims
     state.rounds += 1
-    state.mass = halves + forced_mass[y]
-    if not survivors:
+    state.mass = (state.mass - mass[0] - mass[1]) // 2 + mass[y]
+    if not live:
         raise AllChartsEmptyError(
             "all charts died: labels are noisy or the target is not a "
             f"weight-{state.k} parity"

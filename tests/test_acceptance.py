@@ -14,12 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from sparseparity.cover import (
+    CoverFamily,
     CoverParams,
     binom,
     build_verified_family,
     ratio_bound_report,
 )
-from sparseparity.errors import NoCandidatesError
+from sparseparity.errors import AllChartsEmptyError, NoCandidatesError
 from sparseparity.gf2 import BitVector
 from sparseparity.harness import (
     cli,
@@ -34,12 +35,12 @@ from sparseparity.noisy import (
     flip_set_count,
     noisy_learn_report,
 )
+from sparseparity.online import LearnerState, learner_update
 from sparseparity.rng import SplitMix64
 from sparseparity.sources import UniformSource, gen_hidden
 
-from affine_reference import AffineSpace
 from baseline_reference import brute_force_candidates, brute_force_owners
-from chart_reference import split_sizes
+from chart_reference import decode_charts
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -65,22 +66,48 @@ def _parity_table(dim: int, mask: int) -> np.ndarray:
     return (x & np.uint32(1)).astype(bool)
 
 
-def _space_equals_table(space: AffineSpace, alive: np.ndarray, dim: int):
-    """Exact set equality between an affine space and a truth table."""
+def _full_chart(dim: int) -> LearnerState:
+    """A learner with one chart over all of GF(2)^dim.
+
+    One part holds every coordinate, which is round robin over one part;
+    the parameters only supply ``n``.
+    """
+    family = CoverFamily(
+        params=CoverParams(n=dim, k=0, t=0, alpha=2),
+        parts=(tuple(range(dim)),),
+        subsets=((0,),),
+        verified=False,
+    )
+    return LearnerState(family)
+
+
+def _half(state: LearnerState, v: BitVector, y: int):
+    """A fork of ``state`` cut by <v, f> = y, and its mass (0 if empty)."""
+    half = state.fork()
+    try:
+        learner_update(half, v, y)
+    except AllChartsEmptyError:
+        return half, 0
+    return half, half.mass
+
+
+def _chart_equals_table(state: LearnerState, alive: np.ndarray, dim: int):
+    """Exact set equality between the chart's points and a truth table."""
     count = int(alive.sum())
-    if space.empty:
-        assert count == 0
+    assert state.mass == count
+    charts = decode_charts(state)
+    if not count:
+        assert charts == []
         return
-    size = 1 << space.log2_size
-    assert count == size
-    # alive is a subset of the solution set of every stored row, and the
-    # cardinalities agree, so the sets are equal
-    for mask, rhs in space.rows:
-        table = _parity_table(dim, mask.value)
-        assert bool(table[alive].all() if rhs else (~table[alive]).all())
-    if space.log2_size <= 10:
-        points = {p.value for p in space.points()}
-        assert points == set(np.nonzero(alive)[0].tolist())
+    (chart,) = charts
+    points = np.array([chart.point], dtype=np.int64)
+    for z in chart.basis:
+        points = np.concatenate((points, points ^ z))
+    # 2^len(basis) points that cover exactly the alive ones are distinct
+    assert len(points) == count
+    table = np.zeros(1 << dim, dtype=bool)
+    table[points] = True
+    assert np.array_equal(table, alive)
 
 
 def test_affine_splits_match_exhaustive_enumeration(capsys):
@@ -89,32 +116,27 @@ def test_affine_splits_match_exhaustive_enumeration(capsys):
     sequences = 10_000
     for _ in range(sequences):
         dim = 1 + rng.below(16)
-        space = AffineSpace.full(dim)
+        state = _full_chart(dim)
         alive = np.ones(1 << dim, dtype=bool)
-        _space_equals_table(space, alive, dim)
+        _chart_equals_table(state, alive, dim)
         for _ in range(6):
             v_bits = rng.bits(dim)
             v = BitVector(dim, v_bits)
             table = _parity_table(dim, v_bits)
             c0 = int((alive & ~table).sum())
             c1 = int((alive & table).sum())
-            s0, s1 = split_sizes(space, v)
-            for log_size, count in ((s0, c0), (s1, c1)):
-                if log_size is None:
-                    assert count == 0
-                else:
-                    assert count == 1 << log_size
-            total = 0 if space.empty else 1 << space.log2_size
-            assert c0 + c1 == total
+            halves = [_half(state, v, y) for y in (0, 1)]
+            assert [mass for _, mass in halves] == [c0, c1]
+            assert c0 + c1 == state.mass
             y = rng.below(2)
-            space = space.constrain(v, y)
+            state = halves[y][0]
             alive = alive & (table == bool(y))
-            _space_equals_table(space, alive, dim)
-            if space.empty:
+            _chart_equals_table(state, alive, dim)
+            if not state.live_charts:
                 break
     elapsed = time.time() - start
     _report(
-        capsys, 1, "affine splits vs exhaustive enumeration",
+        capsys, 1, "chart splits vs exhaustive enumeration",
         elapsed < 60.0,
         f"{sequences} sequences, dims <= 16, {elapsed:.1f}s < 60s",
     )

@@ -5,7 +5,7 @@ import logging
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparseparity.cover import (
@@ -129,6 +129,50 @@ class TestSampleFamily:
             assert len(set(s)) == ak
             assert list(s) == sorted(s)
             assert all(0 <= i < p.T for i in s)
+
+
+def word_by_word_subsets(params, seed):
+    """The subsets as ``m`` calls of ``sample_sorted``, one word per draw."""
+    rng = SplitMix64(seed)
+    ak = params.alpha * params.k
+    return tuple(
+        rng.sample_sorted(params.T, ak) for _ in range(family_size_m(params))
+    )
+
+
+class TestBlockDraws:
+    """Block-fed sampling gives the subsets of word-by-word sampling."""
+
+    @pytest.mark.parametrize(
+        "n,k,t,alpha", [(64, 3, 12, 2), (96, 2, 16, 2), (32, 4, 8, 3)]
+    )
+    def test_gate_two_configs(self, n, k, t, alpha):
+        params = CoverParams(n=n, k=k, t=t, alpha=alpha)
+        for seed in range(20):
+            family = sample_family(params, seed)
+            assert family.subsets == word_by_word_subsets(params, seed)
+
+    # T = alpha * t parts and alpha * k drawn per subset.  T = 16 and
+    # T = 32 make every bound 2**b - i; k = t draws every part, so the last
+    # swap has bound 1.
+    @given(
+        st.builds(
+            lambda alpha, t, share: CoverParams(
+                n=alpha * t, k=round(share * t), t=t, alpha=alpha
+            ),
+            st.integers(min_value=2, max_value=4),
+            st.integers(min_value=1, max_value=8),
+            st.floats(min_value=0, max_value=1),
+        ),
+        st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @example(CoverParams(n=16, k=3, t=8, alpha=2), 3)
+    @example(CoverParams(n=32, k=8, t=8, alpha=4), 5)
+    @example(CoverParams(n=2, k=1, t=1, alpha=2), 0)
+    @settings(max_examples=80, deadline=None)
+    def test_any_part_count_and_subset_size(self, params, seed):
+        family = sample_family(params, seed)
+        assert family.subsets == word_by_word_subsets(params, seed)
 
 
 def hand_family(n, k, t, alpha, subsets):

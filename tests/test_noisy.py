@@ -881,7 +881,8 @@ def test_chart_candidates_keep_at_most_budget_plus_one_learners(monkeypatch):
         alive.add(self)
 
     def counted_fork(self):
-        forks[0] += 1
+        # a fresh learner is a fork of the shared start; count the walk's
+        forks[0] += self is not inner._start
         twin = fork(self)
         alive.add(twin)
         return twin
@@ -914,9 +915,14 @@ def test_chart_candidates_skip_flip_sets_past_the_stop(monkeypatch):
     assert 0 < root.draws < len(primary)
     forks = []
     fork = LearnerState.fork
-    monkeypatch.setattr(
-        LearnerState, "fork", lambda self: forks.append(1) or fork(self)
-    )
+
+    def counted_fork(self):
+        # a fresh learner is a fork of the shared start; count the walk's
+        if self is not inner._start:
+            forks.append(1)
+        return fork(self)
+
+    monkeypatch.setattr(LearnerState, "fork", counted_fork)
     got = inner.candidates(primary, 1)
     assert len(forks) == root.draws
     assert got == loop_candidates(inner, primary, 1)

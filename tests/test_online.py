@@ -14,7 +14,13 @@ from sparseparity.online import LearnerState, learner_update, new_learner
 from sparseparity.sources import UniformSource, gen_hidden
 
 from affine_reference import AffineSpace
-from chart_reference import ReferenceLearner, RowLearner, back_substitute
+from chart_reference import (
+    ChartLearner,
+    ReferenceLearner,
+    RowLearner,
+    back_substitute,
+    decode_charts,
+)
 
 V = BitVector.from01
 
@@ -92,7 +98,7 @@ def embedded_union(state, max_points=1 << 20):
     if state.mass > max_points:
         raise BudgetExceededError("chart union too large to enumerate")
     union = set()
-    for chart in state.charts:
+    for chart in decode_charts(state):
         union |= chart_points(chart, state.n)
     return union
 
@@ -114,8 +120,8 @@ class TestNewLearner:
         state = new_learner(8, 1, 2, 2, rng_seed=0)
         T = 4
         bound = 2 * 1 * math.ceil(8 / T)
-        assert state.charts
-        for support, point, basis in state.charts:
+        assert decode_charts(state)
+        for support, point, basis in decode_charts(state):
             assert support.bit_count() <= bound
             assert support >> 8 == 0
             assert point == 0
@@ -130,7 +136,7 @@ class TestNewLearner:
     def test_same_seed_same_state(self):
         a = new_learner(16, 2, 4, 2, rng_seed=5)
         b = new_learner(16, 2, 4, 2, rng_seed=5)
-        assert a.charts == b.charts
+        assert decode_charts(a) == decode_charts(b)
         assert (a.initial_mass, a.mass) == (b.initial_mass, b.mass)
 
     def test_family_is_verified_at_small_scale(self):
@@ -139,7 +145,7 @@ class TestNewLearner:
 
     def test_duplicate_subsets_collapse_to_one_chart(self):
         state = hand_state(4, 1, 2, 2, [(0, 1), (0, 1), (2, 3)])
-        assert len(state.charts) == 2
+        assert len(decode_charts(state)) == 2
 
     def test_construction_survives_unverifiable_family(self, monkeypatch, caplog):
         def explode(params, seed):
@@ -148,7 +154,7 @@ class TestNewLearner:
         monkeypatch.setattr("sparseparity.cover.build_verified_family", explode)
         state = new_learner(16, 2, 4, 2, rng_seed=1)
         assert not state.family.verified
-        assert state.charts
+        assert decode_charts(state)
         assert any("unverified" in r.message for r in caplog.records)
 
 
@@ -156,7 +162,7 @@ class TestFork:
     @staticmethod
     def snapshot(state):
         return (
-            list(state.charts), state.mistakes, state.rounds,
+            list(decode_charts(state)), state.mistakes, state.rounds,
             state.initial_mass, state.mass,
         )
 
@@ -213,9 +219,9 @@ class TestPredict:
     def test_does_not_mutate_state(self):
         state = hand_state(3, 1, 1, 3, [(0, 1, 2)])
         learner_update(state, V("110"), 1)
-        before = list(state.charts)
+        before = list(decode_charts(state))
         state.fork().step(V("101"), 1)
-        assert state.charts == before
+        assert decode_charts(state) == before
         assert (state.initial_mass, state.mass, state.rounds) == (8, 4, 1)
 
     def test_raises_when_no_charts(self):
@@ -246,7 +252,7 @@ class TestLearnerUpdate:
         assert state.mass == 4
         with pytest.raises(AllChartsEmptyError):
             learner_update(state, V("101"), 1)
-        assert state.charts == []
+        assert decode_charts(state) == []
         assert state.mass == 0
 
     def test_hidden_vector_stays_in_union(self):
@@ -361,11 +367,11 @@ class TestChartInvariants:
             src = UniformSource(gen_hidden(16, 2, 6), seed=9)
             live = state.family.m
             for _ in range(200):
-                assert len(state.charts) <= live
-                live = len(state.charts)
-                for chart in state.charts:
+                assert len(decode_charts(state)) <= live
+                live = len(decode_charts(state))
+                for chart in decode_charts(state):
                     assert_canonical(chart)
-                if not state.charts or state.identified() is not None:
+                if not decode_charts(state) or state.identified() is not None:
                     break
                 ex = src.next_example()
                 try:
@@ -374,8 +380,8 @@ class TestChartInvariants:
                 except AllChartsEmptyError:
                     pass
             assert state.rounds > 0
-            assert bool(state.charts) == (state.identified() is not None)
-            for chart in state.charts:
+            assert bool(decode_charts(state)) == (state.identified() is not None)
+            for chart in decode_charts(state):
                 assert_canonical(chart)
 
 
@@ -396,7 +402,7 @@ class TestCanonicalForm:
             rhs = (mask & target).bit_count() & 1
             state.step(BitVector(n, mask), rhs)
             space = space.constrain(BitVector(n, mask), rhs)
-            (chart,) = state.charts
+            (chart,) = decode_charts(state)
             assert_canonical(chart)
             rows = [(bv.value, r) for bv, r in space.rows]
             assert (chart.point, chart.basis) == canonical_form((1 << n) - 1, rows)
@@ -413,7 +419,7 @@ class TestBestHypothesis:
         # Chart {0,1,2} now has 4 points; chart {3,4} kept 2 of 4 after
         # the zero-projection constraint forced... the zero projection on
         # {3,4} forces label 0, contradicting y=1: that chart dies.
-        assert len(state.charts) == 1
+        assert len(decode_charts(state)) == 1
         h = state.best_hypothesis()
         assert h is not None
         assert h.n == 5
@@ -450,15 +456,15 @@ class TestLocalReferenceEquivalence:
         assert state.rounds == ref.rounds
         assert state.initial_mass == ref.mass_history[0]
         assert state.mass == ref.mass_history[-1]
-        assert len(state.charts) == len(ref.charts)
+        assert len(decode_charts(state)) == len(ref.charts)
         assert state.identified() == ref.identified()
         assert state.best_hypothesis() == ref.best_hypothesis()
-        assert state.charts == [
+        assert decode_charts(state) == [
             (support, *canonical_form(support, rows))
             for support, rows in ref.global_charts()
         ]
         if points:
-            for i, chart in enumerate(state.charts):
+            for i, chart in enumerate(decode_charts(state)):
                 assert chart_points(chart, state.n) == ref.global_points(i)
 
     def drive(self, state, examples, points=False):
@@ -512,7 +518,7 @@ class TestLocalReferenceEquivalence:
         hidden = BitVector.from_support(12, [0, 2])
         state = LearnerState(family)
         rounds = self.drive(state, self.honest(hidden, 3, 60), True)
-        assert len(state.charts) == 2
+        assert len(decode_charts(state)) == 2
         assert 0 < rounds < 60
 
     def test_every_chart_dies(self):
@@ -521,7 +527,7 @@ class TestLocalReferenceEquivalence:
         examples = [(ex.a, 1) for ex in take(src, 40)]
         state = LearnerState(family)
         assert self.drive(state, examples, True) < 40
-        assert state.charts == []
+        assert decode_charts(state) == []
         assert state.best_hypothesis() is None
 
 
@@ -546,8 +552,8 @@ class TestRowReferenceEquivalence:
     def assert_same_state(state, ref):
         assert (state.mistakes, state.rounds) == (ref.mistakes, ref.rounds)
         assert (state.initial_mass, state.mass) == (ref.initial_mass, ref.mass)
-        assert len(state.charts) == len(ref.charts)
-        for chart, (support, dim, rows) in zip(state.charts, ref.charts):
+        assert len(decode_charts(state)) == len(ref.charts)
+        for chart, (support, dim, rows) in zip(decode_charts(state), ref.charts):
             assert chart.support == support
             assert chart.point == back_substitute(rows)
             assert len(chart.basis) == dim - len(rows)
@@ -583,7 +589,7 @@ class TestRowReferenceEquivalence:
         if kind == "honest":
             assert state.identified() == hidden
         if kind == "complemented":
-            assert not state.charts
+            assert not decode_charts(state)
 
     @pytest.mark.parametrize("kind", STREAMS)
     def test_zero_sparsity(self, kind):
@@ -599,3 +605,150 @@ class TestRowReferenceEquivalence:
         hidden = BitVector.from_support(12, [0, 2])
         state = self.drive(family, self.stream(hidden, kind, 3, 60))
         assert state.rounds > 0
+
+
+class TestInvalidFamilies:
+    def test_parts_must_be_round_robin(self):
+        params = CoverParams(n=4, k=1, t=1, alpha=2)
+        family = CoverFamily(
+            params=params, parts=((0, 1), (2, 3)), subsets=((0,),),
+            verified=False,
+        )
+        with pytest.raises(ValueError, match="round-robin"):
+            LearnerState(family)
+
+    def test_a_subset_may_not_repeat_a_part(self):
+        with pytest.raises(ValueError, match="twice"):
+            hand_state(6, 1, 1, 3, [(0, 1), (2, 2)])
+
+
+class TestChartReferenceEquivalence:
+    """Round-by-round agreement with the per-chart learner it replaced.
+
+    Every round compares the prediction, the counters, the live charts,
+    ``identified()``, ``best_hypothesis()`` and the decoded charts, tuple
+    for tuple.
+    """
+
+    @staticmethod
+    def assert_same_state(state, ref):
+        assert (state.mistakes, state.rounds) == (ref.mistakes, ref.rounds)
+        assert (state.initial_mass, state.mass) == (ref.initial_mass, ref.mass)
+        assert state.mistake_bound == ref.mistake_bound
+        assert state.live_charts == len(ref.charts)
+        assert state.identified() == ref.identified()
+        assert state.best_hypothesis() == ref.best_hypothesis()
+        assert decode_charts(state) == ref.charts
+
+    def step_both(self, state, ref, a, y):
+        """One round on both learners; False once every chart died."""
+        try:
+            expected = ref.step(a, y)
+        except AllChartsEmptyError:
+            with pytest.raises(AllChartsEmptyError):
+                state.step(a, y)
+            self.assert_same_state(state, ref)
+            return False
+        assert state.step(a, y) == expected
+        self.assert_same_state(state, ref)
+        return True
+
+    def drive(self, family, examples, until_identified=False):
+        state, ref = LearnerState(family), ChartLearner(family)
+        self.assert_same_state(state, ref)
+        for a, y in examples:
+            if until_identified and ref.identified() is not None:
+                break
+            if not self.step_both(state, ref, a, y):
+                break
+        return state
+
+    @staticmethod
+    def stream(hidden, seed, count, eta=0.0, flip=0):
+        src = UniformSource(hidden, seed=seed, eta=eta)
+        return [(ex.a, ex.label ^ flip) for ex in take(src, count)]
+
+    @pytest.mark.parametrize(
+        "n,k,t,alpha", [(64, 3, 12, 2), (96, 2, 16, 2), (32, 4, 8, 3)]
+    )
+    def test_gate_two_configs(self, n, k, t, alpha):
+        for trial in range(20):
+            family = new_learner(n, k, t, alpha, rng_seed=500 + trial).family
+            hidden = gen_hidden(n, k, 600 + trial)
+            examples = self.stream(hidden, 700 + trial, 200)
+            state = self.drive(family, examples, until_identified=True)
+            assert state.identified() == hidden
+
+    def test_forks_step_independently(self):
+        family = new_learner(32, 2, 8, 2, rng_seed=9).family
+        hidden = gen_hidden(32, 2, 10)
+        honest = self.stream(hidden, 11, 40)
+        noisy = self.stream(hidden, 12, 40, eta=0.3)
+        state, ref = LearnerState(family), ChartLearner(family)
+        for i, (a, y) in enumerate(honest[:25]):
+            twin, ref_twin = state.fork(), ref.fork()
+            # the fork sees other labels; the original must not notice
+            for b, z in noisy[i:i + 6]:
+                if not self.step_both(twin, ref_twin, b, z):
+                    break
+            self.assert_same_state(state, ref)
+            if not self.step_both(state, ref, a, y):
+                break
+
+    @pytest.mark.parametrize("eta,flip", [(0.0, 0), (0.2, 0), (0.0, 1)])
+    def test_duplicate_and_same_support_subsets(self, eta, flip):
+        family = hand_family(
+            12, 1, 3, 2,
+            [(0, 2), (1, 3), (0, 2), (4, 5), (0, 1), (2, 0), (5, 4), (3, 1)],
+        )
+        hidden = BitVector.from_support(12, [0, 2])
+        self.drive(family, self.stream(hidden, 3, 60, eta, flip))
+
+    def test_subsets_of_different_sizes(self):
+        family = hand_family(10, 1, 1, 5, [(0, 1, 2), (3, 4), (4,), (1, 3)])
+        hidden = BitVector.from_support(10, [3, 4])
+        for seed in range(5):
+            self.drive(family, self.stream(hidden, seed, 40, 0.1))
+
+    @pytest.mark.parametrize("flip", [0, 1])
+    def test_zero_sparsity(self, flip):
+        family = new_learner(6, 0, 3, 2, rng_seed=0).family
+        state = self.drive(family, self.stream(BitVector.zeros(6), 5, 20, 0, flip))
+        assert state.rounds > 0
+        assert (state.live_charts == 0) == bool(flip)
+
+    @pytest.mark.parametrize(
+        "n,k,t,alpha", [(64, 3, 12, 2), (48, 2, 12, 2), (32, 4, 8, 3)]
+    )
+    def test_every_chart_dies(self, n, k, t, alpha):
+        family = new_learner(n, k, t, alpha, rng_seed=n).family
+        complemented = self.stream(gen_hidden(n, k, 1), 2, 80, flip=1)
+        state = self.drive(family, complemented)
+        assert state.live_charts == 0 and state.mass == 0
+        assert decode_charts(state) == []
+        assert state.identified() is None and state.best_hypothesis() is None
+        with pytest.raises(AllChartsEmptyError):
+            state.step(*complemented[0])
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_families_and_streams(self, data):
+        alpha = data.draw(st.integers(min_value=2, max_value=4))
+        t = data.draw(st.integers(min_value=1, max_value=4))
+        T = alpha * t
+        n = data.draw(st.integers(min_value=T, max_value=3 * T + 2))
+        k = data.draw(st.integers(min_value=0, max_value=t))
+        subsets = data.draw(
+            st.lists(
+                st.lists(
+                    st.integers(min_value=0, max_value=T - 1),
+                    unique=True, max_size=T,
+                ).map(tuple),
+                min_size=1, max_size=12,
+            )
+        )
+        family = hand_family(n, k, t, alpha, subsets)
+        hidden = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+        eta = data.draw(st.sampled_from((0.0, 0.1, 0.45)))
+        seed = data.draw(st.integers(min_value=0, max_value=2**32))
+        self.drive(family, self.stream(BitVector(n, hidden), seed, 30, eta))
