@@ -4,11 +4,18 @@ Labels arrive flipped independently with rate ``eta < 1/3``.  The driver
 draws ``s_prime`` examples and guesses which of them were mislabeled: every
 flip set of up to ``floor(3*eta*s_prime/2)`` indices, un-flipped, gives a
 repaired stream for a noiseless inner learner.  Every distinct hypothesis
-the inner learner produces becomes a candidate; fresh verification
-examples then pick the candidate with the best agreement.  The flip budget
-covers the actual mislabel count with high probability, so the true vector
-is always among the candidates, and the verification margin separates it
-from impostors.
+the inner learner produces becomes a candidate; ``s_doubleprime`` fresh
+verification examples then pick the candidate with the best agreement.
+The flip budget covers the actual mislabel count with high probability,
+so the true vector is always among the candidates, and the verification
+margin separates it from impostors.
+
+Verification costs what it reads.  A lone candidate needs no scoring, so
+its verification examples are skipped, not built; two or more are scored
+by the source without building examples either.  Both leave the source
+where drawing the examples would, so ``source.draws`` and
+``samples_drawn`` are ``s_prime + s_doubleprime`` whenever there is a
+candidate.
 
 An inner learner hands over its candidates through
 ``candidates(primary, flip_budget)``: the distinct non-None outputs of its
@@ -23,7 +30,7 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cover import CoverFamily, CoverParams, binom, build_family
 from .errors import (
@@ -117,42 +124,33 @@ class NoisyParams:
 
 
 def agreement_select(
-    candidates: Sequence[BitVector], verif: Iterable[LabeledExample]
+    candidates: Sequence[BitVector], source, count: int
 ) -> int:
-    """Index of the candidate agreeing with the most verification labels.
+    """Index of the candidate that misses the fewest of the next ``count``
+    labels of ``source``.
 
-    ``verif`` is read once, in order: each example is scored as it
-    arrives and only per-candidate disagreement counts are kept, so a
-    stream of draws is never stored.  A lone candidate wins without
-    scoring, but the examples are still read.  Ties go to the lowest
-    index.  A candidate whose length differs from a verification vector's
-    raises :class:`LengthMismatchError` once every example is read.  Under
-    DEBUG logging the margin between the best and second best
-    disagreement fractions is logged.
+    A candidate whose length differs from the source's ``n`` raises
+    :class:`LengthMismatchError` before anything is drawn.  A lone
+    candidate wins unscored: ``source.skip(count)`` moves past its
+    examples without building them.  Otherwise
+    ``source.disagreements(candidates, count)`` counts each candidate's
+    misses; ties go to the lowest index.  Either way the source ends
+    where ``count`` draws would leave it.  Under DEBUG logging the margin
+    between the best and second best disagreement fractions is logged.
     """
     if not candidates:
         raise ValueError("agreement_select needs at least one candidate")
-    if len(candidates) == 1:
-        lengths = {ex.a.n for ex in verif}
-    else:
-        lengths = set()
-        count = 0
-        values = [x.value for x in candidates]
-        disagreements = [0] * len(values)
-        for count, ex in enumerate(verif, 1):
-            a = ex.a
-            lengths.add(a.n)
-            bits, y = a.value, ex.label
-            for i, x in enumerate(values):
-                disagreements[i] += ((bits & x).bit_count() & 1) ^ y
+    n = source.n
     for x in candidates:
-        if lengths - {x.n}:
+        if n is not None and x.n != n:
             raise LengthMismatchError(
                 f"candidate of length {x.n} against verification vectors "
-                f"of lengths {sorted(lengths)}"
+                f"of length {n}"
             )
     if len(candidates) == 1:
+        source.skip(count)
         return 0
+    disagreements = source.disagreements(candidates, count)
     best = min(range(len(candidates)), key=disagreements.__getitem__)
     if count and logger.isEnabledFor(logging.DEBUG):
         runner_up = min(d for i, d in enumerate(disagreements) if i != best)
@@ -203,8 +201,7 @@ def noisy_learn_report(
             "hypothesis: noise rate too high for the budget, or the inner "
             "learner is broken"
         )
-    verif = (source.next_example() for _ in range(params.s_doubleprime))
-    winner = agreement_select(candidates, verif)
+    winner = agreement_select(candidates, source, params.s_doubleprime)
     return NoisyReport(
         output=candidates[winner],
         s_prime=params.s_prime,

@@ -16,12 +16,18 @@ versions.  The derived draws are pinned as follows:
 * ``bernoulli(p)`` -- ``next_u64() < floor(p * 2**64)``.
 * ``words(count)`` -- the next ``count`` u64 words as a list, exactly
   ``[next_u64() for _ in range(count)]``, mixed all at once.
+* ``lanes(count)`` -- the same words as ``words(count)``, word ``i`` in
+  the low half of 128-bit lane ``i`` of one int (the high halves hold
+  junk); ``lane_words`` and ``word_lanes`` convert between the two forms.
+* ``skip(count)`` -- the state ``words(count)`` leaves, without mixing:
+  the counter moves by ``count * gamma``.
 * ``split()`` -- child generator seeded with ``next_u64()``.
 """
 
 from __future__ import annotations
 
 import sys
+from typing import Sequence
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -108,10 +114,15 @@ class SplitMix64:
         return self.next_u64() < int(p * 2.0**64)
 
     def words(self, count: int) -> list[int]:
-        """The next ``count`` words: ``[next_u64() for _ in range(count)]``.
+        """The next ``count`` words: ``[next_u64() for _ in range(count)]``."""
+        return lane_words(self.lanes(count), count)
 
-        Counter ``state + (i + 1) * gamma`` sits in lane ``i`` of one int,
-        so each step of the output function runs once over every word.
+    def lanes(self, count: int) -> int:
+        """The next ``count`` words, word ``i`` in the low 64 bits of
+        128-bit lane ``i`` of one int; the high 64 bits hold junk.
+
+        Counter ``state + (i + 1) * gamma`` sits in lane ``i``, so each
+        step of the output function runs once over every word.
         """
         if count < 0:
             raise ValueError(f"cannot draw {count} words")
@@ -120,10 +131,31 @@ class SplitMix64:
         self._state = (self._state + count * _GAMMA) & _MASK64
         z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
         z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
-        z ^= z >> 31
-        raw = z.to_bytes(count * _LANE_BYTES, _BYTEORDER)
-        return memoryview(raw).cast("Q")[_LOW_WORDS].tolist()
+        return z ^ (z >> 31)
+
+    def skip(self, count: int) -> None:
+        """Move past the next ``count`` words without mixing them."""
+        if count < 0:
+            raise ValueError(f"cannot skip {count} words")
+        self._state = (self._state + count * _GAMMA) & _MASK64
 
     def split(self) -> "SplitMix64":
         """Fork a child generator; advances this generator by one word."""
         return SplitMix64(self.next_u64())
+
+
+def lane_words(lanes: int, count: int) -> list[int]:
+    """The low words of the first ``count`` 128-bit lanes, in lane order.
+
+    ``lanes`` must be below ``2**(128 * count)``.
+    """
+    raw = lanes.to_bytes(count * _LANE_BYTES, _BYTEORDER)
+    return memoryview(raw).cast("Q")[_LOW_WORDS].tolist()
+
+
+def word_lanes(words: Sequence[int]) -> int:
+    """Word ``i`` of ``words`` in the low half of 128-bit lane ``i``, high
+    halves zero: the inverse of :func:`lane_words`."""
+    return int.from_bytes(
+        b"".join(w.to_bytes(_LANE_BYTES, "little") for w in words), "little"
+    )

@@ -5,6 +5,11 @@ product of the drawn vector with a hidden weight-``k`` vector, optionally
 XORed with an independent Bernoulli flip.  All randomness flows through a
 seeded :class:`~sparseparity.rng.SplitMix64`, so streams are reproducible
 across runs and platforms.
+
+Besides ``next_example``, a source can move past examples it does not
+build: ``skip(count)`` drops them unread, and ``disagreements(candidates,
+count)`` scores candidate vectors against their labels.  Both leave the
+source, and ``draws``, where ``count`` draws would.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Sequence
 
 from .errors import SourceExhaustedError
 from .gf2 import BitVector
-from .rng import SplitMix64
+from .rng import SplitMix64, lane_words, word_lanes
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,6 +51,12 @@ def gen_hidden(n: int, k: int, seed: int) -> BitVector:
 # Words UniformSource mixes per refill: SplitMix64.words amortises its
 # per-call cost over the block, and a block of this size drew fastest.
 _BLOCK_WORDS = 256
+
+# Bit 4i of a lane holds the parity of nibble i once the lane is XORed
+# with itself shifted by 1 and by 2; times _NIBBLES, the sum of those
+# sixteen bits, hence the lane's parity, lands in bit 60.
+_NIBBLES = 0x1111111111111111
+_PARITY_BIT = 60
 
 
 class UniformSource:
@@ -102,19 +113,116 @@ class UniformSource:
         _set_label(ex, label)
         return ex
 
+    def skip(self, count: int) -> None:
+        """Move past ``count`` examples without drawing their words.
+
+        The rest of the block goes, and the generator skips the words the
+        examples still need, so the next example and ``draws`` are those
+        after ``count`` calls of :meth:`next_example`.
+        """
+        if count < 0:
+            raise ValueError(f"cannot skip {count} examples")
+        over = self._cursor + count * self._width - len(self._block)
+        if over > 0:
+            self._rng.skip(over)
+            self._block = []
+            self._cursor = 0
+        else:
+            self._cursor += count * self._width
+        self.draws += count
+
+    def disagreements(
+        self, candidates: Sequence[BitVector], count: int
+    ) -> list[int]:
+        """Per candidate, how many of the next ``count`` labels it misses.
+
+        Candidate ``x`` misses an example exactly when ``<a, hidden ^ x>``
+        differs from its flip.  The examples are never built: the words
+        are scored a block at a time in the 128-bit lanes that
+        :meth:`~sparseparity.rng.SplitMix64.lanes` mixes them in ("SIMD
+        within a register"; Warren, Hacker's Delight, ch. 5).  Per
+        candidate and block that is one AND with ``hidden ^ x`` repeated
+        at each example, the parity folded inside each lane, and one
+        ``bit_count`` of the bits where it differs from the flip.  A flip
+        word ``f`` is below the threshold ``t`` exactly when
+        ``2**64 + t - 1 - f`` sets the guard bit 64 of its lane.  Blocks
+        are drawn when :meth:`next_example` would draw them, so the source
+        ends exactly as after ``count`` draws.  A candidate whose length
+        is not ``n`` raises :class:`LengthMismatchError` before any draw.
+        """
+        if count < 0:
+            raise ValueError(f"cannot score {count} examples")
+        # hidden ^ x raises LengthMismatchError for a candidate of another n
+        misses = [(self.hidden ^ x).words for x in candidates]
+        self.draws += count
+        counts = [0] * len(candidates)
+        width, vector_words = self._width, self._vector_words
+        if not width:
+            # n = 0 and no noise: every label and every prediction is 0
+            return counts
+        size = max(_BLOCK_WORDS, width)
+        # example e starts at lane width * e; a pass scores at most the
+        # examples that end in one fresh block, plus one begun before it
+        per_pass = (size + width - 1) // width
+        starts = int.from_bytes(
+            (b"\x01" + bytes(16 * width - 1)) * per_pass, "little"
+        )
+        patterns = [word_lanes(words) * starts for words in misses]
+        nibbles = _NIBBLES * starts
+        parity_bits = starts << _PARITY_BIT
+        # flip lane of example e is lane width * e + vector_words; bit 64
+        # there lines up with the parity bit of lane width * e
+        flip_shift = 128 * vector_words
+        flip_words = (((1 << 64) - 1) << flip_shift) * starts
+        below = (((1 << 64) + self._threshold - 1) << flip_shift) * starts
+        flip_shift += 64 - _PARITY_BIT
+        block = self._block
+        held = len(block) - self._cursor
+        z = word_lanes(block[self._cursor:])
+        while count:
+            if held < width:
+                z |= self._rng.lanes(size) << (128 * held)
+                held += size
+            e = min(held // width, count)
+            used = 128 * width * e
+            window = (1 << used) - 1
+            words = z & window
+            z >>= used
+            held -= width * e
+            count -= e
+            if self._noisy:
+                flips = (below - (words & flip_words)) >> flip_shift
+            else:
+                flips = 0
+            wanted = parity_bits & window
+            for i, pattern in enumerate(patterns):
+                masked = words & pattern
+                folded = masked
+                for j in range(1, vector_words):
+                    folded ^= masked >> (128 * j)
+                folded ^= folded >> 1
+                folded ^= folded >> 2
+                folded = (folded & nibbles) * _NIBBLES
+                counts[i] += ((folded ^ flips) & wanted).bit_count()
+        self._block = lane_words(z, held)
+        self._cursor = 0
+        return counts
+
 
 class ReplaySource:
-    """Replays a fixed example list; raises SourceExhausted at the end."""
+    """Replays a fixed example list; raises SourceExhausted at the end.
+
+    ``n`` is the examples' length, or None for an empty list.
+    """
 
     def __init__(self, examples: Sequence[LabeledExample]):
-        if examples:
-            n = examples[0].a.n
-            for ex in examples:
-                if ex.a.n != n:
-                    raise ValueError(
-                        f"mixed example lengths {n} and {ex.a.n} in replay"
-                    )
         self._examples = list(examples)
+        self.n = self._examples[0].a.n if self._examples else None
+        for ex in self._examples:
+            if ex.a.n != self.n:
+                raise ValueError(
+                    f"mixed example lengths {self.n} and {ex.a.n} in replay"
+                )
         self._cursor = 0
 
     @property
@@ -129,3 +237,29 @@ class ReplaySource:
         ex = self._examples[self._cursor]
         self._cursor += 1
         return ex
+
+    def skip(self, count: int) -> None:
+        """Move past ``count`` examples; past the end, stop there and raise
+        SourceExhaustedError, as drawing would."""
+        if count < 0:
+            raise ValueError(f"cannot skip {count} examples")
+        stop = self._cursor + count
+        self._cursor = min(stop, len(self._examples))
+        if stop > len(self._examples):
+            raise SourceExhaustedError(
+                f"replay of {len(self._examples)} examples is exhausted"
+            )
+
+    def disagreements(
+        self, candidates: Sequence[BitVector], count: int
+    ) -> list[int]:
+        """Per candidate, how many of the next ``count`` labels it misses."""
+        start = self._cursor
+        self.skip(count)
+        values = [x.value for x in candidates]
+        counts = [0] * len(values)
+        for ex in self._examples[start:self._cursor]:
+            bits, y = ex.a.value, ex.label
+            for i, x in enumerate(values):
+                counts[i] += ((bits & x).bit_count() & 1) ^ y
+        return counts

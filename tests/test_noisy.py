@@ -265,29 +265,36 @@ def test_param_domain_errors():
 # candidate selection by verification agreement
 
 
+def replay_select(candidates, verif):
+    """agreement_select over every example of a list."""
+    return agreement_select(candidates, ReplaySource(verif), len(verif))
+
+
 def test_agreement_single_candidate():
     x = BitVector.from_support(8, (1,))
-    assert agreement_select([x], []) == 0
+    assert replay_select([x], []) == 0
 
 
 def test_agreement_tie_prefers_lowest_index():
     x = BitVector.from_support(8, (1,))
     y = BitVector.from_support(8, (1,))
-    verif = take(UniformSource(x, seed=2, eta=0.0), 10)
-    assert agreement_select([x, y], verif) == 0
-    assert agreement_select([y, x], verif) == 0
+    for source in (UniformSource(x, seed=2), ReplaySource(
+            take(UniformSource(x, seed=2), 20))):
+        assert agreement_select([x, y], source, 10) == 0
+        assert agreement_select([y, x], source, 10) == 0
+        assert source.draws == 20
 
 
 def test_agreement_rejects_empty_candidate_list():
     with pytest.raises(ValueError):
-        agreement_select([], [])
+        replay_select([], [])
 
 
 def test_agreement_separates_hidden_from_impostor():
     hidden = BitVector.from_support(16, (1, 5))
     impostor = BitVector.from_support(16, (2, 9))
-    verif = take(UniformSource(hidden, seed=31, eta=0.05), 200)
-    assert agreement_select([impostor, hidden], verif) == 1
+    source = UniformSource(hidden, seed=31, eta=0.05)
+    assert agreement_select([impostor, hidden], source, 200) == 1
 
 
 def dot_agreement_select(candidates, verif):
@@ -308,10 +315,11 @@ def test_agreement_matches_dot_scoring(n, count, verif_len, data):
         candidates.append(candidates[0])
     hidden = data.draw(st.sampled_from(candidates))
     eta = data.draw(st.sampled_from([0.0, 0.1, 0.45]))
-    verif = UniformSource(hidden, seed=data.draw(st.integers(0, 99)), eta=eta)
-    verif = take(verif, verif_len)
-    assert agreement_select(candidates, verif) == dot_agreement_select(
-        candidates, verif
+    seed = data.draw(st.integers(0, 99))
+    verif = take(UniformSource(hidden, seed=seed, eta=eta), verif_len)
+    source = UniformSource(hidden, seed=seed, eta=eta)
+    assert agreement_select(candidates, source, verif_len) == (
+        dot_agreement_select(candidates, verif)
     )
 
 
@@ -324,8 +332,8 @@ def test_agreement_tie_between_distinct_candidates_goes_lowest():
         LabeledExample(BitVector.from_support(4, (1,)), 1),  # y right
         LabeledExample(BitVector.from_support(4, (3,)), 1),  # all wrong
     ]
-    assert agreement_select([z, y, x], verif) == 1
-    assert agreement_select([x, y, z], verif) == 0
+    assert replay_select([z, y, x], verif) == 1
+    assert replay_select([x, y, z], verif) == 0
 
 
 @pytest.mark.parametrize("candidates", [
@@ -333,28 +341,45 @@ def test_agreement_tie_between_distinct_candidates_goes_lowest():
     [BitVector.from_support(8, (1,)), BitVector.from_support(9, (1,))],
 ])
 def test_agreement_rejects_wrong_length_candidate(candidates):
-    verif = take(UniformSource(BitVector.from_support(8, (2,)), seed=1), 5)
-    with pytest.raises(LengthMismatchError):
-        agreement_select(candidates, verif)
+    hidden = BitVector.from_support(8, (2,))
+    verif = take(UniformSource(hidden, seed=1), 5)
+    for source in (UniformSource(hidden, seed=1), ReplaySource(verif)):
+        with pytest.raises(LengthMismatchError):
+            agreement_select(candidates, source, 5)
+        assert source.draws == 0  # raised before any draw
 
 
 def test_agreement_lone_candidate_is_chosen_unscored():
     x = BitVector.from_support(8, (1,))
     verif = [LabeledExample(BitVector.from_support(8, (1,)), 0)] * 3
-    assert agreement_select([x], verif) == 0
-    assert agreement_select([x, x], []) == 0
+    assert replay_select([x], verif) == 0
+    assert replay_select([x, x], []) == 0
+    source = UniformSource(BitVector.from_support(8, (2,)), seed=5, eta=0.3)
+    assert agreement_select([x], source, 1000) == 0
+    assert source.draws == 1000
 
 
 def test_agreement_margin_logged_only_at_debug(caplog):
     hidden = BitVector.from_support(16, (1, 5))
     impostor = BitVector.from_support(16, (2, 9))
-    verif = take(UniformSource(hidden, seed=31, eta=0.05), 200)
     with caplog.at_level(logging.INFO, logger="sparseparity.noisy"):
-        agreement_select([impostor, hidden], verif)
+        source = UniformSource(hidden, seed=31, eta=0.05)
+        agreement_select([impostor, hidden], source, 200)
     assert not caplog.records
     with caplog.at_level(logging.DEBUG, logger="sparseparity.noisy"):
-        agreement_select([impostor, hidden], verif)
+        source = UniformSource(hidden, seed=31, eta=0.05)
+        agreement_select([impostor, hidden], source, 200)
     assert any("agreement margin" in r.message for r in caplog.records)
+
+
+def list_disagreements(candidates, verif):
+    """Per candidate, the labels of the list it misses: one pass over the
+    whole list per candidate."""
+    examples = [(ex.a.value, ex.label) for ex in verif]
+    return [
+        sum(((a & x).bit_count() & 1) ^ y for a, y in examples)
+        for x in (c.value for c in candidates)
+    ]
 
 
 def list_agreement_select(candidates, verif):
@@ -372,11 +397,7 @@ def list_agreement_select(candidates, verif):
             )
     if len(candidates) == 1:
         return 0
-    examples = [(ex.a.value, ex.label) for ex in verif]
-    disagreements = [
-        sum(((a & x).bit_count() & 1) ^ y for a, y in examples)
-        for x in (c.value for c in candidates)
-    ]
+    disagreements = list_disagreements(candidates, verif)
     best = min(range(len(candidates)), key=disagreements.__getitem__)
     if verif:
         runner_up = min(d for i, d in enumerate(disagreements) if i != best)
@@ -389,32 +410,54 @@ def list_agreement_select(candidates, verif):
     return best
 
 
-def outcome(select, candidates, verif):
-    try:
-        return select(candidates, verif)
-    except LengthMismatchError as e:
-        return str(e)
+def assert_same_state(source, twin):
+    """Same draw count, generator state and upcoming words."""
+    assert source.draws == twin.draws
+    assert source._rng._state == twin._rng._state
+    assert source._block[source._cursor:] == twin._block[twin._cursor:]
+    assert source.next_example() == twin.next_example()
 
 
-@given(st.integers(1, 70), st.integers(1, 4), st.integers(0, 40), st.data())
+@given(
+    st.one_of(st.sampled_from([1, 24, 63, 64, 65, 128, 129]),
+              st.integers(1, 200)),
+    st.sampled_from([0.0, 0.05, 0.3]),
+    st.integers(1, 4),
+    st.one_of(st.sampled_from([0, 1, 127, 128, 129, 255, 256, 257]),
+              st.integers(0, 700)),
+    st.data(),
+)
 @settings(deadline=None, max_examples=200)
-def test_streamed_agreement_matches_list_scoring(n, count, verif_len, data):
-    lengths = st.sampled_from([n, n, n, n + 1])
-    candidates = data.draw(
-        st.lists(lengths.flatmap(lambda m: st.integers(0, (1 << m) - 1).map(
-            lambda v: BitVector(m, v))), min_size=count, max_size=count)
-    )
-    verif = [
-        LabeledExample(BitVector(m, v), y)
-        for m, v, y in data.draw(st.lists(
-            st.tuples(lengths, st.integers(0, (1 << n) - 1), st.integers(0, 1)),
-            max_size=verif_len,
-        ))
-    ]
-    want = outcome(list_agreement_select, candidates, verif)
-    draws = iter(verif)
-    assert outcome(agreement_select, candidates, draws) == want
-    assert next(draws, None) is None  # every example was read
+def test_streamed_agreement_matches_list_scoring(
+    n, eta, count, verif_len, data
+):
+    """Both sources' scorers give list_disagreements' counts, starting
+    anywhere in a block, and leave the source as drawing would."""
+    vec = st.integers(0, (1 << n) - 1).map(lambda v: BitVector(n, v))
+    candidates = data.draw(st.lists(vec, min_size=count, max_size=count))
+    if data.draw(st.booleans()):
+        candidates.append(candidates[0])  # an exact tie
+    hidden = data.draw(st.sampled_from(candidates))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    before = data.draw(st.integers(0, 300))
+    source = UniformSource(hidden, seed=seed, eta=eta)
+    twin = UniformSource(hidden, seed=seed, eta=eta)
+    take(source, before)
+    primary = take(twin, before)
+    verif = take(twin, verif_len)
+    want = list_disagreements(candidates, verif)
+    assert source.disagreements(candidates, verif_len) == want
+    assert_same_state(source, twin)
+    replay = ReplaySource(primary + verif + take(twin, 1))
+    take(replay, before)
+    assert replay.disagreements(candidates, verif_len) == want
+    assert replay.draws == before + verif_len
+    if len(candidates) > 1:
+        source = UniformSource(hidden, seed=seed, eta=eta)
+        take(source, before)
+        assert agreement_select(candidates, source, verif_len) == (
+            list_agreement_select(candidates, verif)
+        )
 
 
 def test_streamed_agreement_logs_the_list_margin(caplog):
@@ -423,27 +466,59 @@ def test_streamed_agreement_logs_the_list_margin(caplog):
     verif = take(UniformSource(hidden, seed=31, eta=0.05), 200)
     with caplog.at_level(logging.DEBUG, logger="sparseparity.noisy"):
         list_agreement_select(candidates, verif)
-        agreement_select(candidates, iter(verif))
-    listed, streamed = [r.getMessage() for r in caplog.records]
-    assert streamed == listed
+        agreement_select(candidates, UniformSource(hidden, seed=31, eta=0.05), 200)
+        agreement_select(candidates, ReplaySource(verif), 200)
+    listed, lanes, replayed = [r.getMessage() for r in caplog.records]
+    assert lanes == replayed == listed
 
 
-@pytest.mark.parametrize("count", [1, 3])
-def test_report_streams_verification_like_the_list_path(count):
-    """noisy_learn_report draws and scores s'' examples one by one; the
-    output, the counters and the source state match drawing them into a
-    list and scoring that."""
+@pytest.mark.parametrize(
+    "count, replay",
+    [
+        pytest.param(0, False, id="0"),
+        pytest.param(1, False, id="1"),
+        pytest.param(3, False, id="3"),
+        pytest.param(0, True, id="0-replay"),
+        pytest.param(1, True, id="1-replay"),
+        pytest.param(3, True, id="3-replay"),
+    ],
+)
+def test_report_streams_verification_like_the_list_path(count, replay):
+    """No candidate stops after s' draws. One candidate skips the s''
+    examples and two or more have the source score them; either way the
+    output matches scoring a list of the same examples, and the source
+    ends where s' + s'' draws would."""
     hidden = gen_hidden(24, 2, 71)
     candidates = [hidden, gen_hidden(24, 2, 72), gen_hidden(24, 2, 73)][:count]
     params = NoisyParams.from_counts(eta=0.05, delta=0.2, s_prime=40)
-    source = UniformSource(hidden, seed=74, eta=0.05)
+    total = params.s_prime + params.s_doubleprime
+    stream = take(UniformSource(hidden, seed=74, eta=0.05), total + 1)
+    if replay:
+        source = ReplaySource(stream)
+    else:
+        source = UniformSource(hidden, seed=74, eta=0.05)
+    if not count:
+        with pytest.raises(NoCandidatesError):
+            noisy_learn_report(ListInner(candidates), source, params)
+        assert source.draws == params.s_prime
+        return
     report = noisy_learn_report(ListInner(candidates), source, params)
-    twin = UniformSource(hidden, seed=74, eta=0.05)
-    take(twin, params.s_prime)
-    verif = take(twin, params.s_doubleprime)
+    verif = stream[params.s_prime:total]
     assert report.output == candidates[list_agreement_select(candidates, verif)]
-    assert report.samples_drawn == source.draws == twin.draws
-    assert source.next_example() == twin.next_example()
+    assert report.samples_drawn == source.draws == total
+    assert source.next_example() == stream[total]
+
+
+@pytest.mark.parametrize("replay", [False, True])
+def test_driver_rejects_a_lone_candidate_of_the_wrong_length(replay):
+    hidden = gen_hidden(24, 2, 85)
+    params = NoisyParams.from_counts(eta=0.05, delta=0.2, s_prime=40)
+    source = UniformSource(hidden, seed=86, eta=0.05)
+    if replay:
+        source = ReplaySource(take(source, params.s_prime + params.s_doubleprime))
+    with pytest.raises(LengthMismatchError):
+        noisy_learn_report(ListInner([gen_hidden(25, 2, 87)]), source, params)
+    assert source.draws == params.s_prime
 
 
 # ---------------------------------------------------------------------------

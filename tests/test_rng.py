@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparseparity.rng import SplitMix64
+from sparseparity.rng import SplitMix64, lane_words, word_lanes
 
 MASK64 = (1 << 64) - 1
 
@@ -96,6 +96,44 @@ class TestWords:
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
             SplitMix64(0).words(-1)
+
+
+class TestLanes:
+    @given(st.integers(0, MASK64), st.integers(0, 600))
+    @settings(max_examples=100, deadline=None)
+    def test_low_halves_are_the_words(self, seed, count):
+        lanes, block = SplitMix64(seed), SplitMix64(seed)
+        z = lanes.lanes(count)
+        assert z < 1 << (128 * count)
+        words = block.words(count)
+        assert [(z >> (128 * i)) & MASK64 for i in range(count)] == words
+        assert lane_words(z, count) == words
+        assert lanes.next_u64() == block.next_u64()
+
+    @given(st.lists(st.integers(0, MASK64), max_size=300))
+    def test_word_lanes_inverts_lane_words(self, words):
+        z = word_lanes(words)
+        assert z < 1 << (128 * len(words))
+        assert all(z >> (128 * i + 64) & MASK64 == 0 for i in range(len(words)))
+        assert lane_words(z, len(words)) == words
+
+
+class TestSkip:
+    @given(
+        st.integers(0, MASK64),
+        st.one_of(st.sampled_from([0, 1, 255, 256, 257]), st.integers(0, 10**5)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_same_state_as_drawing(self, seed, count):
+        skipped, drawn = SplitMix64(seed), SplitMix64(seed)
+        skipped.skip(count)
+        drawn.words(count)
+        assert skipped._state == drawn._state
+        assert skipped.next_u64() == drawn.next_u64()
+
+    def test_rejects_negative_count(self):
+        with pytest.raises(ValueError):
+            SplitMix64(0).skip(-1)
 
 
 class TestBelow:

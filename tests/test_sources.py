@@ -265,12 +265,78 @@ class TestDrawEquivalence:
         ex = UniformSource(hidden, seed=seed, eta=0.25).next_example()
         assert ex.label ^ dot(ex.a, hidden) == flipped
 
+    @pytest.mark.parametrize("offset, flipped", [(0, False), (-1, True)])
+    def test_scored_flip_word_at_the_threshold(self, offset, flipped):
+        # the same stream scored without drawing: the hidden vector misses
+        # example 0 exactly when its flip word is below the threshold
+        threshold = int(0.25 * 2.0**64)
+        seed = (unmix(threshold + offset) - 2 * GAMMA) % (1 << 64)
+        hidden = gen_hidden(24, 2, 3)
+        src = UniformSource(hidden, seed=seed, eta=0.25)
+        assert src.disagreements([hidden], 1) == [int(flipped)]
+
     def test_flip_word_drawn_below_threshold_resolution(self):
         # eta * 2**64 < 1: bernoulli never flips but still draws its word
         hidden = gen_hidden(10, 2, 1)
         fast = UniformSource(hidden, seed=4, eta=1e-30)
         ref = ReferenceSource(hidden, SplitMix64(4), 1e-30)
         assert not any(assert_same_draws(fast, ref, 50))
+
+
+class TestSkip:
+    # widths 1 to 3: one or two vector words, a flip word when eta > 0
+    @given(
+        st.sampled_from([1, 24, 63, 64, 65, 130]),
+        st.sampled_from([0.0, 0.05]),
+        st.integers(0, (1 << 64) - 1),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_next_example_as_drawing(self, n, eta, seed, data):
+        width = words_per_example(n, eta)
+        per_block = sources._BLOCK_WORDS // width
+        # start and stop on both sides of a block edge
+        near = st.integers(-2, 2)
+        before = data.draw(st.one_of(
+            st.sampled_from([0, 1]), near.map(lambda d: per_block + d)))
+        count = data.draw(st.one_of(
+            st.integers(0, 3),
+            near.map(lambda d: per_block - before % per_block + d),
+            near.map(lambda d: 3 * per_block + d),
+        ).filter(lambda c: c >= 0))
+        hidden = gen_hidden(n, min(n, 2), seed)
+        fast = UniformSource(hidden, seed=seed, eta=eta)
+        twin = UniformSource(hidden, seed=seed, eta=eta)
+        take(fast, before)
+        take(twin, before + count)
+        fast.skip(count)
+        assert fast.draws == twin.draws == before + count
+        assert upcoming_words(fast) == upcoming_words(twin)
+        assert take(fast, 3) == take(twin, 3)
+
+    def test_rejects_negative_count(self):
+        src = UniformSource(gen_hidden(8, 2, 1), seed=1)
+        with pytest.raises(ValueError):
+            src.skip(-1)
+        with pytest.raises(ValueError):
+            src.disagreements([], -1)
+
+    def test_replay_skips_then_exhausts_like_drawing(self):
+        exs = take(UniformSource(gen_hidden(8, 2, 1), seed=2), 5)
+        src = ReplaySource(exs)
+        src.skip(2)
+        assert src.draws == 2
+        assert src.next_example() == exs[2]
+        with pytest.raises(SourceExhaustedError):
+            src.skip(3)
+        assert src.draws == 5  # as far as drawing gets before it raises
+        with pytest.raises(SourceExhaustedError):
+            src.disagreements([exs[0].a], 1)
+        src = ReplaySource(exs)
+        with pytest.raises(ValueError):
+            src.skip(-1)
+        src.skip(5)
+        assert src.draws == 5
 
 
 class TestReplaySource:
@@ -291,5 +357,6 @@ class TestReplaySource:
 
     def test_empty(self):
         src = ReplaySource([])
+        assert src.n is None
         with pytest.raises(SourceExhaustedError):
             src.next_example()
