@@ -2,12 +2,14 @@
 
 A :class:`BitVector` is a fixed-length bit sequence; bit ``i`` is
 coordinate ``i``, stored little-endian (64 bits per storage word, so word
-``j`` holds coordinates ``64*j .. 64*j+63``).
+``j`` holds coordinates ``64*j .. 64*j+63``).  :func:`transpose` turns a
+list of packed rows into its packed columns with whole-int steps.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import repeat
+from typing import Iterable, Sequence
 
 from .errors import LengthMismatchError
 
@@ -122,3 +124,66 @@ class BitVector:
 def dot(a: BitVector, b: BitVector) -> int:
     """Inner product mod 2; raises LengthMismatchError on length mismatch."""
     return a.dot(b)
+
+
+_swaps: tuple[int, tuple[tuple[int, int], ...]] = (0, ())  # _swap_stages(0)
+
+
+def _swap_stages(size: int) -> tuple[tuple[int, int], ...]:
+    """The ``(shift, mask)`` of each block-swap stage on a ``size`` x
+    ``size`` bit matrix whose entry (i, j) is bit ``i * size + j``.
+
+    The stage for block ``b`` swaps every entry whose column has bit
+    ``b`` and whose row has not with the entry ``b`` rows down and ``b``
+    columns left, ``shift = b * (size - 1)`` bits up; its mask marks the
+    first of each pair.  A mask is two periodic patterns, each doubled
+    up to the square's area, so it costs time linear in the area.  The
+    last size is cached.
+    """
+    global _swaps
+    if _swaps[0] != size:
+        area = size * size
+
+        def bit_set(t):
+            # every position p < area with p & t, for t a power of two
+            x, period = ((1 << t) - 1) << t, 2 * t
+            while period < area:
+                x |= x << period
+                period *= 2
+            return x
+
+        stages = []
+        b = size >> 1
+        while b:
+            stages.append((b * (size - 1), bit_set(b) & ~bit_set(b * size)))
+            b >>= 1
+        _swaps = (size, tuple(stages))
+    return _swaps[1]
+
+
+def transpose(rows: Sequence[int], width: int) -> list[int]:
+    """The ``width`` columns of a bit matrix given by its packed rows.
+
+    Bit ``i`` of column ``c`` is bit ``c`` of ``rows[i]``.  The rows are
+    packed into one int, padded to a square whose side is a power of two
+    (at least 8, so rows are whole bytes), and the square is transposed
+    by ``log2(side)`` mask, shift and XOR stages (the block-swap
+    transpose, Warren, *Hacker's Delight* 7-3).  A row that is negative
+    or at or above ``2**width`` raises ValueError.
+    """
+    if max(rows, default=0) >> width or min(rows, default=0) < 0:
+        raise ValueError(f"a row does not fit in {width} bits")
+    size = max(8, 1 << (max(len(rows), width) - 1).bit_length())
+    step = size // 8
+    x = int.from_bytes(
+        b"".join(map(int.to_bytes, rows, repeat(step), repeat("little"))),
+        "little",
+    )
+    for shift, mask in _swap_stages(size):
+        t = (x ^ (x >> shift)) & mask
+        x ^= t ^ (t << shift)
+    data = x.to_bytes(size * step, "little")
+    return [
+        int.from_bytes(data[i : i + step], "little")
+        for i in range(0, width * step, step)
+    ]

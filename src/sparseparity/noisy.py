@@ -25,11 +25,13 @@ occurrence with flip sets taken by size, then lexicographically.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, repeat, starmap
+from operator import itemgetter, xor
 from typing import Sequence
 
 from .cover import CoverFamily, CoverParams, binom, build_family
@@ -41,7 +43,7 @@ from .errors import (
     NoCandidatesError,
     SourceExhaustedError,
 )
-from .gf2 import BitVector
+from .gf2 import BitVector, transpose
 from .online import LearnerState
 from .pac import PacParams, pac_learn
 from .sources import LabeledExample, ReplaySource
@@ -213,61 +215,68 @@ def noisy_learn_report(
     )
 
 
-def syndrome_owners(
-    vectors: Sequence[BitVector], n: int, k: int
-) -> dict[int, tuple[int, ...] | None]:
-    """Every weight-k syndrome against ``vectors``, with its owner.
+def _weight_syndromes(columns: Sequence[int], k: int) -> list[int]:
+    """The syndrome of every k-subset of ``columns``, in the order of
+    ``itertools.combinations(range(len(columns)), k)``.
 
-    The syndrome of a support has bit i set when ``vectors[i]`` has an odd
-    number of ones on it.  A syndrome maps to its only weight-k support,
-    or to None when two or more supports share it.  The supports meet in
-    the middle of the coordinate split: for each j, the j-subsets of the
-    left half ``range((n + 1) // 2)`` are grouped by syndrome and each
-    (k-j)-subset of the right half is paired with every group, at one XOR
-    per support.  No labels are read, so the map serves every labeling of
-    the same vectors.
+    The pair syndromes come from one ``starmap(xor, ...)`` over
+    ``combinations(columns, 2)``.  In that lexicographic order the pairs
+    whose smaller index exceeds j form one suffix, so each (k-2)-subset's
+    syndrome is XORed onto the suffix past its last index with one
+    ``map``: one XOR per support, all at C speed.
     """
-    columns = [0] * n
-    for i, v in enumerate(vectors):
-        if v.n != n:
-            raise ValueError(f"example length {v.n} != n={n}")
-        bits = v.value
-        for c in range(n):
-            if (bits >> c) & 1:
-                columns[c] |= 1 << i
+    if k < 2:
+        return [0] if k == 0 else list(columns)
+    pairs = list(starmap(xor, combinations(columns, 2)))
+    if k == 2:
+        return pairs
+    n = len(columns)
+    lasts = map(itemgetter(-1), combinations(range(n), k - 2))
+    syndromes: list[int] = []
+    for prefix, last in zip(_weight_syndromes(columns, k - 2), lasts):
+        # (last + 1) * (2n - 2 - last) / 2 pairs have smaller index <= last
+        tail = pairs[(last + 1) * (2 * n - 2 - last) // 2 :]
+        syndromes.extend(map(xor, repeat(prefix, len(tail)), tail))
+    return syndromes
 
-    def subsets(coords, size):
-        for support in itertools.combinations(coords, size):
-            syndrome = 0
-            for c in support:
-                syndrome ^= columns[c]
-            yield support, syndrome
 
-    half = (n + 1) // 2
-    owner: dict[int, tuple[int, ...] | None] = {}
-    for j in range(k + 1):
-        left: dict[int, list[tuple[int, ...]]] = {}
-        for support, syndrome in subsets(range(half), j):
-            left.setdefault(syndrome, []).append(support)
-        right = list(subsets(range(half, n), k - j))
-        for left_syndrome, left_supports in left.items():
-            shared = len(left_supports) > 1
-            for support, syndrome in right:
-                syndrome ^= left_syndrome
-                if shared or syndrome in owner:
-                    owner[syndrome] = None
-                else:
-                    owner[syndrome] = left_supports[0] + support
+def syndrome_owners(
+    rows: Sequence[int], n: int, k: int
+) -> dict[int, tuple[int, ...] | None]:
+    """Every weight-k syndrome against the example vectors, with its owner.
+
+    ``rows`` holds the vectors' packed values, each below ``2**n`` (one
+    at or above raises ValueError).  The syndrome of a support has bit i
+    set when vector i has an odd number of ones on it.  A syndrome maps
+    to its only weight-k support, or to None when two or more supports
+    share it.  The columns come from :func:`~sparseparity.gf2.transpose`,
+    :func:`_weight_syndromes` lists every support's syndrome in the order
+    of ``combinations(range(n), k)``, and zipping the two gives the map;
+    only when the map came out shorter than the list does a ``Counter``
+    pass mark the shared syndromes.  No labels are read, so the map
+    serves every labeling of the same vectors.
+    """
+    syndromes = _weight_syndromes(transpose(rows, n), k)
+    owner: dict[int, tuple[int, ...] | None] = dict(
+        zip(syndromes, combinations(range(n), k))
+    )
+    if len(owner) < len(syndromes):
+        shared = Counter(syndromes)
+        owner.update(dict.fromkeys(s for s, c in shared.items() if c > 1))
     return owner
 
 
 class MitmInner:
-    """Noiseless inner learner backed by the meet-in-the-middle search.
+    """Noiseless inner learner backed by the exhaustive weight-k search,
+    the meet-in-the-middle baseline's search space.
 
     Succeeds only when exactly one weight-k vector is consistent with the
-    examples.  The syndrome map depends on the example vectors but not
-    their labels, so it is cached and reused across relabelings of the
-    same vectors.
+    examples.  The syndrome map (:func:`syndrome_owners`) depends on the
+    example vectors but not their labels, so it is cached and reused
+    across relabelings of the same vectors.  Every vector's length is
+    checked against ``n`` before the cache is read, and the cache key is
+    stored only once its map is built, so a failed build leaves no stale
+    answer behind.
     """
 
     def __init__(self, n: int, k: int):
@@ -280,10 +289,13 @@ class MitmInner:
         self, examples: Sequence[LabeledExample]
     ) -> dict[int, tuple[int, ...] | None]:
         vectors = [ex.a for ex in examples]
+        for v in vectors:
+            if v.n != self.n:
+                raise ValueError(f"example length {v.n} != n={self.n}")
         key = tuple(v.value for v in vectors)
         if key != self._cache_key:
+            self._cache = syndrome_owners(key, self.n, self.k)
             self._cache_key = key
-            self._cache = syndrome_owners(vectors, self.n, self.k)
         return self._cache
 
     def run(self, examples: Sequence[LabeledExample]) -> BitVector | None:

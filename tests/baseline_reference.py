@@ -7,6 +7,8 @@
 * :func:`brute_force_owners` and :func:`brute_force_candidates` decode
   syndromes by listing every weight-k vector, the oracle for the
   meet-in-the-middle inner learner of the noisy reduction.
+* :func:`join_owners` builds the same syndrome map by meeting left-half
+  and right-half supports, the oracle for ``noisy.syndrome_owners``.
 """
 
 from __future__ import annotations
@@ -153,3 +155,52 @@ def brute_force_candidates(
             found.append((len(flip_set), flip_set, x))
     found.sort(key=lambda entry: entry[:2])
     return [x for _, _, x in found]
+
+
+def join_owners(
+    vectors: Sequence[BitVector], n: int, k: int
+) -> dict[int, tuple[int, ...] | None]:
+    """Every weight-k syndrome against ``vectors``, with its owner: the
+    coordinate-split join the library used before its pair table.
+
+    The syndrome of a support has bit i set when ``vectors[i]`` has an odd
+    number of ones on it.  A syndrome maps to its only weight-k support,
+    or to None when two or more supports share it.  The supports meet in
+    the middle of the coordinate split: for each j, the j-subsets of the
+    left half ``range((n + 1) // 2)`` are grouped by syndrome and each
+    (k-j)-subset of the right half is paired with every group, at one XOR
+    per support.  No labels are read, so the map serves every labeling of
+    the same vectors.
+    """
+    columns = [0] * n
+    for i, v in enumerate(vectors):
+        if v.n != n:
+            raise ValueError(f"example length {v.n} != n={n}")
+        bits = v.value
+        for c in range(n):
+            if (bits >> c) & 1:
+                columns[c] |= 1 << i
+
+    def subsets(coords, size):
+        for support in itertools.combinations(coords, size):
+            syndrome = 0
+            for c in support:
+                syndrome ^= columns[c]
+            yield support, syndrome
+
+    half = (n + 1) // 2
+    owner: dict[int, tuple[int, ...] | None] = {}
+    for j in range(k + 1):
+        left: dict[int, list[tuple[int, ...]]] = {}
+        for support, syndrome in subsets(range(half), j):
+            left.setdefault(syndrome, []).append(support)
+        right = list(subsets(range(half, n), k - j))
+        for left_syndrome, left_supports in left.items():
+            shared = len(left_supports) > 1
+            for support, syndrome in right:
+                syndrome ^= left_syndrome
+                if shared or syndrome in owner:
+                    owner[syndrome] = None
+                else:
+                    owner[syndrome] = left_supports[0] + support
+    return owner

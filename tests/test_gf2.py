@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparseparity.errors import LengthMismatchError, NotSingletonError
-from sparseparity.gf2 import BitVector, dot
+from sparseparity.gf2 import BitVector, dot, transpose
 
 from affine_reference import AffineSpace, reduce_rows
 from chart_reference import restrict, split_sizes
@@ -119,6 +119,58 @@ class TestDot:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             dot(V("110"), V("1100"))
+
+
+
+# -- transpose against the per-bit loop --------------------------------
+
+
+def bit_transpose(rows, width):
+    """Column c collects bit c of every row, one bit at a time."""
+    columns = [0] * width
+    for i, row in enumerate(rows):
+        for c in range(width):
+            if (row >> c) & 1:
+                columns[c] |= 1 << i
+    return columns
+
+
+@st.composite
+def bit_matrices(draw):
+    height = draw(st.integers(min_value=0, max_value=130))
+    width = draw(st.integers(min_value=0, max_value=70))
+    row = st.integers(min_value=0, max_value=(1 << width) - 1)
+    return draw(st.lists(row, min_size=height, max_size=height)), width
+
+
+class TestTranspose:
+    @pytest.mark.parametrize(
+        "height,width",
+        [(0, 0), (1, 1), (63, 24), (64, 24), (65, 24), (130, 20), (3, 70),
+         (0, 5), (5, 0), (64, 64), (1, 129)],
+    )
+    @given(st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_named_shapes_match_the_bit_loop(self, height, width, data):
+        row = st.integers(min_value=0, max_value=(1 << width) - 1)
+        rows = data.draw(st.lists(row, min_size=height, max_size=height))
+        assert transpose(rows, width) == bit_transpose(rows, width)
+
+    @given(bit_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_bit_loop(self, matrix):
+        rows, width = matrix
+        assert transpose(rows, width) == bit_transpose(rows, width)
+
+    def test_dense_rows_fill_every_column(self):
+        assert transpose([0b111] * 65, 3) == [(1 << 65) - 1] * 3
+
+    @pytest.mark.parametrize(
+        "rows,width", [([1], 0), ([0, 8], 3), ([1 << 64], 64), ([-1], 4)]
+    )
+    def test_rows_that_do_not_fit_raise(self, rows, width):
+        with pytest.raises(ValueError):
+            transpose(rows, width)
 
 
 # -- AffineSpace frozen cases ------------------------------------------

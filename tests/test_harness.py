@@ -396,6 +396,10 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "data"
         (["cover-check", "--n", "24", "--k", "2", "--t", "6",
           "--alpha", "2", "--seed", "7"],
          None, "golden_cover_check.json"),
+        (["learn-noisy", "--n", "18", "--k", "3", "--eta", "0.05",
+          "--delta", "0.2", "--s-prime", "30", "--trials", "4",
+          "--seed", "21"],
+         "wall_ns", "golden_learn_noisy_mitm_k3.csv"),
     ],
 )
 def test_reports_match_golden_output(tmp_path, argv, wall_column, golden):
@@ -403,9 +407,11 @@ def test_reports_match_golden_output(tmp_path, argv, wall_column, golden):
 
     The first three files in tests/data were written by the
     local-coordinate chart learner this package shipped before charts
-    moved to global coordinates; the meet-in-the-middle report and the
-    cover check were written by the two-table join that the syndrome map
-    replaced.  A report without a wall-clock column is compared whole.
+    moved to global coordinates; the weight-2 meet-in-the-middle report
+    and the cover check were written by the two-table join that the
+    syndrome map replaced, and the weight-3 report by the coordinate-split
+    join that its pair table replaced.  A report without a wall-clock
+    column is compared whole.
     """
     code, text = run_cli(tmp_path, argv)
     assert code == 0

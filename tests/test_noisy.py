@@ -8,7 +8,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparseparity.errors import (
@@ -18,6 +18,7 @@ from sparseparity.errors import (
     LengthMismatchError,
     NoCandidatesError,
 )
+from sparseparity import noisy
 from sparseparity.gf2 import BitVector
 from sparseparity.noisy import (
     MitmInner,
@@ -28,6 +29,7 @@ from sparseparity.noisy import (
     flip_budget_for,
     flip_set_count,
     noisy_learn_report,
+    syndrome_owners,
 )
 from sparseparity.online import LearnerState
 from sparseparity.pac import PacParams, pac_learn
@@ -38,6 +40,8 @@ from sparseparity.sources import (
     UniformSource,
     gen_hidden,
 )
+
+from baseline_reference import brute_force_owners, join_owners
 
 
 def take(source, count):
@@ -707,6 +711,117 @@ def test_mitm_inner_tables_follow_the_example_vectors():
     assert inner.candidates(first, 0) == [x]
     assert inner.candidates(second, 0) == [x]
     assert inner.run(first) == x
+
+
+def _at_length(n, examples):
+    return [LabeledExample(BitVector(n, ex.a.value), ex.label) for ex in examples]
+
+
+def _call(inner, method, examples):
+    if method == "run":
+        return inner.run(examples)
+    return inner.candidates(examples, 1)
+
+
+@pytest.mark.parametrize("method", ["run", "candidates"])
+def test_mitm_inner_checks_lengths_before_the_cache(method):
+    # the same values as length-9 vectors must not hit the length-8 map
+    hidden = BitVector.from_support(8, (1, 4))
+    examples = take(UniformSource(hidden, seed=3, eta=0.0), 20)
+    inner = MitmInner(8, 2)
+    assert inner.run(examples) == hidden
+    with pytest.raises(ValueError):
+        _call(inner, method, _at_length(9, examples))
+    assert inner.run(examples) == hidden
+
+
+@pytest.mark.parametrize("method", ["run", "candidates"])
+def test_mitm_inner_rejects_a_wrong_length_stream_every_time(method):
+    # a rejected stream raises every time, never answering from the old map
+    inner = MitmInner(8, 2)
+    inner.run(take(UniformSource(BitVector.from01("01001000"), 3, 0.0), 20))
+    other = take(UniformSource(BitVector.from_support(9, (2, 7)), 5, 0.0), 20)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            _call(inner, method, other)
+
+
+def test_mitm_inner_stores_the_key_after_the_map(monkeypatch):
+    # a build cut short must not leave its key pointing at the old map
+    hidden = BitVector.from_support(8, (1, 4))
+    first = take(UniformSource(hidden, seed=3, eta=0.0), 20)
+    second = take(UniformSource(hidden, seed=4, eta=0.0), 20)
+    inner = MitmInner(8, 2)
+    assert inner.run(first) == hidden
+
+    def interrupted(rows, n, k):
+        raise MemoryError
+
+    with monkeypatch.context() as patch:
+        patch.setattr(noisy, "syndrome_owners", interrupted)
+        with pytest.raises(MemoryError):
+            inner.run(second)
+    assert inner.run(second) == hidden
+
+
+# ---------------------------------------------------------------------------
+# syndrome map against the coordinate-split join and brute force
+
+
+@st.composite
+def example_rows(draw):
+    """(n, k, rows): up to 70 rows of n <= 16 bits, k <= 6 (so k > n
+    occurs), some rows repeated and some columns forced to zero, so that
+    supports share syndromes."""
+    n = draw(st.integers(min_value=0, max_value=16))
+    k = draw(st.integers(min_value=0, max_value=6))
+    s_prime = draw(st.integers(min_value=0, max_value=70))
+    value = st.integers(min_value=0, max_value=(1 << n) - 1)
+    pool = draw(st.lists(value, min_size=1, max_size=6))
+    zero_columns = draw(value)
+    rows = draw(
+        st.lists(
+            st.one_of(st.sampled_from(pool), value),
+            min_size=s_prime,
+            max_size=s_prime,
+        )
+    )
+    return n, k, [row & ~zero_columns for row in rows]
+
+
+@settings(deadline=None, max_examples=80)
+@given(example_rows())
+@example((0, 0, []))
+@example((3, 5, [1, 2, 3]))
+@example((5, 2, [0b00011] * 7))
+@example((16, 6, [0] * 70))
+def test_syndrome_owners_match_the_join_and_brute_force(case):
+    n, k, rows = case
+    vectors = [BitVector(n, row) for row in rows]
+    owners = syndrome_owners(rows, n, k)
+    assert owners == join_owners(vectors, n, k)
+    owned = {
+        syndrome: BitVector.from_support(n, support)
+        for syndrome, support in owners.items()
+        if support is not None
+    }
+    examples = [LabeledExample(v, 0) for v in vectors]
+    assert owned == brute_force_owners(examples, n, k)
+
+
+def test_syndrome_owners_mark_shared_syndromes():
+    # columns 0 and 1 are equal and column 3 is zero, so {0, 2} and
+    # {1, 2} share a syndrome, and so do {0, 3} and {1, 3}
+    rows = [0b0011, 0b0111, 0b0011, 0b0100]
+    owners = syndrome_owners(rows, 4, 2)
+    assert owners == {0b0000: (0, 1), 0b1101: None, 0b0111: None,
+                      0b1010: (2, 3)}
+    assert owners == join_owners([BitVector(4, r) for r in rows], 4, 2)
+
+
+def test_syndrome_owners_reject_a_row_too_long():
+    with pytest.raises(ValueError):
+        syndrome_owners([1 << 8], 8, 2)
 
 
 # ---------------------------------------------------------------------------
