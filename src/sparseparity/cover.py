@@ -7,14 +7,17 @@ some drawn subset; ``m`` is sized so a single draw covers with probability
 better than 1/2, and :func:`build_verified_family` resamples until
 :func:`verify_cover` certifies coverage by ANDing per-part bitsets of the
 drawn subsets along a walk of the ``C(T, k)`` k-subsets of parts.
+The part bitsets and the chart columns of the learner are both sliced out
+of the family's ``m x T`` 0/1 incidence table, filled once on first use.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, repeat
 
 from .errors import BudgetExceededError
@@ -27,6 +30,9 @@ DEFAULT_SAMPLE_ATTEMPTS = 10
 # Words mixed at once while sampling a family: UniformSource's block size,
 # so SplitMix64.words keeps one set of cached lane constants for both.
 _WORD_BLOCK = 256
+# Map 0/1 bytes to the ASCII digits int(..., 2) reads, and to 0 and bit b.
+_ASCII = bytes.maketrans(b"\0\1", b"01")
+_PHASES = [bytes.maketrans(b"\0\1", bytes((0, 1 << b))) for b in range(8)]
 
 
 def binom(x: int, y: int) -> int:
@@ -75,6 +81,20 @@ class CoverFamily:
     parts: tuple[tuple[int, ...], ...]
     subsets: tuple[tuple[int, ...], ...]
     verified: bool
+
+    @cached_property
+    def incidence(self) -> bytes:
+        """Byte ``i * len(parts) + p`` is 1 when subset ``i`` holds part ``p``.
+
+        Filled on first use; :func:`verify_cover` hands it on.
+        """
+        table = bytearray()
+        for subset in self.subsets:
+            row = bytearray(len(self.parts))  # so a part out of range raises
+            for part in subset:
+                row[part] = 1
+            table += row
+        return bytes(table)
 
     @property
     def m(self) -> int:
@@ -141,12 +161,12 @@ def verify_cover(
     """Check that every k-subset of parts lies inside some drawn subset.
 
     ``holders[p]`` is the bitset of drawn subsets that contain part ``p``,
-    so a k-subset of parts is covered exactly when the AND of its parts'
-    holders is nonzero.  The k-subsets are walked depth first in
-    lexicographic order with one running AND per depth; a prefix whose AND
-    is already 0 leaves every completion uncovered, so its first
-    completion is the witness.  Returns ``(certified_family, None)`` on
-    success, or the unchanged family with the lexicographically first
+    its incidence column, so a k-subset of parts is covered exactly when
+    the AND of its parts' holders is nonzero.  The k-subsets are walked
+    depth first in lexicographic order with one running AND per depth; a
+    prefix whose AND is already 0 leaves every completion uncovered, so its
+    first completion is the witness.  Returns ``(certified_family, None)``
+    on success, or the unchanged family with the lexicographically first
     uncovered k-subset as witness.
     """
     T, k = family.params.T, family.params.k
@@ -155,20 +175,43 @@ def verify_cover(
         raise BudgetExceededError(
             f"C(T={T}, k={k}) = {total} exceeds enumeration budget {budget}"
         )
-    holders = [0] * T
-    for index, subset in enumerate(family.subsets):
-        for part in subset:
-            holders[part] |= 1 << index
+    holders = spread_columns(family.incidence, len(family.parts), 1)
     witness = _first_uncovered(holders, k, (1 << family.m) - 1)
     if witness is not None:
         return family, witness
-    certified = CoverFamily(
-        params=family.params,
-        parts=family.parts,
-        subsets=family.subsets,
-        verified=True,
-    )
+    certified = replace(family, verified=True)
+    # Same subsets, same table: hand it on rather than fill it again.
+    certified.__dict__["incidence"] = family.incidence
     return certified, None
+
+
+def spread_columns(table: bytes, width: int, stride: int) -> list[int]:
+    """Per column of a 0/1 table with rows of ``width`` bytes, the int with
+    bit ``i * stride`` set when row ``i`` holds a 1 there.
+
+    Below a stride of 8 the column is laid out one byte per bit and read as
+    binary digits.  From 8 on, rows ``j, j + 8, ...`` set bit
+    ``j * stride % 8`` of bytes ``stride`` apart: one slice assignment per
+    phase ``j``, and each column writes the same bytes of one buffer.
+    """
+    count = len(table) // width if width else 0
+    spreads = []
+    if stride < 8:
+        buf = bytearray(count * stride)
+        for p in range(width):
+            buf[::stride] = table[p::width]
+            spreads.append(int(buf.translate(_ASCII)[::-1] or b"0", 2))
+        return spreads
+    buf = bytearray((count * stride + 7) >> 3)
+    for p in range(width):
+        for j in range(8):
+            src = table[j * width + p::8 * width]
+            first = j * stride >> 3
+            buf[first:first + len(src) * stride:stride] = src.translate(
+                _PHASES[j * stride & 7]
+            )
+        spreads.append(int.from_bytes(buf, "little"))
+    return spreads
 
 
 def _first_uncovered(

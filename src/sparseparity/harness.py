@@ -125,11 +125,12 @@ def closed_form_mistake_bound(n: int, k: int, t: int) -> float:
 
 def _noiseless_trial(
     n: int, k: int, t: int, alpha: int, trial_seed: int, sample_budget: int
-) -> tuple[RunRow, LearnerState]:
+) -> tuple[RunRow, LearnerState, int]:
     """One chart-learner trial on an honest noiseless stream.
 
     A stream that kills every chart ends the trial with an
-    ``identified=false`` row instead of raising.
+    ``identified=false`` row instead of raising.  Also returns the
+    nanoseconds of the rounds alone.
     """
     trial_rng = SplitMix64(trial_seed)
     hidden = gen_hidden(n, k, trial_rng.next_u64())
@@ -137,6 +138,7 @@ def _noiseless_trial(
     source = UniformSource(hidden, seed=trial_rng.next_u64(), eta=0.0)
     start = time.perf_counter_ns()
     state = new_learner(n, k, t, alpha, rng_seed=family_seed)
+    built = time.perf_counter_ns()
     samples = 0
     try:
         while samples < sample_budget and state.identified() is None:
@@ -145,7 +147,7 @@ def _noiseless_trial(
             state.step(ex.a, ex.label)
     except AllChartsEmptyError as exc:
         logger.warning("trial %d not identified: %s", trial_seed, exc)
-    wall_ns = time.perf_counter_ns() - start
+    end = time.perf_counter_ns()
     row = RunRow(
         seed=trial_seed,
         n=n,
@@ -159,10 +161,10 @@ def _noiseless_trial(
         identified=state.identified() == hidden,
         exact_bound=state.mistake_bound,
         paper_bound=closed_form_mistake_bound(n, k, t),
-        wall_ns=wall_ns,
+        wall_ns=end - start,
         inner_invocations=None,
     )
-    return row, state
+    return row, state, end - built
 
 
 def run_learn_noiseless(
@@ -287,6 +289,7 @@ def bench_tradeoff(
     Shrinking t cuts the family size (and so per-round work) while
     raising the number of examples needed; the log-ratio of family sizes
     between consecutive grid points is logged for inspection.
+    ``mean_round_wall_ns`` leaves learner construction out.
     """
     master = SplitMix64(seed)
     table = []
@@ -295,14 +298,14 @@ def bench_tradeoff(
         m = family_size_m(params)
         samples_total = 0
         charts_total = 0
-        wall_total = 0
+        round_ns_total = 0
         rounds_total = 0
         identified_count = 0
         for _ in range(trials):
-            row, state = _noiseless_trial(
+            row, state, round_ns = _noiseless_trial(
                 n, k, t, alpha, master.next_u64(), sample_budget
             )
-            wall_total += row.wall_ns
+            round_ns_total += round_ns
             identified_count += row.identified
             samples_total += row.samples
             charts_total += state.live_charts
@@ -313,7 +316,7 @@ def bench_tradeoff(
                 "m": m,
                 "mean_samples": samples_total / trials,
                 "mean_live_charts": charts_total / trials,
-                "mean_round_wall_ns": wall_total / max(1, rounds_total),
+                "mean_round_wall_ns": round_ns_total / max(1, rounds_total),
                 "identified_frac": identified_count / trials,
             }
         )

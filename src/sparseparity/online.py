@@ -11,10 +11,11 @@ bounds the number of mistakes by ``floor(log2`` of the initial mass``)``.
 
 The charts are stored bit-sliced (Biham, FSE 1997), transposed the way
 M4RI packs GF(2) rows into words (Albrecht, Bard & Pernet,
-arXiv:1111.6549).  Chart ``i`` owns ``dim_i + 2`` consecutive positions of
-one index space: its basis vectors in ascending free coordinate, then its
-point, then a guard bit.  Column ``c`` is one int whose bit ``p`` says that
-vector ``p`` holds coordinate ``c``.  A round XORs the columns of the
+arXiv:1111.6549).  Chart ``i`` owns positions ``i*S`` on of one index
+space, ``S`` the largest chart's ``dim + 2``: its basis vectors in
+ascending free coordinate, then its point, then a guard bit, then padding.
+Column ``c`` is one int whose bit ``p`` says that vector ``p`` holds
+coordinate ``c``.  A round XORs the columns of the
 example's set coordinates, which gives every parity of every vector at
 once; one guarded subtraction per round finds each chart's first odd basis
 vector (Warren, *Hacker's Delight*, ch. 2), and a few more whole-int
@@ -24,19 +25,22 @@ pivots and dead charts stay in place; masks say which are live.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import reduce
-from itertools import compress
-from operator import or_, xor
+from itertools import compress, cycle
+from operator import xor
 
-from .cover import CoverFamily, CoverParams, build_family, round_robin_parts
+from .cover import (
+    CoverFamily,
+    CoverParams,
+    build_family,
+    round_robin_parts,
+    spread_columns,
+)
 from .errors import AllChartsEmptyError
 from .gf2 import BitVector
 
 # Maps the ASCII digits of bin() to the 0/1 bytes compress() selects by.
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
 class LearnerState:
     """Mutable state of one learning session over a covering family.
 
@@ -45,11 +49,12 @@ class LearnerState:
     whose basis is the unit vectors of its support.  ``live_charts`` counts
     the charts that are still consistent with every label.
 
-    With round-robin parts, the ``r``-th coordinate of the ``j``-th part of
-    a chart of ``s`` parts is its ``(s*r + j)``-th smallest coordinate.  So
-    the columns come from one int per part and per subset size: column
-    ``p + T*r`` is ``base[p] << (s*r)``, where ``base[p]`` marks the
-    positions of part ``p``'s first coordinate.
+    The charts sit in family order at one stride ``S``, room for the
+    largest chart, so chart ``i`` starts at position ``i*S`` and any
+    padding lies above its guard.  The columns come from the family's
+    incidence table: each part's column of it, spread to stride ``S``,
+    marks the starts of the charts that hold the part, and with
+    round-robin parts coordinate ``c`` lies in part ``c % T``.
     """
 
     def __init__(self, family: CoverFamily):
@@ -60,45 +65,43 @@ class LearnerState:
         T = len(parts)
         if parts != round_robin_parts(n, T):
             raise ValueError("charts are laid out over round-robin parts")
-        subsets = dict.fromkeys(family.subsets)
+        subsets = family.subsets
+        table = family.incidence
+        # Keep each subset's first row, so the charts come in family order.
+        m = len(subsets)
+        firsts = dict(zip(reversed(subsets), range(m - 1, -1, -1)))
+        if len(firsts) < m:
+            table = bytearray(table)
+            for i in sorted(set(range(m)).difference(firsts.values()))[::-1]:
+                del table[i * T:i * T + T]
         rows, extra = divmod(n, T) if T else (0, 0)
-        # Room for the longest layout the subsets could need.
-        room = (rows + 1) * sum(map(len, subsets)) + 2 * len(subsets)
-        nbytes = room // 8 + 1
-        bases: dict[int, list[bytearray]] = {}
-        guards_by_dim: dict[int, bytearray] = {}
-        width = 0
-        for subset in subsets:
-            chart = sorted(subset)
-            size = len(chart)
-            per_part = bases.get(size)
-            if per_part is None:
-                per_part = bases[size] = [bytearray(nbytes) for _ in range(T)]
-            for pos, part in enumerate(chart, width):
-                per_part[part][pos >> 3] |= 1 << (pos & 7)
-            dim = rows * size + bisect_left(chart, extra)
-            width += dim + 2
-            guard = guards_by_dim.get(dim)
-            if guard is None:
-                guard = guards_by_dim[dim] = bytearray(nbytes)
-            guard[(width - 1) >> 3] |= 1 << ((width - 1) & 7)
-        cols = [0] * n
-        for size, per_part in bases.items():
-            for part, buf in enumerate(per_part):
-                base = int.from_bytes(buf, "little")
-                if base & (base >> 1):
-                    # only a part listed twice in one subset sets two
-                    # neighbouring positions
-                    raise ValueError(f"a subset lists part {part} twice")
-                for row, c in enumerate(range(part, n, T)):
-                    cols[c] |= base << (size * row)
-        dims = sorted(
-            (d, int.from_bytes(buf, "little"))
-            for d, buf in guards_by_dim.items()
-        )
-        guards = reduce(or_, (mask for _, mask in dims), 0)
-        # Segment i starts one past guard i - 1.
-        starts = ((guards << 1) | 1) ^ (1 << width) if width else 0
+        widest = max(map(len, firsts), default=0)
+        stride = rows * widest + min(widest, extra) + 2
+        segment = (1 << stride) - 1
+        starts = ((1 << len(firsts) * stride) - 1) // segment
+        # Per part, the starts of the charts that hold it, then their segments.
+        masks = spread_columns(table, T, stride)
+        if sum(map(int.bit_count, masks)) != sum(map(len, firsts)):
+            # only a part listed twice in one subset sets fewer bytes
+            part = next(p for sub in subsets for p in sub if sub.count(p) > 1)
+            raise ValueError(f"a subset lists part {part} twice")
+        for part, spread in enumerate(masks):
+            masks[part] = spread * segment
+        # One cursor per chart walks the coordinates in ascending order: a
+        # chart holding coordinate c puts c's basis vector at its cursor and
+        # moves the cursor up one, so the cursors end on the points.
+        cols = []
+        cursor = starts
+        for _, mask in zip(range(n), cycle(masks or [0])):
+            col = cursor & mask
+            cursor += col
+            cols.append(col)
+        guards = cursor << 1
+        dims = []
+        for d in range(stride - 1):
+            mask = guards & (starts << (d + 1))
+            if mask:
+                dims.append((d, mask))
         self._cols = cols
         self._guards = guards
         self._starts = starts

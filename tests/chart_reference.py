@@ -21,16 +21,25 @@ the library's learner must agree with it round by round.
 to generator form: global-coordinate constraint rows appended in insertion
 order, reduced once per chart per round, and solved by
 :func:`back_substitute` for the canonical point.
+
+:func:`reference_layout` is the bit-sliced layout builder the library
+shipped before its charts moved to one stride and one incidence table:
+charts packed back to back at ``dim + 2`` positions each, with per-size
+bytearrays of part bases and one guard bytearray per dimension.
+:func:`reference_state` runs the library's rounds on that layout.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from sparseparity.cover import CoverFamily
+from sparseparity.cover import CoverFamily, round_robin_parts
 from sparseparity.errors import AllChartsEmptyError, LengthMismatchError
 from sparseparity.gf2 import BitVector
 from sparseparity.online import LearnerState
@@ -421,9 +430,10 @@ def _vectors(columns: np.ndarray, positions: np.ndarray) -> list[int]:
 def decode_charts(state: LearnerState) -> list[SubspaceChart]:
     """The live charts of the bit-sliced learner, in family order.
 
-    Chart ``i``'s segment ends at guard ``i``, the point sits just under
-    its guard, and its live basis vectors are the basis mask's positions
-    between guard ``i - 1`` and the point.
+    The point of chart ``i`` sits just under guard ``i``, and its live
+    basis vectors are the basis mask's positions between guard ``i - 1``
+    and that point.  Padding between a guard and the next chart holds no
+    basis bit, so this reads a padded layout and a packed one alike.
     """
     family = state.family
     width = state._guards.bit_length()
@@ -449,3 +459,90 @@ def decode_charts(state: LearnerState) -> list[SubspaceChart]:
             )
         start = end
     return charts
+
+
+class ReferenceLayout(NamedTuple):
+    cols: list[int]
+    guards: int
+    starts: int
+    dims: list[tuple[int, int]]
+
+
+def reference_layout(family: CoverFamily) -> ReferenceLayout:
+    """The charts of ``family`` laid out back to back, ``dim + 2`` each.
+
+    Each distinct subset, in family order, owns its basis positions in
+    ascending coordinate, then its point, then its guard; the next chart
+    starts one past the guard, so charts of unequal dimension pack without
+    padding.
+    """
+    n = family.params.n
+    parts = family.parts
+    T = len(parts)
+    if parts != round_robin_parts(n, T):
+        raise ValueError("charts are laid out over round-robin parts")
+    subsets = dict.fromkeys(family.subsets)
+    rows, extra = divmod(n, T) if T else (0, 0)
+    # Room for the longest layout the subsets could need.
+    room = (rows + 1) * sum(map(len, subsets)) + 2 * len(subsets)
+    nbytes = room // 8 + 1
+    bases: dict[int, list[bytearray]] = {}
+    guards_by_dim: dict[int, bytearray] = {}
+    width = 0
+    for subset in subsets:
+        chart = sorted(subset)
+        size = len(chart)
+        per_part = bases.get(size)
+        if per_part is None:
+            per_part = bases[size] = [bytearray(nbytes) for _ in range(T)]
+        for pos, part in enumerate(chart, width):
+            per_part[part][pos >> 3] |= 1 << (pos & 7)
+        dim = rows * size + bisect_left(chart, extra)
+        width += dim + 2
+        guard = guards_by_dim.get(dim)
+        if guard is None:
+            guard = guards_by_dim[dim] = bytearray(nbytes)
+        guard[(width - 1) >> 3] |= 1 << ((width - 1) & 7)
+    cols = [0] * n
+    for size, per_part in bases.items():
+        for part, buf in enumerate(per_part):
+            base = int.from_bytes(buf, "little")
+            if base & (base >> 1):
+                # only a part listed twice in one subset sets two
+                # neighbouring positions
+                raise ValueError(f"a subset lists part {part} twice")
+            for row, c in enumerate(range(part, n, T)):
+                cols[c] |= base << (size * row)
+    dims = sorted(
+        (d, int.from_bytes(buf, "little"))
+        for d, buf in guards_by_dim.items()
+    )
+    guards = reduce(or_, (mask for _, mask in dims), 0)
+    # Segment i starts one past guard i - 1.
+    starts = ((guards << 1) | 1) ^ (1 << width) if width else 0
+    return ReferenceLayout(cols, guards, starts, dims)
+
+
+def reference_state(family: CoverFamily) -> LearnerState:
+    """A fresh library learner over :func:`reference_layout`'s positions.
+
+    The round only needs every chart's segment to run from its start to
+    its guard, so the library's ``learner_update`` steps it unchanged.
+    """
+    layout = reference_layout(family)
+    state = object.__new__(LearnerState)
+    state.n = family.params.n
+    state.k = family.params.k
+    state.family = family
+    state._cols = layout.cols
+    state._guards = state._live = layout.guards
+    state._starts = layout.starts
+    state._dims = layout.dims
+    state._initial_dims = tuple((d, mask) for d, mask in layout.dims if d)
+    state._basis = (layout.guards >> 1) - layout.starts
+    state.live_charts = layout.guards.bit_count()
+    state.mistakes = state.rounds = 0
+    state.initial_mass = state.mass = sum(
+        mask.bit_count() << d for d, mask in layout.dims
+    )
+    return state

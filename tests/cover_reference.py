@@ -4,6 +4,10 @@ This is the check the library shipped before :func:`verify_cover` moved
 to part bitsets: it builds the mask of every k-subset of every drawn
 subset, then looks up the mask of every k-subset of parts in lex order.
 The library's check must return the same ``(verified, witness)`` pair.
+
+:func:`reference_holders` is the loop that filled the part bitsets before
+they were read off the family's incidence table: one OR of ``1 << index``
+per (subset, part) pair.
 """
 
 from __future__ import annotations
@@ -16,6 +20,16 @@ from sparseparity.cover import (
     binom,
 )
 from sparseparity.errors import BudgetExceededError
+
+
+def reference_holders(family: CoverFamily) -> list[int]:
+    """``holders[p]`` has bit ``index`` set for each subset holding ``p``."""
+    T = family.params.T
+    holders = [0] * T
+    for index, subset in enumerate(family.subsets):
+        for part in subset:
+            holders[part] |= 1 << index
+    return holders
 
 
 def reference_verify_cover(

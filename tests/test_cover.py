@@ -11,18 +11,20 @@ from hypothesis import strategies as st
 from sparseparity.cover import (
     CoverFamily,
     CoverParams,
+    _first_uncovered,
     binom,
     build_verified_family,
     family_size_m,
     ratio_bound_report,
     round_robin_parts,
     sample_family,
+    spread_columns,
     verify_cover,
 )
 from sparseparity.errors import BudgetExceededError
 from sparseparity.rng import SplitMix64
 
-from cover_reference import reference_verify_cover
+from cover_reference import reference_holders, reference_verify_cover
 
 
 class TestBinom:
@@ -282,6 +284,92 @@ class TestReferenceEquivalence:
             )
         )
         assert_same_check(hand_family(T, k, t, alpha, map(sorted, subsets)))
+
+
+class TestIncidenceHolders:
+    """The part bitsets read off the incidence table equal the ones the OR
+    loop built, and the walk finds the same witness from either."""
+
+    @staticmethod
+    def assert_same_holders(family):
+        holders = spread_columns(family.incidence, len(family.parts), 1)
+        expected = reference_holders(family)
+        assert holders == expected
+        k, drawn = family.params.k, (1 << family.m) - 1
+        witness = _first_uncovered(holders, k, drawn)
+        assert witness == _first_uncovered(expected, k, drawn)
+        assert witness == reference_verify_cover(family)[1]
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_drawn_families_cut_and_repeated(self, data):
+        alpha = data.draw(st.integers(min_value=2, max_value=3))
+        t = data.draw(st.integers(min_value=0, max_value=5))
+        k = data.draw(st.integers(min_value=0, max_value=t))
+        n = alpha * t + data.draw(st.integers(min_value=0, max_value=4))
+        params = CoverParams(n=n, k=k, t=t, alpha=alpha)
+        family = sample_family(params, data.draw(st.integers(0, 2**64 - 1)))
+        m = family.m
+        cut = data.draw(st.sampled_from((m, m // 3, m // 10, 1)))
+        subsets = family.subsets[:cut]
+        if subsets:
+            repeats = data.draw(
+                st.lists(st.integers(0, len(subsets) - 1), max_size=6)
+            )
+            subsets += tuple(subsets[i] for i in repeats)
+        self.assert_same_holders(dataclasses.replace(family, subsets=subsets))
+
+    @pytest.mark.parametrize("n,k,t,alpha", gate_configs()[:3])
+    def test_gate_two_configs(self, n, k, t, alpha):
+        family = sample_family(CoverParams(n=n, k=k, t=t, alpha=alpha), 31)
+        for cut in (family.m, family.m // 3, family.m // 10, 1):
+            self.assert_same_holders(
+                dataclasses.replace(family, subsets=family.subsets[:cut])
+            )
+
+    def test_zero_sparsity_and_the_fewest_parts(self):
+        self.assert_same_holders(hand_family(6, 0, 3, 2, [(), (), (4, 1)]))
+        self.assert_same_holders(hand_family(2, 1, 1, 2, [(1,), (0, 1), (1,)]))
+        self.assert_same_holders(hand_family(2, 1, 1, 2, [(1,), (1,)]))
+
+    def test_a_certified_copy_keeps_the_table(self):
+        family = sample_family(CoverParams(n=16, k=2, t=4, alpha=2), 1)
+        certified, witness = verify_cover(family)
+        assert witness is None
+        assert certified.incidence is family.incidence
+
+    def test_a_part_out_of_range_raises(self):
+        with pytest.raises(IndexError):
+            hand_family(4, 1, 2, 2, [(0, 4), (1,)]).incidence
+
+
+class TestSpreadColumns:
+    @given(
+        st.integers(min_value=1, max_value=5).flatmap(
+            lambda width: st.tuples(
+                st.just(width),
+                st.lists(
+                    st.lists(
+                        st.integers(0, 1), min_size=width, max_size=width
+                    ),
+                    max_size=40,
+                ),
+            )
+        ),
+        st.integers(min_value=1, max_value=21),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_definition(self, shape, stride):
+        width, rows = shape
+        table = bytes(bit for row in rows for bit in row)
+        expected = [
+            sum(1 << (i * stride) for i, row in enumerate(rows) if row[p])
+            for p in range(width)
+        ]
+        assert spread_columns(table, width, stride) == expected
+
+    def test_no_columns(self):
+        assert spread_columns(b"", 0, 9) == []
 
 
 class TestBuildVerifiedFamily:

@@ -6,9 +6,11 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from sparseparity import harness
 from sparseparity.cover import CoverParams, binom, family_size_m, sample_family
 from sparseparity.errors import BudgetExceededError
 from sparseparity.harness import (
@@ -23,6 +25,7 @@ from sparseparity.harness import (
     run_learn_noisy,
 )
 from sparseparity.noisy import NoisyParams, flip_set_count
+from sparseparity.online import LearnerState
 
 
 def run_cli(tmp_path, argv, name="report.txt"):
@@ -319,6 +322,32 @@ def test_bench_two_point_grid(tmp_path):
     assert all(float(r["identified_frac"]) == 1.0 for r in rows)
 
 
+def test_bench_round_time_leaves_construction_out(monkeypatch):
+    """On a fake clock that charges 1 s per learner build and 1 us per
+    round, rounds read 1 us each while a trial's wall time holds both."""
+    now = [0]
+    clock = SimpleNamespace(perf_counter_ns=lambda: now[0])
+    monkeypatch.setattr("sparseparity.harness.time", clock)
+    build, step = harness.new_learner, LearnerState.step
+
+    def slow_build(*args, **kwargs):
+        now[0] += 10**9
+        return build(*args, **kwargs)
+
+    def timed_step(self, a, y):
+        now[0] += 1000
+        return step(self, a, y)
+
+    monkeypatch.setattr("sparseparity.harness.new_learner", slow_build)
+    monkeypatch.setattr(LearnerState, "step", timed_step)
+    table = bench_tradeoff(
+        n=16, k=2, t_values=(4, 2), alpha=2, trials=3, seed=17
+    )
+    assert [row["mean_round_wall_ns"] for row in table] == [1000.0, 1000.0]
+    for row in run_learn_noiseless(16, 2, 4, 2, trials=3, seed=17).rows:
+        assert row.wall_ns == 10**9 + 1000 * row.samples
+
+
 def test_bench_single_point_grid():
     table = bench_tradeoff(n=16, k=1, t_values=(4,), alpha=2, trials=2, seed=8)
     assert len(table) == 1
@@ -400,6 +429,9 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "data"
           "--delta", "0.2", "--s-prime", "30", "--trials", "4",
           "--seed", "21"],
          "wall_ns", "golden_learn_noisy_mitm_k3.csv"),
+        (["learn-noiseless", "--n", "32", "--k", "4", "--t", "8",
+          "--alpha", "3", "--trials", "3", "--seed", "22"],
+         "wall_ns", "golden_learn_noiseless_k4.csv"),
     ],
 )
 def test_reports_match_golden_output(tmp_path, argv, wall_column, golden):
@@ -410,7 +442,9 @@ def test_reports_match_golden_output(tmp_path, argv, wall_column, golden):
     moved to global coordinates; the weight-2 meet-in-the-middle report
     and the cover check were written by the two-table join that the
     syndrome map replaced, and the weight-3 report by the coordinate-split
-    join that its pair table replaced.  A report without a wall-clock
+    join that its pair table replaced; the weight-4 noiseless report was
+    written by the chart layout that packed charts back to back, before
+    they moved to one padded stride.  A report without a wall-clock
     column is compared whole.
     """
     code, text = run_cli(tmp_path, argv)

@@ -20,6 +20,8 @@ from chart_reference import (
     RowLearner,
     back_substitute,
     decode_charts,
+    reference_layout,
+    reference_state,
 )
 
 V = BitVector.from01
@@ -621,6 +623,12 @@ class TestInvalidFamilies:
         with pytest.raises(ValueError, match="twice"):
             hand_state(6, 1, 1, 3, [(0, 1), (2, 2)])
 
+    def test_a_repeated_part_is_caught_among_repeated_subsets(self):
+        with pytest.raises(ValueError, match="part 2 twice"):
+            hand_state(6, 1, 1, 3, [(0, 1), (0, 1), (2, 2), (0, 1), (2, 2)])
+        with pytest.raises(ValueError, match="part 0 twice"):
+            hand_state(6, 1, 1, 3, [(1, 2), (0, 1, 0), (1, 2)])
+
 
 class TestChartReferenceEquivalence:
     """Round-by-round agreement with the per-chart learner it replaced.
@@ -730,6 +738,16 @@ class TestChartReferenceEquivalence:
         with pytest.raises(AllChartsEmptyError):
             state.step(*complemented[0])
 
+    def test_stride_below_a_byte(self):
+        # n = T = 6 and subsets of at most two parts give a stride of
+        # 2 + 2 = 4, so two charts start in every byte.
+        pairs = list(itertools.combinations(range(6), 2))
+        family = hand_family(6, 1, 3, 2, pairs + [(3,), (0, 5), (2,)])
+        assert LearnerState(family)._starts & 0xFF == 0b10001
+        hidden = BitVector.from_support(6, [1, 4])
+        for seed in range(4):
+            self.drive(family, self.stream(hidden, seed, 30, 0.1 * seed))
+
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_random_families_and_streams(self, data):
@@ -752,3 +770,70 @@ class TestChartReferenceEquivalence:
         eta = data.draw(st.sampled_from((0.0, 0.1, 0.45)))
         seed = data.draw(st.integers(min_value=0, max_value=2**32))
         self.drive(family, self.stream(BitVector(n, hidden), seed, 30, eta))
+
+
+class TestLayoutReferenceEquivalence:
+    """The layout against the back-to-back builder it replaced.
+
+    With one subset size and ``n % T == 0`` every chart fills the stride,
+    so the two layouts agree bit for bit.  Otherwise the charts are padded
+    to one stride, and the learners must still agree at every round.
+    """
+
+    @staticmethod
+    def assert_same_layout(family):
+        state, ref = LearnerState(family), reference_layout(family)
+        assert state._cols == ref.cols
+        assert state._guards == ref.guards
+        assert state._starts == ref.starts
+        assert state._dims == ref.dims
+
+    @pytest.mark.parametrize("n,k,t,alpha", [(48, 2, 12, 2), (96, 2, 16, 2)])
+    def test_gate_configs(self, n, k, t, alpha):
+        for seed in range(3):
+            self.assert_same_layout(new_learner(n, k, t, alpha, seed).family)
+
+    def test_one_part(self):
+        family = CoverFamily(
+            params=CoverParams(n=5, k=0, t=0, alpha=2),
+            parts=(tuple(range(5)),),
+            subsets=((0,), (0,)),
+            verified=False,
+        )
+        self.assert_same_layout(family)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_uniform_families(self, data):
+        alpha = data.draw(st.integers(min_value=2, max_value=4))
+        t = data.draw(st.integers(min_value=1, max_value=4))
+        T = alpha * t
+        n = T * data.draw(st.integers(min_value=1, max_value=3))
+        size = data.draw(st.integers(min_value=0, max_value=T))
+        subset = st.lists(
+            st.integers(min_value=0, max_value=T - 1),
+            unique=True, min_size=size, max_size=size,
+        ).map(tuple)
+        subsets = data.draw(st.lists(subset, min_size=1, max_size=12))
+        k = data.draw(st.integers(min_value=0, max_value=t))
+        self.assert_same_layout(hand_family(n, k, t, alpha, subsets))
+
+    @pytest.mark.parametrize("n,k,t,alpha", [(64, 3, 12, 2), (32, 4, 8, 3)])
+    def test_padded_layouts_step_alike(self, n, k, t, alpha):
+        rows, extra = divmod(n, alpha * t)
+        stride = rows * alpha * k + min(alpha * k, extra) + 2
+        for trial in range(3):
+            family = new_learner(n, k, t, alpha, rng_seed=40 + trial).family
+            state, ref = LearnerState(family), reference_state(family)
+            # The stride is the largest chart's dim + 2, and no wider.
+            assert state._starts & ((2 << stride) - 1) == 1 | (1 << stride)
+            assert state._guards.bit_length() > ref._guards.bit_length()
+            source = UniformSource(gen_hidden(n, k, trial), seed=trial)
+            while ref.identified() is None:
+                ex = source.next_example()
+                assert state.step(ex.a, ex.label) == ref.step(ex.a, ex.label)
+                assert (state.mass, state.mistakes) == (ref.mass, ref.mistakes)
+                assert state.live_charts == ref.live_charts
+                assert state.best_hypothesis() == ref.best_hypothesis()
+                assert decode_charts(state) == decode_charts(ref)
+            assert state.identified() == ref.identified()
