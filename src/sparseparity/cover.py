@@ -8,7 +8,8 @@ better than 1/2, and :func:`build_verified_family` resamples until
 :func:`verify_cover` certifies coverage by ANDing per-part bitsets of the
 drawn subsets along a walk of the ``C(T, k)`` k-subsets of parts.
 The part bitsets and the chart columns of the learner are both sliced out
-of the family's ``m x T`` 0/1 incidence table, filled once on first use.
+of the family's ``m x T`` 0/1 incidence table, which the sampler fills as
+it draws.
 """
 
 from __future__ import annotations
@@ -86,14 +87,20 @@ class CoverFamily:
     def incidence(self) -> bytes:
         """Byte ``i * len(parts) + p`` is 1 when subset ``i`` holds part ``p``.
 
-        Filled on first use; :func:`verify_cover` hands it on.
+        :func:`sample_family` fills it as it draws and :func:`verify_cover`
+        hands it on; for a family built by hand it is filled on first use.
+        Raises ValueError for a part outside ``range(len(parts))``.
         """
-        table = bytearray()
-        for subset in self.subsets:
-            row = bytearray(len(self.parts))  # so a part out of range raises
+        T = len(self.parts)
+        table = bytearray(len(self.subsets) * T)
+        for i, subset in enumerate(self.subsets):
             for part in subset:
-                row[part] = 1
-            table += row
+                if not 0 <= part < T:
+                    raise ValueError(
+                        f"part {part} is outside range({T}) in subset "
+                        f"{subset}"
+                    )
+                table[i * T + part] = 1
         return bytes(table)
 
     @property
@@ -128,31 +135,45 @@ def sample_family(params: CoverParams, rng_seed: int) -> CoverFamily:
     same rejection of each word's low bits, fed from ``words`` blocks
     instead of one ``next_u64`` call per word.  The generator is private to
     the family, so the words drawn past the last one used are never seen.
+    Each subset's row of the incidence table is written as its parts are
+    drawn, and the family carries the table.
     """
     T, ak = params.T, params.alpha * params.k
-    words = chain.from_iterable(
+    m = family_size_m(params)
+    draw = chain.from_iterable(
         map(SplitMix64(rng_seed).words, repeat(_WORD_BLOCK))
-    )
+    ).__next__
     # below(1) draws no word, so only the first T - 1 swaps draw.
     draws = min(ak, T - 1)
-    masks = [(1 << (T - 1 - i).bit_length()) - 1 for i in range(draws)]
+    steps = [
+        (i, (1 << (T - 1 - i).bit_length()) - 1, T - i) for i in range(draws)
+    ]
+    parts = list(range(T))
+    table = bytearray(m * T)
     subsets = []
-    for _ in range(family_size_m(params)):
-        pool = list(range(T))
-        for i, mask in enumerate(masks):
-            bound = T - i
-            offset = next(words) & mask
+    for base in map(T.__mul__, range(m)):
+        pool = parts[:]
+        for i, mask, bound in steps:
+            offset = draw() & mask
             while offset >= bound:
-                offset = next(words) & mask
+                offset = draw() & mask
             j = i + offset
-            pool[i], pool[j] = pool[j], pool[i]
+            part = pool[j]
+            pool[j] = pool[i]
+            pool[i] = part
+            table[base + part] = 1
+        # With alpha*k = T the last part is taken without a draw.
+        for part in pool[draws:ak]:
+            table[base + part] = 1
         subsets.append(tuple(sorted(pool[:ak])))
-    return CoverFamily(
+    family = CoverFamily(
         params=params,
         parts=round_robin_parts(params.n, T),
         subsets=tuple(subsets),
         verified=False,
     )
+    family.__dict__["incidence"] = bytes(table)
+    return family
 
 
 def verify_cover(

@@ -18,9 +18,14 @@ Column ``c`` is one int whose bit ``p`` says that vector ``p`` holds
 coordinate ``c``.  A round XORs the columns of the
 example's set coordinates, which gives every parity of every vector at
 once; one guarded subtraction per round finds each chart's first odd basis
-vector (Warren, *Hacker's Delight*, ch. 2), and a few more whole-int
-operations per column apply every chart's update.  Positions of dropped
-pivots and dead charts stay in place; masks say which are live.
+vector (Warren, *Hacker's Delight*, ch. 2).  A column whose coordinate
+some pivot holds then takes four more whole-int operations.  The bits to
+flip lie from each pivot up to its point; adding the column's held pivots
+to the runs from pivot to point carries exactly the held runs into their
+guards, so masking the sum with the flips alone keeps the flips of the
+segments the column must not change, and XORing them out of the flips
+leaves those it must.  Positions of
+dropped pivots and dead charts stay in place; masks say which are live.
 """
 
 from __future__ import annotations
@@ -255,14 +260,17 @@ def learner_update(state: LearnerState, a: BitVector, y: int) -> int:
         if y:
             flips ^= points
         # Odd basis vectors (their pivot included, which is dropped anyway)
-        # and the points whose label is not y.
+        # and the points whose label is not y: all from a pivot up.
         flips |= parities & basis
         # From each pivot up to its segment's point.
         fill = split - pivots
         for c, col in enumerate(cols):
             held = col & pivots
             if held:
-                cols[c] = col ^ ((((fill + held) & split) - held) & flips)
+                # A held pivot carries its fill into the guard, which flips
+                # lacks, so the masked sum is the flips of the segments
+                # whose pivot misses this coordinate.
+                cols[c] = col ^ flips ^ ((fill + held) & flips)
         basis ^= pivots
     if dead:
         for d, guards in state._initial_dims:

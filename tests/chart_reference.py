@@ -27,6 +27,10 @@ shipped before its charts moved to one stride and one incidence table:
 charts packed back to back at ``dim + 2`` positions each, with per-size
 bytearrays of part bases and one guard bytearray per dimension.
 :func:`reference_state` runs the library's rounds on that layout.
+
+:func:`six_operation_update` is the library's round as it was before its
+column update dropped a subtraction and two operations; the library's
+round must leave the same columns, masks and counters.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
+from itertools import compress
+from operator import or_, xor
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -42,7 +47,7 @@ import numpy as np
 from sparseparity.cover import CoverFamily, round_robin_parts
 from sparseparity.errors import AllChartsEmptyError, LengthMismatchError
 from sparseparity.gf2 import BitVector
-from sparseparity.online import LearnerState
+from sparseparity.online import _DIGITS, LearnerState
 
 from affine_reference import AffineSpace, Row, reduce_rows
 
@@ -546,3 +551,97 @@ def reference_state(family: CoverFamily) -> LearnerState:
         mask.bit_count() << d for d, mask in layout.dims
     )
     return state
+
+
+def six_operation_update(state: LearnerState, a: BitVector, y: int) -> int:
+    """The library's round as it was before the column update lost its
+    subtraction: every column that meets a pivot takes
+    ``col ^ ((((fill + held) & split) - held) & flips)``.
+
+    Steps a :class:`LearnerState` in place and returns the prediction.
+    """
+    if y not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {y!r}")
+    if a.n != state.n:
+        raise ValueError(
+            f"example has length {a.n} but the learner is over {state.n} "
+            "coordinates"
+        )
+    live = state._live
+    if not live:
+        raise AllChartsEmptyError(
+            "no live charts: the stream is inconsistent with every "
+            "tracked hypothesis"
+        )
+    cols = state._cols
+    basis = state._basis
+    # Bit p of parities is <a, vector p>.
+    coords = bin(a.value)[:1:-1].encode().translate(_DIGITS)
+    parities = reduce(xor, compress(cols, coords), 0)
+    # Each segment's lowest set bit of x: its first odd basis vector, else
+    # its guard.  The guards stop every borrow inside its own segment.
+    x = (parities & basis) | state._guards
+    low = x & (x ^ (x - state._starts))
+    pivots = low & basis
+    const = low & live
+    # Guards of the constant charts whose point has odd parity.
+    ones = const & (parities << 1)
+    dead = const ^ ones if y else ones
+    split = live ^ const
+    mass = [0, 0]
+    dims = []
+    for d, guards in state._dims:
+        held = guards & const
+        kept = 0
+        if held:
+            odd = held & ones
+            even = held ^ odd
+            mass[1] += odd.bit_count() << d
+            mass[0] += even.bit_count() << d
+            kept = odd if y else even
+            guards ^= held
+        if guards:
+            # Split charts lose one dimension; dims ascend, so only the
+            # last entry can be at d - 1.
+            if dims and dims[-1][0] == d - 1:
+                dims[-1] = (d - 1, dims[-1][1] | guards)
+            else:
+                dims.append((d - 1, guards))
+        if kept:
+            dims.append((d, kept))
+    guess = 0 if mass[0] >= mass[1] else 1
+    if guess != y:
+        state.mistakes += 1
+    if split:
+        points = split >> 1
+        flips = points & parities
+        if y:
+            flips ^= points
+        # Odd basis vectors (their pivot included, which is dropped anyway)
+        # and the points whose label is not y.
+        flips |= parities & basis
+        # From each pivot up to its segment's point.
+        fill = split - pivots
+        for c, col in enumerate(cols):
+            held = col & pivots
+            if held:
+                cols[c] = col ^ ((((fill + held) & split) - held) & flips)
+        basis ^= pivots
+    if dead:
+        for d, guards in state._initial_dims:
+            gone = dead & guards
+            if gone:
+                basis &= ~((gone >> (d + 1)) * ((1 << d) - 1))
+        live ^= dead
+        state.live_charts -= dead.bit_count()
+    state._basis = basis
+    state._live = live
+    state._dims = dims
+    state.rounds += 1
+    state.mass = (state.mass - mass[0] - mass[1]) // 2 + mass[y]
+    if not live:
+        raise AllChartsEmptyError(
+            "all charts died: labels are noisy or the target is not a "
+            f"weight-{state.k} parity"
+        )
+    return guess

@@ -8,6 +8,11 @@ The library's check must return the same ``(verified, witness)`` pair.
 :func:`reference_holders` is the loop that filled the part bitsets before
 they were read off the family's incidence table: one OR of ``1 << index``
 per (subset, part) pair.
+
+:func:`reference_sample_family` and :func:`reference_incidence` are the
+two passes the library made before :func:`sample_family` filled the
+incidence table as it drew: the subsets first, then a row per subset.
+The library's sampler must give the same subsets and the same bytes.
 """
 
 from __future__ import annotations
@@ -15,11 +20,55 @@ from __future__ import annotations
 import itertools
 
 from sparseparity.cover import (
+    _WORD_BLOCK,
     DEFAULT_ENUMERATION_BUDGET,
     CoverFamily,
+    CoverParams,
     binom,
+    family_size_m,
+    round_robin_parts,
 )
 from sparseparity.errors import BudgetExceededError
+from sparseparity.rng import SplitMix64
+
+
+def reference_sample_family(params: CoverParams, rng_seed: int) -> CoverFamily:
+    """The subsets alone: ``m`` block-fed partial Fisher-Yates draws."""
+    T, ak = params.T, params.alpha * params.k
+    words = itertools.chain.from_iterable(
+        map(SplitMix64(rng_seed).words, itertools.repeat(_WORD_BLOCK))
+    )
+    # below(1) draws no word, so only the first T - 1 swaps draw.
+    draws = min(ak, T - 1)
+    masks = [(1 << (T - 1 - i).bit_length()) - 1 for i in range(draws)]
+    subsets = []
+    for _ in range(family_size_m(params)):
+        pool = list(range(T))
+        for i, mask in enumerate(masks):
+            bound = T - i
+            offset = next(words) & mask
+            while offset >= bound:
+                offset = next(words) & mask
+            j = i + offset
+            pool[i], pool[j] = pool[j], pool[i]
+        subsets.append(tuple(sorted(pool[:ak])))
+    return CoverFamily(
+        params=params,
+        parts=round_robin_parts(params.n, T),
+        subsets=tuple(subsets),
+        verified=False,
+    )
+
+
+def reference_incidence(family: CoverFamily) -> bytes:
+    """Byte ``i * len(parts) + p`` is 1 when subset ``i`` holds part ``p``."""
+    table = bytearray()
+    for subset in family.subsets:
+        row = bytearray(len(family.parts))
+        for part in subset:
+            row[part] = 1
+        table += row
+    return bytes(table)
 
 
 def reference_holders(family: CoverFamily) -> list[int]:

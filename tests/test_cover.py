@@ -24,7 +24,12 @@ from sparseparity.cover import (
 from sparseparity.errors import BudgetExceededError
 from sparseparity.rng import SplitMix64
 
-from cover_reference import reference_holders, reference_verify_cover
+from cover_reference import (
+    reference_holders,
+    reference_incidence,
+    reference_sample_family,
+    reference_verify_cover,
+)
 
 
 class TestBinom:
@@ -187,6 +192,54 @@ def hand_family(n, k, t, alpha, subsets):
     )
 
 
+class TestSamplerFillsIncidence:
+    """The sampler's subsets and its table, byte for byte, against the two
+    passes it replaced: sample, then fill a row per subset."""
+
+    @staticmethod
+    def assert_same_draw(params, seed):
+        family = sample_family(params, seed)
+        ref = reference_sample_family(params, seed)
+        assert family.subsets == ref.subsets
+        table = family.__dict__["incidence"]
+        assert type(table) is bytes
+        assert table == reference_incidence(ref)
+        assert table == dataclasses.replace(family).incidence
+
+    @pytest.mark.parametrize(
+        "n,k,t,alpha", [(64, 3, 12, 2), (96, 2, 16, 2), (32, 4, 8, 3)]
+    )
+    def test_gate_two_configs(self, n, k, t, alpha):
+        for seed in range(3):
+            self.assert_same_draw(CoverParams(n=n, k=k, t=t, alpha=alpha), seed)
+
+    # t = 0 gives T = 0; k = t gives alpha*k = T, where only the first
+    # T - 1 swaps draw; T = 24 with
+    # alpha*k = 12 narrows the mask from 5 to 4 bits partway through a
+    # subset; T = 260 and 258 have parts past one byte.
+    @given(
+        st.builds(
+            lambda alpha, t, share, extra: CoverParams(
+                n=alpha * t + extra, k=round(share * t), t=t, alpha=alpha
+            ),
+            st.integers(min_value=2, max_value=4),
+            st.integers(min_value=0, max_value=8),
+            st.floats(min_value=0, max_value=1),
+            st.integers(min_value=0, max_value=3),
+        ),
+        st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @example(CoverParams(n=3, k=0, t=0, alpha=2), 1)
+    @example(CoverParams(n=16, k=8, t=8, alpha=2), 2)
+    @example(CoverParams(n=2, k=1, t=1, alpha=2), 0)
+    @example(CoverParams(n=24, k=4, t=8, alpha=3), 4)
+    @example(CoverParams(n=260, k=1, t=130, alpha=2), 5)
+    @example(CoverParams(n=258, k=1, t=86, alpha=3), 6)
+    @settings(max_examples=80, deadline=None)
+    def test_any_part_count_and_subset_size(self, params, seed):
+        self.assert_same_draw(params, seed)
+
+
 class TestVerifyCover:
     def test_universal_subset_covers(self):
         fam = hand_family(4, 2, 2, 2, [(0, 1, 2, 3)])
@@ -339,8 +392,18 @@ class TestIncidenceHolders:
         assert certified.incidence is family.incidence
 
     def test_a_part_out_of_range_raises(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="part 4 is outside range"):
             hand_family(4, 1, 2, 2, [(0, 4), (1,)]).incidence
+
+    def test_a_negative_part_is_not_read_as_the_last(self):
+        family = CoverFamily(
+            CoverParams(4, 1, 2, 2), round_robin_parts(4, 4),
+            ((-1, 0), (1, 2)), False,
+        )
+        with pytest.raises(ValueError, match="part -1 is outside range"):
+            family.incidence
+        with pytest.raises(ValueError, match="part -1 is outside range"):
+            verify_cover(family)
 
 
 class TestSpreadColumns:

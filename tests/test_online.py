@@ -22,6 +22,7 @@ from chart_reference import (
     decode_charts,
     reference_layout,
     reference_state,
+    six_operation_update,
 )
 
 V = BitVector.from01
@@ -629,6 +630,12 @@ class TestInvalidFamilies:
         with pytest.raises(ValueError, match="part 0 twice"):
             hand_state(6, 1, 1, 3, [(1, 2), (0, 1, 0), (1, 2)])
 
+    def test_a_part_out_of_range_is_not_laid_out(self):
+        with pytest.raises(ValueError, match="part -1 is outside range"):
+            hand_state(4, 1, 2, 2, [(-1, 0), (1, 2)])
+        with pytest.raises(ValueError, match="part 4 is outside range"):
+            hand_state(4, 1, 2, 2, [(1, 2), (0, 4)])
+
 
 class TestChartReferenceEquivalence:
     """Round-by-round agreement with the per-chart learner it replaced.
@@ -770,6 +777,70 @@ class TestChartReferenceEquivalence:
         eta = data.draw(st.sampled_from((0.0, 0.1, 0.45)))
         seed = data.draw(st.integers(min_value=0, max_value=2**32))
         self.drive(family, self.stream(BitVector(n, hidden), seed, 30, eta))
+
+
+class TestColumnUpdateReference:
+    """Round by round, the four-operation column update leaves the columns,
+    masks and counters the six-operation update left."""
+
+    @staticmethod
+    def assert_same_state(state, ref):
+        assert state._cols == ref._cols
+        assert (state._basis, state._live) == (ref._basis, ref._live)
+        assert state._dims == ref._dims
+        assert (state.mass, state.mistakes) == (ref.mass, ref.mistakes)
+        assert (state.rounds, state.live_charts) == (ref.rounds, ref.live_charts)
+
+    def step_both(self, state, ref, a, y):
+        """One round on both learners; False once every chart died."""
+        try:
+            expected = six_operation_update(ref, a, y)
+        except AllChartsEmptyError:
+            with pytest.raises(AllChartsEmptyError):
+                state.step(a, y)
+            self.assert_same_state(state, ref)
+            return False
+        assert state.step(a, y) == expected
+        self.assert_same_state(state, ref)
+        return True
+
+    @pytest.mark.parametrize(
+        "n,k,t,alpha", [(64, 3, 12, 2), (96, 2, 16, 2), (32, 4, 8, 3)]
+    )
+    def test_gate_two_configs(self, n, k, t, alpha):
+        for trial in range(4):
+            family = new_learner(n, k, t, alpha, rng_seed=80 + trial).family
+            state, ref = LearnerState(family), LearnerState(family)
+            hidden = gen_hidden(n, k, 90 + trial)
+            source = UniformSource(hidden, seed=trial)
+            while ref.identified() is None:
+                ex = source.next_example()
+                self.step_both(state, ref, ex.a, ex.label)
+            assert state.identified() == hidden
+
+    def test_flipped_labels_until_every_chart_dies(self):
+        family = new_learner(48, 2, 12, 2, rng_seed=5).family
+        state, ref = LearnerState(family), LearnerState(family)
+        source = UniformSource(gen_hidden(48, 2, 6), seed=7)
+        for ex in take(source, 200):
+            if not self.step_both(state, ref, ex.a, ex.label ^ 1):
+                break
+        assert state.live_charts == 0 and state.mass == 0
+
+    def test_forks_step_independently(self):
+        family = new_learner(48, 2, 12, 2, rng_seed=9).family
+        hidden = gen_hidden(48, 2, 10)
+        honest = take(UniformSource(hidden, seed=11), 40)
+        noisy = take(UniformSource(hidden, seed=12, eta=0.3), 40)
+        state, ref = LearnerState(family), LearnerState(family)
+        for i, ex in enumerate(honest[:25]):
+            twin, ref_twin = state.fork(), ref.fork()
+            for other in noisy[i:i + 6]:
+                if not self.step_both(twin, ref_twin, other.a, other.label):
+                    break
+            self.assert_same_state(state, ref)
+            if not self.step_both(state, ref, ex.a, ex.label):
+                break
 
 
 class TestLayoutReferenceEquivalence:
