@@ -4,9 +4,12 @@ The construction splits the ``n`` coordinates round-robin into ``T = alpha*t``
 parts and draws ``m`` random ``alpha*k``-element subsets of the part indices.
 A family *covers* when every ``k``-subset of part indices is contained in
 some drawn subset; ``m`` is sized so a single draw covers with probability
-better than 1/2, and :func:`build_verified_family` resamples until
-:func:`verify_cover` certifies coverage by ANDing per-part bitsets of the
-drawn subsets along a walk of the ``C(T, k)`` k-subsets of parts.
+better than 1/2.  :func:`verify_cover` certifies coverage by ANDing
+per-part bitsets of the drawn subsets along a walk of the ``C(T, k)``
+k-subsets of parts, unless that walk is over ``ENUMERATION_BUDGET``.
+:func:`build_verified_family` resamples up to ``SAMPLE_ATTEMPTS`` times
+until one family verifies, and otherwise hands back the seed's first
+sample, unverified.
 The part bitsets and the chart columns of the learner are both sliced out
 of the family's ``m x T`` 0/1 incidence table, which the sampler fills as
 it draws.
@@ -26,21 +29,15 @@ from .rng import SplitMix64
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_ENUMERATION_BUDGET = 10**6
-DEFAULT_SAMPLE_ATTEMPTS = 10
+# Both are read at call time, not bound as argument defaults.
+ENUMERATION_BUDGET = 10**6
+SAMPLE_ATTEMPTS = 10
 # Words mixed at once while sampling a family: UniformSource's block size,
 # so SplitMix64.words keeps one set of cached lane constants for both.
 _WORD_BLOCK = 256
 # Map 0/1 bytes to the ASCII digits int(..., 2) reads, and to 0 and bit b.
 _ASCII = bytes.maketrans(b"\0\1", b"01")
 _PHASES = [bytes.maketrans(b"\0\1", bytes((0, 1 << b))) for b in range(8)]
-
-
-def binom(x: int, y: int) -> int:
-    """Exact binomial coefficient; 0 when y > x."""
-    if x < 0 or y < 0:
-        raise ValueError("binom arguments must be nonnegative")
-    return math.comb(x, y)
 
 
 @dataclass(frozen=True)
@@ -117,8 +114,8 @@ def family_size_m(params: CoverParams) -> int:
     T, k, ak = params.T, params.k, params.alpha * params.k
     if k == 0:
         return 1
-    ratio = Fraction(binom(T, ak), binom(T - k, ak - k))
-    m = math.ceil(2 * ratio * math.log(binom(T, k)))
+    ratio = Fraction(math.comb(T, ak), math.comb(T - k, ak - k))
+    m = math.ceil(2 * ratio * math.log(math.comb(T, k)))
     return max(1, m)
 
 
@@ -177,7 +174,7 @@ def sample_family(params: CoverParams, rng_seed: int) -> CoverFamily:
 
 
 def verify_cover(
-    family: CoverFamily, budget: int = DEFAULT_ENUMERATION_BUDGET
+    family: CoverFamily,
 ) -> tuple[CoverFamily, tuple[int, ...] | None]:
     """Check that every k-subset of parts lies inside some drawn subset.
 
@@ -188,13 +185,15 @@ def verify_cover(
     prefix whose AND is already 0 leaves every completion uncovered, so its
     first completion is the witness.  Returns ``(certified_family, None)``
     on success, or the unchanged family with the lexicographically first
-    uncovered k-subset as witness.
+    uncovered k-subset as witness.  Raises BudgetExceededError when
+    ``C(T, k)`` is over ``ENUMERATION_BUDGET``.
     """
     T, k = family.params.T, family.params.k
-    total = binom(T, k)
-    if total > budget:
+    total = math.comb(T, k)
+    if total > ENUMERATION_BUDGET:
         raise BudgetExceededError(
-            f"C(T={T}, k={k}) = {total} exceeds enumeration budget {budget}"
+            f"C(T={T}, k={k}) = {total} exceeds enumeration budget "
+            f"{ENUMERATION_BUDGET}"
         )
     holders = spread_columns(family.incidence, len(family.parts), 1)
     witness = _first_uncovered(holders, k, (1 << family.m) - 1)
@@ -269,60 +268,42 @@ def _first_uncovered(
             combo[d] = part + 1
 
 
-def build_verified_family(
-    params: CoverParams,
-    rng_seed: int,
-    attempts: int = DEFAULT_SAMPLE_ATTEMPTS,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> CoverFamily:
-    """Sample families until one verifies.
+def build_verified_family(params: CoverParams, rng_seed: int) -> CoverFamily:
+    """A verified family, else the seed's first sample, unverified.
 
-    Attempt 0 uses ``rng_seed`` itself; retry i uses the i-th output of a
-    SplitMix64 stream seeded with ``rng_seed``, so the whole procedure is
-    reproducible from the one seed.  When the verification enumeration is
-    over budget the first sampled family is returned unverified with a
-    logged warning.
+    Attempt 0 samples from ``rng_seed`` itself; retry i samples from the
+    i-th output of a SplitMix64 stream seeded with ``rng_seed``, so the
+    whole procedure is reproducible from the one seed.  The first family
+    that :func:`verify_cover` certifies is returned.  When the check is
+    over ``ENUMERATION_BUDGET``, or none of ``SAMPLE_ATTEMPTS`` samples
+    verifies, a warning names the reason and attempt 0's family is
+    returned unverified, so building a learner never fails on
+    verification trouble.
     """
     meta = SplitMix64(rng_seed)
     seed = rng_seed
-    for attempt in range(attempts):
+    first = None
+    for _ in range(SAMPLE_ATTEMPTS):
         family = sample_family(params, seed)
+        if first is None:
+            first = family
         try:
-            certified, witness = verify_cover(family, budget=budget)
+            certified, witness = verify_cover(family)
         except BudgetExceededError:
-            logger.warning(
-                "coverage check for T=%d, k=%d is over the enumeration "
-                "budget; using the family unverified",
-                params.T,
-                params.k,
-            )
-            return family
+            reason = "the coverage check is over the enumeration budget"
+            break
         if witness is None:
             return certified
         seed = meta.next_u64()
-    raise BudgetExceededError(
-        f"no verified family within {attempts} attempts "
-        f"(T={params.T}, k={params.k}, m={family_size_m(params)})"
+    else:
+        reason = f"no family verified within {SAMPLE_ATTEMPTS} attempts"
+    logger.warning(
+        "%s for T=%d, k=%d; using the seed's first sample unverified",
+        reason,
+        params.T,
+        params.k,
     )
-
-
-def build_family(params: CoverParams, rng_seed: int) -> CoverFamily:
-    """A verified family, else the seed's first sample, unverified.
-
-    Learner construction never fails on verification trouble: when no
-    family verifies within the resampling budget, a warning is logged and
-    the sample drawn from ``rng_seed`` itself is used.
-    """
-    try:
-        return build_verified_family(params, rng_seed)
-    except BudgetExceededError:
-        logger.warning(
-            "no verified covering family within the attempt budget for "
-            "T=%d, k=%d; proceeding with an unverified sample",
-            params.T,
-            params.k,
-        )
-        return sample_family(params, rng_seed)
+    return first
 
 
 @dataclass(frozen=True)
@@ -347,10 +328,10 @@ def ratio_bound_report(t: int, k: int, alpha: int) -> RatioBoundReport:
         raise ValueError(f"alpha must be >= 2, got {alpha}")
     T = alpha * t
     ak = alpha * k
-    num = binom(T, ak)
-    den = binom(T - k, ak - k)
+    num = math.comb(T, ak)
+    den = math.comb(T - k, ak - k)
     ratio_log2 = math.log2(num) - math.log2(den)
-    rhs_log2 = -k / 4.01 / math.log(2) + math.log2(binom(t, k))
+    rhs_log2 = -k / 4.01 / math.log(2) + math.log2(math.comb(t, k))
     return RatioBoundReport(
         ratio_log2=ratio_log2,
         rhs_log2=rhs_log2,

@@ -30,14 +30,6 @@ class BitVector:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zeros(cls, n: int) -> "BitVector":
-        return cls(n, 0)
-
-    @classmethod
-    def ones(cls, n: int) -> "BitVector":
-        return cls(n, (1 << n) - 1)
-
-    @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitVector":
         value = 0
         n = 0
@@ -47,11 +39,6 @@ class BitVector:
             value |= b << n
             n += 1
         return cls(n, value)
-
-    @classmethod
-    def from01(cls, text: str) -> "BitVector":
-        """Parse a 0/1 string; character i is coordinate i."""
-        return cls.from_bits(int(c) for c in text)
 
     @classmethod
     def from_support(cls, n: int, indices: Iterable[int]) -> "BitVector":
@@ -79,14 +66,6 @@ class BitVector:
     def to01(self) -> str:
         return "".join("1" if (self._bits >> i) & 1 else "0" for i in range(self.n))
 
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(f"bit {i} out of range for length {self.n}")
-        return (self._bits >> i) & 1
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if (self._bits >> i) & 1)
-
     def popcount(self) -> int:
         return self._bits.bit_count()
 
@@ -96,11 +75,6 @@ class BitVector:
         if self.n != other.n:
             raise LengthMismatchError(f"xor of lengths {self.n} and {other.n}")
         return BitVector(self.n, self._bits ^ other._bits)
-
-    def dot(self, other: "BitVector") -> int:
-        if self.n != other.n:
-            raise LengthMismatchError(f"dot of lengths {self.n} and {other.n}")
-        return (self._bits & other._bits).bit_count() & 1
 
     # -- dunder plumbing ----------------------------------------------
 
@@ -119,11 +93,6 @@ class BitVector:
 
     def __repr__(self) -> str:
         return f"BitVector({self.to01()!r})"
-
-
-def dot(a: BitVector, b: BitVector) -> int:
-    """Inner product mod 2; raises LengthMismatchError on length mismatch."""
-    return a.dot(b)
 
 
 _swaps: tuple[int, tuple[tuple[int, int], ...]] = (0, ())  # _swap_stages(0)

@@ -26,7 +26,6 @@ from typing import Sequence
 
 from .cover import (
     CoverParams,
-    binom,
     family_size_m,
     sample_family,
     verify_cover,
@@ -120,7 +119,7 @@ def _csv_cell(value) -> str:
 
 def closed_form_mistake_bound(n: int, k: int, t: int) -> float:
     """The closed-form target: k*n/t + log2 C(t,k)."""
-    return k * n / t + math.log2(binom(t, k))
+    return k * n / t + math.log2(math.comb(t, k))
 
 
 def _noiseless_trial(

@@ -34,7 +34,6 @@ from itertools import combinations, repeat, starmap
 from operator import itemgetter, xor
 from typing import Sequence
 
-from .cover import CoverFamily, CoverParams, binom, build_family
 from .errors import (
     BudgetExceededError,
     BudgetExhaustedError,
@@ -44,7 +43,7 @@ from .errors import (
     SourceExhaustedError,
 )
 from .gf2 import BitVector, transpose
-from .online import LearnerState
+from .online import new_learner
 from .pac import PacParams, pac_learn
 from .sources import LabeledExample, ReplaySource
 
@@ -70,15 +69,14 @@ def flip_budget_for(eta: float, s_prime: int) -> int:
 
 def flip_set_count(s_prime: int, flip_budget: int) -> int:
     """Number of index subsets of size at most the budget, exactly."""
-    return sum(binom(s_prime, i) for i in range(flip_budget + 1))
+    return sum(math.comb(s_prime, i) for i in range(flip_budget + 1))
 
 
 @dataclass(frozen=True)
 class NoisyParams:
     """Sample counts for one noisy-learning run.
 
-    :meth:`from_counts` derives ``s_doubleprime`` from the other three
-    when it is not given.
+    :meth:`from_counts` derives ``s_doubleprime`` from the other three.
     """
 
     eta: float
@@ -108,20 +106,15 @@ class NoisyParams:
 
     @classmethod
     def from_counts(
-        cls,
-        eta: float,
-        delta: float,
-        s_prime: int,
-        s_doubleprime: int | None = None,
+        cls, eta: float, delta: float, s_prime: int
     ) -> "NoisyParams":
-        """Build params from an explicit primary sample count."""
-        if s_doubleprime is None:
-            s_doubleprime = cls.verification_count(eta, delta, s_prime)
+        """Params for ``s_prime`` primary examples and the
+        :meth:`verification_count` of verification examples."""
         return cls(
             eta=eta,
             delta=delta,
             s_prime=s_prime,
-            s_doubleprime=s_doubleprime,
+            s_doubleprime=cls.verification_count(eta, delta, s_prime),
         )
 
 
@@ -341,9 +334,10 @@ class MitmInner:
 class PacOnlineInner:
     """Noiseless inner learner backed by the chart learner's PAC driver.
 
-    The covering family and its starting learner are built once; each run
-    replays its example list through a fork of that learner, and
-    :meth:`candidates` shares replay prefixes across flip sets.
+    The starting learner comes from :func:`~sparseparity.online.new_learner`
+    once, and ``family`` is its covering family; each run replays its
+    example list through a fork of that learner, and :meth:`candidates`
+    shares replay prefixes across flip sets.
     """
 
     def __init__(
@@ -352,14 +346,13 @@ class PacOnlineInner:
         self.n = n
         self.k = k
         self.delta = delta
-        params = CoverParams(n=n, k=k, t=t, alpha=alpha)
-        self.family: CoverFamily = build_family(params, rng_seed)
-        self._start = LearnerState(self.family)
+        self._start = new_learner(n, k, t, alpha, rng_seed)
+        self.family = self._start.family
         self.mistake_bound = self._start.mistake_bound
 
     def run(self, examples: Sequence[LabeledExample]) -> BitVector | None:
         return self._verdict(
-            self._fresh(), ReplaySource(examples), len(examples), 0
+            self._start.fork(), ReplaySource(examples), len(examples), 0
         )
 
     def candidates(
@@ -389,15 +382,12 @@ class PacOnlineInner:
             if x is not None:
                 found.append((len(flips), flips, x))
 
-        visit(self._fresh(), (), 0)
+        visit(self._start.fork(), (), 0)
         found.sort(key=lambda entry: entry[:2])
         distinct: dict[int, BitVector] = {}
         for _, _, x in found:
             distinct.setdefault(x.value, x)
         return list(distinct.values())
-
-    def _fresh(self) -> LearnerState:
-        return self._start.fork()
 
     def _verdict(self, learner, source, budget, run_length) -> BitVector | None:
         """The PAC driver's verdict as a candidate: a weight-k vector or

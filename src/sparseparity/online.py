@@ -37,7 +37,7 @@ from operator import xor
 from .cover import (
     CoverFamily,
     CoverParams,
-    build_family,
+    build_verified_family,
     round_robin_parts,
     spread_columns,
 )
@@ -180,12 +180,17 @@ class LearnerState:
 def new_learner(
     n: int, k: int, t: int, alpha: int, rng_seed: int
 ) -> LearnerState:
-    """Build a learner over a verified covering family.
+    """The library's one way to build a learner from parameters.
 
-    Construction never fails on verification trouble; see
-    :func:`~sparseparity.cover.build_family`.
+    The learner's charts come from
+    :func:`~sparseparity.cover.build_verified_family` at ``rng_seed``: a
+    verified covering family, else that seed's first sample, unverified
+    and with a logged warning, so construction never fails on
+    verification trouble.
     """
-    family = build_family(CoverParams(n=n, k=k, t=t, alpha=alpha), rng_seed)
+    family = build_verified_family(
+        CoverParams(n=n, k=k, t=t, alpha=alpha), rng_seed
+    )
     return LearnerState(family)
 
 

@@ -3,17 +3,13 @@
 Every random choice in the package flows through :class:`SplitMix64`
 (Steele, Lea & Flood, "Fast Splittable Pseudorandom Number Generators",
 OOPSLA 2014), so fixtures are byte-stable across platforms and Python
-versions.  The derived draws are pinned as follows:
+versions.  The draws the library makes are pinned as follows:
 
 * ``next_u64`` -- the reference SplitMix64 output function.
-* ``bits(m)`` -- m bits assembled from successive u64 words, little-endian:
-  word ``j`` supplies bit positions ``64*j .. 64*j+63``; the top word is
-  masked down to ``m`` bits.
 * ``below(n)`` -- rejection sampling on the low ``ceil(log2 n)`` bits of
   fresh u64 words (one word per attempt).
 * ``sample_sorted(n, k)`` -- partial Fisher-Yates over ``range(n)`` driven
   by ``below``, result sorted.
-* ``bernoulli(p)`` -- ``next_u64() < floor(p * 2**64)``.
 * ``words(count)`` -- the next ``count`` u64 words as a list, exactly
   ``[next_u64() for _ in range(count)]``, mixed all at once.
 * ``lanes(count)`` -- the same words as ``words(count)``, word ``i`` in
@@ -21,7 +17,6 @@ versions.  The derived draws are pinned as follows:
   junk); ``lane_words`` and ``word_lanes`` convert between the two forms.
 * ``skip(count)`` -- the state ``words(count)`` leaves, without mixing:
   the counter moves by ``count * gamma``.
-* ``split()`` -- child generator seeded with ``next_u64()``.
 """
 
 from __future__ import annotations
@@ -81,13 +76,6 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
-    def bits(self, nbits: int) -> int:
-        """nbits uniform bits as an int, little-endian across u64 words."""
-        out = 0
-        for word_index in range((nbits + 63) // 64):
-            out |= self.next_u64() << (64 * word_index)
-        return out & ((1 << nbits) - 1)
-
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection on low bits."""
         if bound <= 0:
@@ -109,9 +97,6 @@ class SplitMix64:
             j = i + self.below(n - i)
             pool[i], pool[j] = pool[j], pool[i]
         return tuple(sorted(pool[:k]))
-
-    def bernoulli(self, p: float) -> bool:
-        return self.next_u64() < int(p * 2.0**64)
 
     def words(self, count: int) -> list[int]:
         """The next ``count`` words: ``[next_u64() for _ in range(count)]``."""
@@ -138,10 +123,6 @@ class SplitMix64:
         if count < 0:
             raise ValueError(f"cannot skip {count} words")
         self._state = (self._state + count * _GAMMA) & _MASK64
-
-    def split(self) -> "SplitMix64":
-        """Fork a child generator; advances this generator by one word."""
-        return SplitMix64(self.next_u64())
 
 
 def lane_words(lanes: int, count: int) -> list[int]:

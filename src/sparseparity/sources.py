@@ -79,7 +79,8 @@ class UniformSource:
         self._hidden_bits = hidden.value
         self._mask = (1 << self.n) - 1
         self._vector_words = (self.n + 63) // 64
-        # bernoulli(eta)'s threshold; eta = 0 draws no flip word.
+        # The flip threshold of tests/bit_reference.py's bernoulli(eta);
+        # eta = 0 draws no flip word.
         self._noisy = eta > 0.0
         self._threshold = int(eta * 2.0**64)
         self._width = self._vector_words + self._noisy

@@ -18,10 +18,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from sparseparity.cover import binom
 from sparseparity.errors import BudgetExceededError, InconsistentStreamError
-from sparseparity.gf2 import BitVector, dot
+from sparseparity.gf2 import BitVector
 from sparseparity.sources import LabeledExample
+
+from bit_reference import dot
 
 from affine_reference import AffineSpace
 
@@ -73,7 +74,7 @@ class CandidateSet:
     """All weight-k vectors consistent with the examples fed so far."""
 
     def __init__(self, n: int, k: int, budget: int = DEFAULT_CANDIDATE_BUDGET):
-        total = binom(n, k)
+        total = math.comb(n, k)
         if total > budget:
             raise BudgetExceededError(
                 f"C({n},{k}) = {total} candidates exceed budget {budget}"
@@ -88,7 +89,7 @@ class CandidateSet:
 
     @property
     def mistake_bound(self) -> int:
-        return math.ceil(math.log2(binom(self.n, self.k)))
+        return math.ceil(math.log2(math.comb(self.n, self.k)))
 
     def step(self, a: BitVector, y: int) -> int:
         """One protocol round: predict, count the mistake, update.

@@ -18,13 +18,13 @@ The library's sampler must give the same subsets and the same bytes.
 from __future__ import annotations
 
 import itertools
+import math
 
 from sparseparity.cover import (
     _WORD_BLOCK,
-    DEFAULT_ENUMERATION_BUDGET,
+    ENUMERATION_BUDGET,
     CoverFamily,
     CoverParams,
-    binom,
     family_size_m,
     round_robin_parts,
 )
@@ -82,7 +82,7 @@ def reference_holders(family: CoverFamily) -> list[int]:
 
 
 def reference_verify_cover(
-    family: CoverFamily, budget: int = DEFAULT_ENUMERATION_BUDGET
+    family: CoverFamily, budget: int = ENUMERATION_BUDGET
 ) -> tuple[CoverFamily, tuple[int, ...] | None]:
     """Exhaustively check coverage of every k-subset of parts.
 
@@ -90,7 +90,7 @@ def reference_verify_cover(
     with the lexicographically first uncovered k-subset as witness.
     """
     T, k = family.params.T, family.params.k
-    total = binom(T, k)
+    total = math.comb(T, k)
     if total > budget:
         raise BudgetExceededError(
             f"C(T={T}, k={k}) = {total} exceeds enumeration budget {budget}"

@@ -16,7 +16,6 @@ import numpy as np
 from sparseparity.cover import (
     CoverFamily,
     CoverParams,
-    binom,
     build_verified_family,
     ratio_bound_report,
 )
@@ -40,6 +39,7 @@ from sparseparity.rng import SplitMix64
 from sparseparity.sources import UniformSource, gen_hidden
 
 from baseline_reference import brute_force_candidates, brute_force_owners
+from bit_reference import bits
 from chart_reference import decode_charts
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -120,7 +120,7 @@ def test_affine_splits_match_exhaustive_enumeration(capsys):
         alive = np.ones(1 << dim, dtype=bool)
         _chart_equals_table(state, alive, dim)
         for _ in range(6):
-            v_bits = rng.bits(dim)
+            v_bits = bits(rng, dim)
             v = BitVector(dim, v_bits)
             table = _parity_table(dim, v_bits)
             c0 = int((alive & ~table).sum())
@@ -185,8 +185,7 @@ def test_covering_families_verify_within_ten_reseeds(capsys):
                 if alpha * k > T:
                     continue
                 params = CoverParams(n=T, k=k, t=t, alpha=alpha)
-                family = build_verified_family(params, rng_seed=300 + combos,
-                                               attempts=10)
+                family = build_verified_family(params, rng_seed=300 + combos)
                 all_verified &= family.verified
                 combos += 1
     elapsed = time.time() - start
@@ -373,7 +372,7 @@ def test_entropy_fixture_and_subset_counting_bound(capsys):
         for num, den in ((1, 10), (1, 5), (3, 10), (2, 5), (1, 2)):
             alpha = Fraction(num, den)
             cut = (x * num) // den  # exact floor of alpha * x
-            lhs = sum(binom(x, i) for i in range(cut + 1))
+            lhs = sum(math.comb(x, i) for i in range(cut + 1))
             all_ok &= lhs <= 2.0 ** (entropy(num / den) * x)
     elapsed = time.time() - start
     _report(

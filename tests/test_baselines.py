@@ -6,12 +6,12 @@ The Gaussian-elimination and explicit-halving oracles live in
 """
 
 import itertools
+import math
 
 import pytest
 
-from sparseparity.cover import binom
 from sparseparity.errors import BudgetExceededError, InconsistentStreamError
-from sparseparity.gf2 import BitVector, dot
+from sparseparity.gf2 import BitVector
 from sparseparity.noisy import MitmInner
 from sparseparity.pac import PacParams, pac_learn
 from sparseparity.rng import SplitMix64
@@ -25,8 +25,9 @@ from baseline_reference import (
     brute_force_candidates,
     gauss_learn,
 )
+from bit_reference import bits, dot, from01
 
-V = BitVector.from01
+V = from01
 
 
 def brute_force_consistent(examples, n, k):
@@ -43,7 +44,7 @@ def random_examples(n, count, seed, labeler=None):
     rng = SplitMix64(seed)
     examples = []
     for _ in range(count):
-        a = BitVector(n, rng.bits(n))
+        a = BitVector(n, bits(rng, n))
         y = labeler(a) if labeler else rng.below(2)
         examples.append(LabeledExample(a, y))
     return examples
@@ -55,7 +56,7 @@ class TestGaussLearn:
         for value in [0b10110011, 0b11111111, 0b00000001]:
             f = BitVector(8, value)
             examples = [
-                LabeledExample(BitVector.from_support(8, [i]), f.bit(i))
+                LabeledExample(BitVector.from_support(8, [i]), (f.value >> i) & 1)
                 for i in range(8)
             ]
             assert gauss_learn(examples) == UniqueSolution(f)
@@ -72,7 +73,7 @@ class TestGaussLearn:
         examples = []
         seen_rank = 0
         while seen_rank < 5:
-            a = BitVector(8, rng.bits(8))
+            a = BitVector(8, bits(rng, 8))
             trial = examples + [LabeledExample(a, dot(a, f))]
             result = gauss_learn(trial)
             rank = result.rank if isinstance(result, Underdetermined) else 8
@@ -93,7 +94,7 @@ class TestGaussLearn:
 class TestCandidateSet:
     def test_initial_set_is_all_weight_k(self):
         cs = CandidateSet(5, 2)
-        assert len(cs.survivors) == binom(5, 2)
+        assert len(cs.survivors) == math.comb(5, 2)
         assert all(f.popcount() == 2 for f in cs.survivors)
 
     def test_budget_guard(self):
@@ -104,7 +105,7 @@ class TestCandidateSet:
         cs = CandidateSet(4, 1)
         # Hidden e3 (third basis vector): <1100, e3> = 0 keeps {e3, e4}.
         cs.step(V("1100"), 0)
-        assert {f.support() for f in cs.survivors} == {(2,), (3,)}
+        assert {f.value for f in cs.survivors} == {1 << 2, 1 << 3}
 
     def test_empty_survivors_is_inconsistent(self):
         cs = CandidateSet(3, 1)
@@ -122,7 +123,7 @@ class TestCandidateSet:
         mistakes = cs.mistakes
         rng = SplitMix64(3)
         for _ in range(50):
-            a = BitVector(4, rng.bits(4))
+            a = BitVector(4, bits(rng, 4))
             assert cs.step(a, dot(a, f)) == dot(a, f)
         assert cs.survivors == [f]
         assert cs.mistakes == mistakes
@@ -173,10 +174,10 @@ class TestMitmLearn:
         # with no examples every support has the empty syndrome
         assert MitmInner(6, 2).run([]) is None
         assert MitmInner(6, 2).candidates([], 2) == []
-        assert MitmInner(2, 2).run([]) == BitVector.ones(2)
+        assert MitmInner(2, 2).run([]) == BitVector(2, (1 << 2) - 1)
 
     def test_zero_sparsity(self):
-        zeros = BitVector.zeros(4)
+        zeros = BitVector(4)
         ok = [LabeledExample(V("1010"), 0), LabeledExample(V("0111"), 0)]
         assert MitmInner(4, 0).run(ok) == zeros
         bad = [LabeledExample(V("1010"), 1)]

@@ -9,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparseparity.cover import (
+    SAMPLE_ATTEMPTS,
     CoverFamily,
     CoverParams,
     _first_uncovered,
-    binom,
     build_verified_family,
     family_size_m,
     ratio_bound_report,
@@ -33,29 +33,25 @@ from cover_reference import (
 
 
 class TestBinom:
+    """The properties of ``math.comb`` that the family sizes rely on."""
+
     def test_hand_checked(self):
-        assert binom(10, 4) == 210
+        assert math.comb(10, 4) == 210
 
     def test_choose_zero(self):
         for x in [0, 1, 5, 100]:
-            assert binom(x, 0) == 1
+            assert math.comb(x, 0) == 1
 
     def test_y_exceeding_x_is_zero(self):
-        assert binom(5, 7) == 0
+        assert math.comb(5, 7) == 0
 
     def test_pascal_triangle_oracle(self):
         row = [1]
         for x in range(65):
             for y in range(x + 1):
-                assert binom(x, y) == row[y]
-            assert binom(x, x + 1) == 0
+                assert math.comb(x, y) == row[y]
+            assert math.comb(x, x + 1) == 0
             row = [1] + [row[i] + row[i + 1] for i in range(x)] + [1]
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            binom(-1, 0)
-        with pytest.raises(ValueError):
-            binom(3, -2)
 
 
 class TestCoverParams:
@@ -258,10 +254,11 @@ class TestVerifyCover:
         _, witness = verify_cover(fam)
         assert witness == (0,)
 
-    def test_budget_enforced(self):
+    def test_budget_enforced(self, monkeypatch):
         fam = hand_family(4, 2, 2, 2, [(0, 1, 2, 3)])
+        monkeypatch.setattr("sparseparity.cover.ENUMERATION_BUDGET", 5)
         with pytest.raises(BudgetExceededError):
-            verify_cover(fam, budget=5)
+            verify_cover(fam)
 
     def test_verification_does_not_mutate_input(self):
         fam = hand_family(4, 2, 2, 2, [(0, 1, 2, 3)])
@@ -451,23 +448,57 @@ class TestBuildVerifiedFamily:
             built = build_verified_family(p, rng_seed=5)
             assert built.subsets == plain.subsets
 
-    def test_over_budget_returns_unverified_with_warning(self, caplog):
+    def test_over_budget_returns_unverified_with_warning(
+        self, monkeypatch, caplog
+    ):
         p = CoverParams(n=16, k=2, t=4, alpha=2)
+        monkeypatch.setattr("sparseparity.cover.ENUMERATION_BUDGET", 3)
         with caplog.at_level(logging.WARNING, logger="sparseparity.cover"):
-            fam = build_verified_family(p, rng_seed=1, budget=3)
+            fam = build_verified_family(p, rng_seed=1)
         assert not fam.verified
         assert fam == sample_family(p, 1)
-        assert any("unverified" in r.message for r in caplog.records)
+        (record,) = caplog.records
+        assert "over the enumeration budget" in record.getMessage()
+        assert "unverified" in record.getMessage()
 
-    def test_attempts_exhausted_raises(self, monkeypatch):
-        p = CoverParams(n=16, k=2, t=4, alpha=2)
-        bad = hand_family(16, 2, 4, 2, [])
+    @staticmethod
+    def never_verified(monkeypatch):
+        """Count the sampler's seeds and make every family unverified."""
+        seeds = []
 
+        def counted_sample(params, seed):
+            seeds.append(seed)
+            return sample_family(params, seed)
+
+        monkeypatch.setattr("sparseparity.cover.sample_family", counted_sample)
         monkeypatch.setattr(
-            "sparseparity.cover.sample_family", lambda params, seed: bad
+            "sparseparity.cover.verify_cover", lambda family: (family, (0, 1))
         )
-        with pytest.raises(BudgetExceededError):
-            build_verified_family(p, rng_seed=1, attempts=3)
+        return seeds
+
+    def test_no_verified_attempt_returns_the_first_sample(
+        self, monkeypatch, caplog
+    ):
+        p = CoverParams(n=16, k=2, t=4, alpha=2)
+        seeds = self.never_verified(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="sparseparity.cover"):
+            fam = build_verified_family(p, rng_seed=1)
+        # one draw per attempt and none after them: attempt 0's is kept
+        meta = SplitMix64(1)
+        retries = [meta.next_u64() for _ in range(SAMPLE_ATTEMPTS - 1)]
+        assert seeds == [1, *retries]
+        assert not fam.verified
+        assert fam == sample_family(p, 1)
+        (record,) = caplog.records
+        assert f"within {SAMPLE_ATTEMPTS} attempts" in record.getMessage()
+        assert "unverified" in record.getMessage()
+
+    def test_attempts_are_read_at_call_time(self, monkeypatch):
+        p = CoverParams(n=16, k=2, t=4, alpha=2)
+        seeds = self.never_verified(monkeypatch)
+        monkeypatch.setattr("sparseparity.cover.SAMPLE_ATTEMPTS", 3)
+        assert build_verified_family(p, rng_seed=1) == sample_family(p, 1)
+        assert len(seeds) == 3
 
     def test_retry_seeds_derive_from_base_seed(self):
         # Two runs from the same base seed walk the same attempt sequence.
@@ -521,7 +552,7 @@ class TestRatioBoundReport:
 
     def test_exact_binomial_ratio_against_logs(self):
         rep = ratio_bound_report(t=10, k=2, alpha=2)
-        expected = math.log2(binom(20, 4)) - math.log2(binom(18, 2))
+        expected = math.log2(math.comb(20, 4)) - math.log2(math.comb(18, 2))
         assert rep.ratio_log2 == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_bad_arguments(self):

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from sparseparity import harness
-from sparseparity.cover import CoverParams, binom, family_size_m, sample_family
+from sparseparity.cover import CoverParams, family_size_m, sample_family
 from sparseparity.errors import BudgetExceededError
 from sparseparity.harness import (
     CSV_HEADER,
@@ -165,7 +165,7 @@ def test_csv_header_is_frozen():
 
 
 def test_closed_form_mistake_bound_value():
-    expected = 3 * 64 / 12 + math.log2(binom(12, 3))
+    expected = 3 * 64 / 12 + math.log2(math.comb(12, 3))
     assert closed_form_mistake_bound(64, 3, 12) == expected
 
 
@@ -222,14 +222,14 @@ def force_one_chart_families(monkeypatch):
 
     One chart misses most weight-2 supports, so most streams kill it.
     """
-    def explode(params, seed):
+    def explode(family):
         raise BudgetExceededError("forced for test")
 
     def first_subset_only(params, seed):
         family = sample_family(params, seed)
         return dataclasses.replace(family, subsets=family.subsets[:1])
 
-    monkeypatch.setattr("sparseparity.cover.build_verified_family", explode)
+    monkeypatch.setattr("sparseparity.cover.verify_cover", explode)
     monkeypatch.setattr("sparseparity.cover.sample_family", first_subset_only)
 
 

@@ -31,7 +31,7 @@ from sparseparity.noisy import (
     noisy_learn_report,
     syndrome_owners,
 )
-from sparseparity.online import LearnerState
+from sparseparity.online import LearnerState, new_learner
 from sparseparity.pac import PacParams, pac_learn
 from sparseparity.rng import SplitMix64
 from sparseparity.sources import (
@@ -42,6 +42,8 @@ from sparseparity.sources import (
 )
 
 from baseline_reference import brute_force_owners, join_owners
+from bit_reference import bits, dot, from01
+from chart_reference import decode_charts
 
 
 def take(source, count):
@@ -304,7 +306,7 @@ def test_agreement_separates_hidden_from_impostor():
 def dot_agreement_select(candidates, verif):
     """The dot-per-example scoring agreement_select used before packing."""
     disagreements = [
-        sum(1 for ex in verif if ex.a.dot(x) != ex.label) for x in candidates
+        sum(1 for ex in verif if dot(ex.a, x) != ex.label) for x in candidates
     ]
     return min(range(len(candidates)), key=lambda i: disagreements[i])
 
@@ -466,7 +468,7 @@ def test_streamed_agreement_matches_list_scoring(
 
 def test_streamed_agreement_logs_the_list_margin(caplog):
     hidden = BitVector.from_support(16, (1, 5))
-    candidates = [BitVector.from_support(16, (2, 9)), hidden, BitVector.zeros(16)]
+    candidates = [BitVector.from_support(16, (2, 9)), hidden, BitVector(16)]
     verif = take(UniformSource(hidden, seed=31, eta=0.05), 200)
     with caplog.at_level(logging.DEBUG, logger="sparseparity.noisy"):
         list_agreement_select(candidates, verif)
@@ -653,15 +655,15 @@ def test_mitm_inner_declines_when_ambiguous():
 
 
 def test_mitm_inner_declines_when_inconsistent():
-    a = BitVector.from01("11000000")
+    a = from01("11000000")
     examples = [LabeledExample(a, 0), LabeledExample(a, 1)]
     assert MitmInner(8, 2).run(examples) is None
 
 
 def test_mitm_inner_weight_zero():
     inner = MitmInner(6, 0)
-    a = BitVector.from01("101010")
-    assert inner.run([LabeledExample(a, 0)]) == BitVector.zeros(6)
+    a = from01("101010")
+    assert inner.run([LabeledExample(a, 0)]) == BitVector(6)
     assert inner.run([LabeledExample(a, 1)]) is None
 
 
@@ -672,8 +674,8 @@ def test_mitm_inner_cache_survives_label_changes():
     x1 = BitVector.from_support(10, (0, 3))
     x2 = BitVector.from_support(10, (5, 8))
     vectors = [ex.a for ex in take(UniformSource(x1, seed=21, eta=0.0), 25)]
-    ex1 = [LabeledExample(a, a.dot(x1)) for a in vectors]
-    ex2 = [LabeledExample(a, a.dot(x2)) for a in vectors]
+    ex1 = [LabeledExample(a, dot(a, x1)) for a in vectors]
+    ex2 = [LabeledExample(a, dot(a, x2)) for a in vectors]
     assert inner.run(ex1) == x1
     assert inner.run(ex2) == x2
     assert inner.run(ex1) == x1
@@ -692,7 +694,7 @@ def test_mitm_inner_matches_exhaustive_consistency(seed):
     consistent = [
         BitVector.from_support(n, support)
         for support in __import__("itertools").combinations(range(n), k)
-        if all(ex.a.dot(BitVector.from_support(n, support)) == ex.label
+        if all(dot(ex.a, BitVector.from_support(n, support)) == ex.label
                for ex in examples)
     ]
     got = MitmInner(n, k).run(examples)
@@ -739,7 +741,7 @@ def test_mitm_inner_checks_lengths_before_the_cache(method):
 def test_mitm_inner_rejects_a_wrong_length_stream_every_time(method):
     # a rejected stream raises every time, never answering from the old map
     inner = MitmInner(8, 2)
-    inner.run(take(UniformSource(BitVector.from01("01001000"), 3, 0.0), 20))
+    inner.run(take(UniformSource(from01("01001000"), 3, 0.0), 20))
     other = take(UniformSource(BitVector.from_support(9, (2, 7)), 5, 0.0), 20)
     for _ in range(2):
         with pytest.raises(ValueError):
@@ -835,8 +837,8 @@ def _primary(n, k, s_prime, seed):
     hidden = gen_hidden(n, k, rng.next_u64())
     examples = []
     for _ in range(s_prime):
-        a = BitVector(n, rng.bits(n))
-        examples.append(LabeledExample(a, a.dot(hidden) ^ (rng.below(4) == 0)))
+        a = BitVector(n, bits(rng, n))
+        examples.append(LabeledExample(a, dot(a, hidden) ^ (rng.below(4) == 0)))
     return examples
 
 
@@ -945,6 +947,19 @@ def test_pac_online_inner_recovers_and_is_reusable():
     assert inner.run(examples) == hidden
 
 
+def test_pac_online_inner_starts_from_new_learner(monkeypatch):
+    # the same family and charts as new_learner, unverified families too
+    for verify in (None, lambda family: (family, (0, 1))):
+        if verify:
+            monkeypatch.setattr("sparseparity.cover.verify_cover", verify)
+        inner = PacOnlineInner(16, 2, t=4, alpha=2, delta=0.05, rng_seed=9)
+        learner = new_learner(16, 2, 4, 2, rng_seed=9)
+        assert inner.family == learner.family
+        assert inner.family.verified == (verify is None)
+        assert decode_charts(inner._start) == decode_charts(learner)
+        assert inner.mistake_bound == learner.mistake_bound
+
+
 def test_pac_online_inner_declines_on_contradiction():
     inner = PacOnlineInner(16, 2, t=4, alpha=2, delta=0.05, rng_seed=9)
     a = BitVector.from_support(16, (0,))
@@ -980,18 +995,18 @@ def _stream(kind, n, k, s_prime, seed):
     """
     rng = SplitMix64(seed)
     if kind == "contradictory":
-        vectors = [BitVector(n, rng.bits(n)) for _ in range((s_prime + 1) // 2)]
+        vectors = [BitVector(n, bits(rng, n)) for _ in range((s_prime + 1) // 2)]
         pairs = [LabeledExample(a, y) for a in vectors for y in (0, 1)]
         return pairs[:s_prime]
     if kind == "zero":
-        return [LabeledExample(BitVector(n, rng.bits(n)), 0) for _ in range(s_prime)]
+        return [LabeledExample(BitVector(n, bits(rng, n)), 0) for _ in range(s_prime)]
     weight = k + 1 if kind == "wrong-weight" else k
     hidden = gen_hidden(n, weight, rng.next_u64())
     examples = []
     for _ in range(s_prime):
-        a = BitVector(n, rng.bits(n))
+        a = BitVector(n, bits(rng, n))
         flip = kind == "noisy" and rng.below(4) == 0
-        examples.append(LabeledExample(a, a.dot(hidden) ^ flip))
+        examples.append(LabeledExample(a, dot(a, hidden) ^ flip))
     return examples
 
 

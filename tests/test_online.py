@@ -7,13 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparseparity.cover import CoverFamily, CoverParams, round_robin_parts
+from sparseparity.cover import (
+    SAMPLE_ATTEMPTS,
+    CoverFamily,
+    CoverParams,
+    round_robin_parts,
+    sample_family,
+)
 from sparseparity.errors import AllChartsEmptyError, BudgetExceededError
-from sparseparity.gf2 import BitVector, dot
+from sparseparity.gf2 import BitVector
 from sparseparity.online import LearnerState, learner_update, new_learner
 from sparseparity.sources import UniformSource, gen_hidden
 
 from affine_reference import AffineSpace
+from bit_reference import dot, from01
 from chart_reference import (
     ChartLearner,
     ReferenceLearner,
@@ -25,7 +32,7 @@ from chart_reference import (
     six_operation_update,
 )
 
-V = BitVector.from01
+V = from01
 
 
 def take(source, count):
@@ -151,14 +158,29 @@ class TestNewLearner:
         assert len(decode_charts(state)) == 2
 
     def test_construction_survives_unverifiable_family(self, monkeypatch, caplog):
-        def explode(params, seed):
+        def explode(family):
             raise BudgetExceededError("forced for test")
 
-        monkeypatch.setattr("sparseparity.cover.build_verified_family", explode)
+        monkeypatch.setattr("sparseparity.cover.verify_cover", explode)
         state = new_learner(16, 2, 4, 2, rng_seed=1)
         assert not state.family.verified
         assert decode_charts(state)
         assert any("unverified" in r.message for r in caplog.records)
+
+    def test_an_unverified_learner_draws_each_attempt_once(self, monkeypatch):
+        seeds = []
+
+        def counted_sample(params, seed):
+            seeds.append(seed)
+            return sample_family(params, seed)
+
+        monkeypatch.setattr("sparseparity.cover.sample_family", counted_sample)
+        monkeypatch.setattr(
+            "sparseparity.cover.verify_cover", lambda family: (family, (0, 1))
+        )
+        state = new_learner(16, 2, 4, 2, rng_seed=1)
+        assert len(seeds) == SAMPLE_ATTEMPTS
+        assert state.family == sample_family(CoverParams(16, 2, 4, 2), 1)
 
 
 class TestFork:
@@ -426,7 +448,7 @@ class TestBestHypothesis:
         h = state.best_hypothesis()
         assert h is not None
         assert h.n == 5
-        assert h.bit(0) == 1  # consistent with the constraint <e0,f>=1
+        assert h.value & 1 == 1  # consistent with the constraint <e0,f>=1
 
     def test_none_when_everything_died(self):
         state = hand_state(2, 1, 1, 2, [(0, 1)])
@@ -441,7 +463,7 @@ class TestBestHypothesis:
 class TestZeroSparsity:
     def test_identified_immediately(self):
         state = new_learner(6, 0, 3, 2, rng_seed=0)
-        assert state.identified() == BitVector.zeros(6)
+        assert state.identified() == BitVector(6)
         assert state.mistake_bound == 0
 
 
@@ -505,9 +527,9 @@ class TestLocalReferenceEquivalence:
 
     def test_zero_sparsity(self):
         state = new_learner(6, 0, 3, 2, rng_seed=0)
-        assert self.drive(state, self.honest(BitVector.zeros(6), 1, 5), True) == 0
+        assert self.drive(state, self.honest(BitVector(6), 1, 5), True) == 0
         ref = ReferenceLearner(6, 0, state.family)
-        for a, y in self.honest(BitVector.zeros(6), 2, 5):
+        for a, y in self.honest(BitVector(6), 2, 5):
             assert state.step(a, y) == ref.step(a, y)
             self.assert_same_state(state, ref, True)
 
@@ -526,7 +548,7 @@ class TestLocalReferenceEquivalence:
 
     def test_every_chart_dies(self):
         family = hand_family(8, 1, 2, 2, [(0, 1), (2, 3), (0, 1), (1, 2)])
-        src = UniformSource(BitVector.zeros(8), seed=7)
+        src = UniformSource(BitVector(8), seed=7)
         examples = [(ex.a, 1) for ex in take(src, 40)]
         state = LearnerState(family)
         assert self.drive(state, examples, True) < 40
@@ -597,7 +619,7 @@ class TestRowReferenceEquivalence:
     @pytest.mark.parametrize("kind", STREAMS)
     def test_zero_sparsity(self, kind):
         family = new_learner(6, 0, 3, 2, rng_seed=0).family
-        state = self.drive(family, self.stream(BitVector.zeros(6), kind, 5, 20))
+        state = self.drive(family, self.stream(BitVector(6), kind, 5, 20))
         assert state.rounds > 0
 
     @pytest.mark.parametrize("kind", STREAMS)
@@ -728,7 +750,7 @@ class TestChartReferenceEquivalence:
     @pytest.mark.parametrize("flip", [0, 1])
     def test_zero_sparsity(self, flip):
         family = new_learner(6, 0, 3, 2, rng_seed=0).family
-        state = self.drive(family, self.stream(BitVector.zeros(6), 5, 20, 0, flip))
+        state = self.drive(family, self.stream(BitVector(6), 5, 20, 0, flip))
         assert state.rounds > 0
         assert (state.live_charts == 0) == bool(flip)
 

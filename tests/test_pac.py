@@ -48,7 +48,7 @@ class TestPacLearn:
         learner = new_learner(6, 0, 3, 2, rng_seed=0)
         source = ReplaySource([])
         got = pac_learn(learner, source, PacParams(delta=0.1, sample_budget=0))
-        assert got == BitVector.zeros(6)
+        assert got == BitVector(6)
         assert source.draws == 0
 
     def test_zero_budget_exhausts_for_positive_sparsity(self):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from sparseparity.rng import SplitMix64, lane_words, word_lanes
 
+from bit_reference import bernoulli, bits
+
 MASK64 = (1 << 64) - 1
 
 
@@ -52,23 +54,25 @@ class TestNextU64:
 
 
 class TestBits:
+    """The pinned ``bits`` stream of the per-word source oracle."""
+
     def test_little_endian_word_assembly(self):
         words = reference_stream(42, 3)
         expected = (words[0] | (words[1] << 64) | (words[2] << 128)) & ((1 << 130) - 1)
-        assert SplitMix64(42).bits(130) == expected
+        assert bits(SplitMix64(42), 130) == expected
 
     @pytest.mark.parametrize("nbits", [1, 63, 64, 65, 127, 128, 129, 300])
     def test_within_range(self, nbits):
-        v = SplitMix64(7).bits(nbits)
+        v = bits(SplitMix64(7), nbits)
         assert 0 <= v < (1 << nbits)
 
     def test_zero_bits(self):
-        assert SplitMix64(1).bits(0) == 0
+        assert bits(SplitMix64(1), 0) == 0
 
     def test_exact_word_count_consumed(self):
         # bits(65) should consume exactly two u64 words.
         r = SplitMix64(8)
-        r.bits(65)
+        bits(r, 65)
         follow = r.next_u64()
         assert follow == reference_stream(8, 3)[2]
 
@@ -212,38 +216,22 @@ class TestSampleSorted:
 
 
 class TestBernoulli:
+    """The pinned ``bernoulli`` stream of the per-word source oracle."""
+
     def test_extremes(self):
         r = SplitMix64(3)
-        assert not any(r.bernoulli(0.0) for _ in range(100))
-        assert all(r.bernoulli(1.0) for _ in range(100))
+        assert not any(bernoulli(r, 0.0) for _ in range(100))
+        assert all(bernoulli(r, 1.0) for _ in range(100))
 
     def test_threshold_rule(self):
         # bernoulli(p) is next_u64() < floor(p * 2**64).
         words = reference_stream(31, 50)
         r = SplitMix64(31)
         thresh = int(0.3 * 2.0**64)
-        assert [r.bernoulli(0.3) for _ in range(50)] == [w < thresh for w in words]
+        assert [bernoulli(r, 0.3) for _ in range(50)] == [w < thresh for w in words]
 
     def test_rough_mean(self):
         r = SplitMix64(11)
         draws = 20000
-        mean = sum(r.bernoulli(0.25) for _ in range(draws)) / draws
+        mean = sum(bernoulli(r, 0.25) for _ in range(draws)) / draws
         assert abs(mean - 0.25) < 0.02
-
-
-class TestSplit:
-    def test_child_seeded_with_next_word(self):
-        words = reference_stream(3, 2)
-        parent = SplitMix64(3)
-        child = parent.split()
-        assert child.next_u64() == reference_stream(words[0], 1)[0]
-        # Parent continues from its own (advanced) state.
-        assert parent.next_u64() == words[1]
-
-    def test_children_are_independent_streams(self):
-        parent = SplitMix64(12)
-        c1 = parent.split()
-        c2 = parent.split()
-        s1 = [c1.next_u64() for _ in range(5)]
-        s2 = [c2.next_u64() for _ in range(5)]
-        assert s1 != s2
