@@ -29,7 +29,6 @@ from .pac import PacParams, pac_learn
 from .rng import SplitMix64
 from .sources import (
     LabeledExample,
-    ReplaySource,
     UniformSource,
     gen_hidden,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "NoisyParams",
     "PacOnlineInner",
     "PacParams",
-    "ReplaySource",
     "SplitMix64",
     "UniformSource",
     "build_verified_family",

@@ -23,10 +23,6 @@ class AllChartsEmptyError(InconsistentStreamError):
     sparse parity."""
 
 
-class SourceExhaustedError(Exception):
-    """A replay source has no more examples."""
-
-
 class BudgetExhaustedError(Exception):
     """The sample budget ran out before a hypothesis could be certified.
 

@@ -20,7 +20,9 @@ candidate.
 An inner learner hands over its candidates through
 ``candidates(primary, flip_budget)``: the distinct non-None outputs of its
 ``run`` over the repaired streams of all flip sets, each at its first
-occurrence with flip sets taken by size, then lexicographically.
+occurrence with flip sets taken by size, then lexicographically.  Its
+``run(examples)`` is the lone vector of ``candidates(examples, 0)``, or
+None.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, repeat, starmap
 from operator import itemgetter, xor
@@ -40,12 +42,11 @@ from .errors import (
     InconsistentStreamError,
     LengthMismatchError,
     NoCandidatesError,
-    SourceExhaustedError,
 )
 from .gf2 import BitVector, transpose
 from .online import new_learner
 from .pac import PacParams, pac_learn
-from .sources import LabeledExample, ReplaySource
+from .sources import LabeledExample
 
 logger = logging.getLogger(__name__)
 
@@ -76,21 +77,27 @@ def flip_set_count(s_prime: int, flip_budget: int) -> int:
 class NoisyParams:
     """Sample counts for one noisy-learning run.
 
-    :meth:`from_counts` derives ``s_doubleprime`` from the other three.
+    ``s_doubleprime`` is derived: the :meth:`verification_count` of the
+    other three.
     """
 
     eta: float
     delta: float
     s_prime: int
-    s_doubleprime: int
+    s_doubleprime: int = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.eta < 1.0 / 3.0:
             raise ValueError(f"noise rate must be in (0, 1/3), got {self.eta}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.s_prime < 1 or self.s_doubleprime < 1:
-            raise ValueError("sample counts must be positive")
+        if self.s_prime < 1:
+            raise ValueError(f"s_prime must be positive, got {self.s_prime}")
+        object.__setattr__(
+            self,
+            "s_doubleprime",
+            self.verification_count(self.eta, self.delta, self.s_prime),
+        )
 
     @property
     def flip_budget(self) -> int:
@@ -110,12 +117,7 @@ class NoisyParams:
     ) -> "NoisyParams":
         """Params for ``s_prime`` primary examples and the
         :meth:`verification_count` of verification examples."""
-        return cls(
-            eta=eta,
-            delta=delta,
-            s_prime=s_prime,
-            s_doubleprime=cls.verification_count(eta, delta, s_prime),
-        )
+        return cls(eta=eta, delta=delta, s_prime=s_prime)
 
 
 def agreement_select(
@@ -263,62 +265,43 @@ class MitmInner:
     """Noiseless inner learner backed by the exhaustive weight-k search,
     the meet-in-the-middle baseline's search space.
 
-    Succeeds only when exactly one weight-k vector is consistent with the
-    examples.  The syndrome map (:func:`syndrome_owners`) depends on the
-    example vectors but not their labels, so it is cached and reused
-    across relabelings of the same vectors.  Every vector's length is
-    checked against ``n`` before the cache is read, and the cache key is
-    stored only once its map is built, so a failed build leaves no stale
-    answer behind.
+    :meth:`candidates` decodes every flip set at once from the syndrome
+    map of the example vectors (:func:`syndrome_owners`), built afresh
+    per call after every vector's length is checked against ``n``;
+    :meth:`run` is its flip budget 0.
     """
 
     def __init__(self, n: int, k: int):
         self.n = n
         self.k = k
-        self._cache_key: tuple[int, ...] | None = None
-        self._cache: dict[int, tuple[int, ...] | None] | None = None
-
-    def _owners(
-        self, examples: Sequence[LabeledExample]
-    ) -> dict[int, tuple[int, ...] | None]:
-        vectors = [ex.a for ex in examples]
-        for v in vectors:
-            if v.n != self.n:
-                raise ValueError(f"example length {v.n} != n={self.n}")
-        key = tuple(v.value for v in vectors)
-        if key != self._cache_key:
-            self._cache = syndrome_owners(key, self.n, self.k)
-            self._cache_key = key
-        return self._cache
 
     def run(self, examples: Sequence[LabeledExample]) -> BitVector | None:
-        """The only weight-k vector consistent with the examples, or None.
-
-        A vector is consistent when its syndrome equals the labels.
-        """
-        labels = BitVector.from_bits(ex.label for ex in examples).value
-        support = self._owners(examples).get(labels)
-        if support is None:
-            return None
-        return BitVector.from_support(self.n, support)
+        """The only weight-k vector consistent with the examples, or None:
+        the lone candidate at flip budget 0."""
+        return next(iter(self.candidates(examples, 0)), None)
 
     def candidates(
         self, examples: Sequence[LabeledExample], flip_budget: int
     ) -> list[BitVector]:
-        """What ``run`` yields over every flip set, without running it.
+        """Every vector some flip set makes the only consistent one.
 
-        ``run`` on the examples with the labels in flip set F inverted
-        returns v exactly when v owns the syndrome ``labels ^ F``.  So the
-        distinct outputs over all flip sets of size at most
-        ``flip_budget`` are the owned syndromes within Hamming distance
-        ``flip_budget`` of the labels: bounded-distance syndrome decoding
-        (Prange 1962; Stern 1988).  Each vector comes from one F, so
-        sorting by (|F|, indices of F) gives the flip-set loop's
-        first-occurrence order.
+        With the labels in flip set F inverted, v is the only weight-k
+        vector consistent with the examples exactly when v owns the
+        syndrome ``labels ^ F``.  So the distinct vectors over all flip
+        sets of size at most ``flip_budget`` are the owned syndromes
+        within Hamming distance ``flip_budget`` of the labels:
+        bounded-distance syndrome decoding (Prange 1962; Stern 1988).
+        Each vector comes from one F, so sorting by (|F|, indices of F)
+        gives the flip-set loop's first-occurrence order.
         """
+        rows = []
+        for ex in examples:
+            if ex.a.n != self.n:
+                raise ValueError(f"example length {ex.a.n} != n={self.n}")
+            rows.append(ex.a.value)
         labels = BitVector.from_bits(ex.label for ex in examples).value
         found = []
-        for syndrome, support in self._owners(examples).items():
+        for syndrome, support in syndrome_owners(rows, self.n, self.k).items():
             flips = syndrome ^ labels
             if support is not None and flips.bit_count() <= flip_budget:
                 flip_set = tuple(
@@ -335,9 +318,10 @@ class PacOnlineInner:
     """Noiseless inner learner backed by the chart learner's PAC driver.
 
     The starting learner comes from :func:`~sparseparity.online.new_learner`
-    once, and ``family`` is its covering family; each run replays its
-    example list through a fork of that learner, and :meth:`candidates`
-    shares replay prefixes across flip sets.
+    once, and ``family`` is its covering family.  :meth:`candidates`
+    replays the example list through forks of that learner, sharing
+    replay prefixes across flip sets; :meth:`run` is its flip budget 0,
+    one replay with no fork past the first.
     """
 
     def __init__(
@@ -351,14 +335,15 @@ class PacOnlineInner:
         self.mistake_bound = self._start.mistake_bound
 
     def run(self, examples: Sequence[LabeledExample]) -> BitVector | None:
-        return self._verdict(
-            self._start.fork(), ReplaySource(examples), len(examples), 0
-        )
+        """The PAC driver's verdict on the examples as they stand: the
+        lone candidate at flip budget 0."""
+        return next(iter(self.candidates(examples, 0)), None)
 
     def candidates(
         self, examples: Sequence[LabeledExample], flip_budget: int
     ) -> list[BitVector]:
-        """What ``run`` yields over every flip set, sharing replay prefixes.
+        """The PAC driver's weight-k verdicts over every flip set's
+        replay, sharing replay prefixes.
 
         The streams of flip set F and of ``F + (j,)``, j past every index
         of F, agree before example j.  So the replay of F forks its
@@ -370,6 +355,11 @@ class PacOnlineInner:
         point, so it gives the parent's outcome, and the parent comes
         first in ``(|F|, lex F)`` order.  Sorting the outcomes by that key
         and keeping each vector's first occurrence gives the loop's list.
+
+        A replay that exhausts its budget, contradicts the learner or
+        certifies a vector of another weight gives no candidate.  Its
+        budget is the examples left in the list, so a replay never draws
+        past the end.
         """
         found: list[tuple[int, tuple[int, ...], BitVector]] = []
 
@@ -377,9 +367,12 @@ class PacOnlineInner:
             source = _ForkingReplay(
                 examples, flips, flip_budget, learner, run_length, visit
             )
-            budget = len(examples) - source.start
-            x = self._verdict(learner, source, budget, run_length)
-            if x is not None:
+            pac_params = PacParams(self.delta, len(examples) - source.start)
+            try:
+                x = pac_learn(learner, source, pac_params, run_length)
+            except (BudgetExhaustedError, InconsistentStreamError):
+                return
+            if x.popcount() == self.k:
                 found.append((len(flips), flips, x))
 
         visit(self._start.fork(), (), 0)
@@ -388,22 +381,6 @@ class PacOnlineInner:
         for _, _, x in found:
             distinct.setdefault(x.value, x)
         return list(distinct.values())
-
-    def _verdict(self, learner, source, budget, run_length) -> BitVector | None:
-        """The PAC driver's verdict as a candidate: a weight-k vector or
-        None."""
-        pac_params = PacParams(delta=self.delta, sample_budget=budget)
-        try:
-            x = pac_learn(learner, source, pac_params, run_length)
-        except (
-            BudgetExhaustedError,
-            InconsistentStreamError,
-            SourceExhaustedError,
-        ):
-            return None
-        if x.popcount() != self.k:
-            return None
-        return x
 
 
 class _ForkingReplay:

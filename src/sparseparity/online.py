@@ -46,6 +46,8 @@ from .gf2 import BitVector
 
 # Maps the ASCII digits of bin() to the 0/1 bytes compress() selects by.
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 class LearnerState:
     """Mutable state of one learning session over a covering family.
 

@@ -24,13 +24,11 @@ from dataclasses import dataclass
 from .errors import BudgetExhaustedError, NotSingletonError
 from .gf2 import BitVector
 
-DEFAULT_SAMPLE_BUDGET = 10**6
-
 
 @dataclass(frozen=True)
 class PacParams:
-    delta: float = 0.1
-    sample_budget: int = DEFAULT_SAMPLE_BUDGET
+    delta: float
+    sample_budget: int
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:

@@ -9,7 +9,9 @@ across runs and platforms.
 Besides ``next_example``, a source can move past examples it does not
 build: ``skip(count)`` drops them unread, and ``disagreements(candidates,
 count)`` scores candidate vectors against their labels.  Both leave the
-source, and ``draws``, where ``count`` draws would.
+source, and ``draws``, where ``count`` draws would.  :class:`UniformSource`
+is the library's one source; any object with these members and ``n``
+serves the noisy driver.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import SourceExhaustedError
 from .gf2 import BitVector
 from .rng import SplitMix64, lane_words, word_lanes
 
@@ -207,60 +208,4 @@ class UniformSource:
                 counts[i] += ((folded ^ flips) & wanted).bit_count()
         self._block = lane_words(z, held)
         self._cursor = 0
-        return counts
-
-
-class ReplaySource:
-    """Replays a fixed example list; raises SourceExhausted at the end.
-
-    ``n`` is the examples' length, or None for an empty list.
-    """
-
-    def __init__(self, examples: Sequence[LabeledExample]):
-        self._examples = list(examples)
-        self.n = self._examples[0].a.n if self._examples else None
-        for ex in self._examples:
-            if ex.a.n != self.n:
-                raise ValueError(
-                    f"mixed example lengths {self.n} and {ex.a.n} in replay"
-                )
-        self._cursor = 0
-
-    @property
-    def draws(self) -> int:
-        return self._cursor
-
-    def next_example(self) -> LabeledExample:
-        if self._cursor >= len(self._examples):
-            raise SourceExhaustedError(
-                f"replay of {len(self._examples)} examples is exhausted"
-            )
-        ex = self._examples[self._cursor]
-        self._cursor += 1
-        return ex
-
-    def skip(self, count: int) -> None:
-        """Move past ``count`` examples; past the end, stop there and raise
-        SourceExhaustedError, as drawing would."""
-        if count < 0:
-            raise ValueError(f"cannot skip {count} examples")
-        stop = self._cursor + count
-        self._cursor = min(stop, len(self._examples))
-        if stop > len(self._examples):
-            raise SourceExhaustedError(
-                f"replay of {len(self._examples)} examples is exhausted"
-            )
-
-    def disagreements(
-        self, candidates: Sequence[BitVector], count: int
-    ) -> list[int]:
-        """Per candidate, how many of the next ``count`` labels it misses."""
-        start = self._cursor
-        self.skip(count)
-        values = [x.value for x in candidates]
-        counts = [0] * len(values)
-        for ex in self._examples[start:self._cursor]:
-            bits, y = ex.a.value, ex.label
-            for i, x in enumerate(values):
-                counts[i] += ((bits & x).bit_count() & 1) ^ y
         return counts

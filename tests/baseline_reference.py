@@ -9,6 +9,9 @@
   meet-in-the-middle inner learner of the noisy reduction.
 * :func:`join_owners` builds the same syndrome map by meeting left-half
   and right-half supports, the oracle for ``noisy.syndrome_owners``.
+* :class:`MitmLookup` answers one stream by looking its labels up in the
+  syndrome map of its vectors, kept across relabelings, the flip-set loop's ``run`` for
+  the meet-in-the-middle inner learner.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Sequence
 
 from sparseparity.errors import BudgetExceededError, InconsistentStreamError
 from sparseparity.gf2 import BitVector
+from sparseparity.noisy import syndrome_owners
 from sparseparity.sources import LabeledExample
 
 from bit_reference import dot
@@ -205,3 +209,37 @@ def join_owners(
                 else:
                     owner[syndrome] = left_supports[0] + support
     return owner
+
+
+# -- syndrome lookup, one map per set of vectors --------------------------
+
+
+class MitmLookup:
+    """The only weight-k vector consistent with a stream, found by one
+    lookup of its labels in the syndrome map of its vectors.
+
+    The map does not read the labels, so it is kept with the tuple of
+    vectors it was built for: the flip-set loop, which relabels the same
+    vectors for every flip set, builds it once per stream instead of once
+    per flip set.
+    """
+
+    def __init__(self, n: int, k: int):
+        self.n = n
+        self.k = k
+        self._rows: tuple[int, ...] | None = None
+        self._owners: dict[int, tuple[int, ...] | None] = {}
+
+    def run(self, examples: Sequence[LabeledExample]) -> BitVector | None:
+        for ex in examples:
+            if ex.a.n != self.n:
+                raise ValueError(f"example length {ex.a.n} != n={self.n}")
+        rows = tuple(ex.a.value for ex in examples)
+        if rows != self._rows:
+            self._owners = syndrome_owners(rows, self.n, self.k)
+            self._rows = rows
+        labels = sum(ex.label << i for i, ex in enumerate(examples))
+        support = self._owners.get(labels)
+        if support is None:
+            return None
+        return BitVector.from_support(self.n, support)

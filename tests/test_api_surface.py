@@ -27,9 +27,9 @@ CALLERS = (LIBRARY, ROOT / "perfbench")
 
 # Public names kept with no caller in src/ or perfbench/, and why.
 ALLOWED = {
-    "run": "the inner learners' contract, one repaired stream in and a "
-    "vector or None out: perfbench/tracing.py wraps inner.run by name, "
-    "while the flip-set driver calls candidates",
+    "run": "an inner learner's answer for one stream, the lone vector of "
+    "candidates(examples, 0) or None: perfbench/tracing.py wraps inner.run "
+    "by name, while the flip-set driver calls candidates",
 }
 
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")

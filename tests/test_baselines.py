@@ -152,7 +152,7 @@ class TestCandidateSet:
             cs = CandidateSet(16, 2)
             hidden = gen_hidden(16, 2, 400 + seed)
             source = UniformSource(hidden, seed=500 + seed)
-            got = pac_learn(cs, source, PacParams(delta=0.1))
+            got = pac_learn(cs, source, PacParams(delta=0.1, sample_budget=10**6))
             hits += got == hidden
         assert hits >= 45
 

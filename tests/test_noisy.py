@@ -15,6 +15,7 @@ from sparseparity.errors import (
     AllChartsEmptyError,
     BudgetExceededError,
     BudgetExhaustedError,
+    InconsistentStreamError,
     LengthMismatchError,
     NoCandidatesError,
 )
@@ -34,16 +35,12 @@ from sparseparity.noisy import (
 from sparseparity.online import LearnerState, new_learner
 from sparseparity.pac import PacParams, pac_learn
 from sparseparity.rng import SplitMix64
-from sparseparity.sources import (
-    LabeledExample,
-    ReplaySource,
-    UniformSource,
-    gen_hidden,
-)
+from sparseparity.sources import LabeledExample, UniformSource, gen_hidden
 
-from baseline_reference import brute_force_owners, join_owners
+from baseline_reference import MitmLookup, brute_force_owners, join_owners
 from bit_reference import bits, dot, from01
 from chart_reference import decode_charts
+from replay_source import ReplaySource
 
 
 def take(source, count):
@@ -112,11 +109,28 @@ class DecliningInner(LoopInner):
 
 
 class RunOnly(LoopInner):
-    """An inner learner's ``run`` with the flip-set loop in place of its
-    decoding hook."""
+    """A reference ``run`` with the flip-set loop as its ``candidates``."""
+
+    def __init__(self, reference):
+        self.run = reference.run
+
+
+class ReplayRun(LoopInner):
+    """A chart inner learner's ``run`` as one replay of the whole list
+    through ``pac_learn`` and a :class:`ReplaySource`, with the flip-set
+    loop as its ``candidates``."""
 
     def __init__(self, inner):
-        self.run = inner.run
+        self.inner = inner
+
+    def run(self, examples):
+        inner = self.inner
+        params = PacParams(delta=inner.delta, sample_budget=len(examples))
+        try:
+            x = pac_learn(inner._start.fork(), ReplaySource(examples), params)
+        except (BudgetExhaustedError, InconsistentStreamError):
+            return None
+        return x if x.popcount() == inner.k else None
 
 
 class ListInner:
@@ -251,9 +265,16 @@ def test_from_counts_fields():
 def test_tampered_flip_budget_rejected():
     # the budget is derived from eta and s_prime, so it cannot be passed in
     with pytest.raises(TypeError):
-        NoisyParams(
-            eta=0.05, delta=0.2, s_prime=40, s_doubleprime=12417, flip_budget=4
-        )
+        NoisyParams(eta=0.05, delta=0.2, s_prime=40, flip_budget=4)
+
+
+def test_tampered_verification_count_rejected():
+    # s'' is derived from eta, delta and s_prime, so it cannot be passed in
+    with pytest.raises(TypeError):
+        NoisyParams(eta=0.05, delta=0.2, s_prime=40, s_doubleprime=12417)
+    params = NoisyParams(eta=0.05, delta=0.2, s_prime=40)
+    assert params == NoisyParams.from_counts(eta=0.05, delta=0.2, s_prime=40)
+    assert params.s_doubleprime == 12417
 
 
 def test_param_domain_errors():
@@ -668,8 +689,7 @@ def test_mitm_inner_weight_zero():
 
 
 def test_mitm_inner_cache_survives_label_changes():
-    # the flip-set loop re-runs the same vectors with different labels, so
-    # answers must track the labels even when the vector table is reused
+    # the same vectors with different labels: answers track the labels
     inner = MitmInner(10, 2)
     x1 = BitVector.from_support(10, (0, 3))
     x2 = BitVector.from_support(10, (5, 8))
@@ -693,11 +713,12 @@ def test_mitm_inner_matches_exhaustive_consistency(seed):
     )
     consistent = [
         BitVector.from_support(n, support)
-        for support in __import__("itertools").combinations(range(n), k)
+        for support in itertools.combinations(range(n), k)
         if all(dot(ex.a, BitVector.from_support(n, support)) == ex.label
                for ex in examples)
     ]
     got = MitmInner(n, k).run(examples)
+    assert got == MitmLookup(n, k).run(examples)
     if len(consistent) == 1:
         assert got == consistent[0]
     else:
@@ -705,7 +726,7 @@ def test_mitm_inner_matches_exhaustive_consistency(seed):
 
 
 def test_mitm_inner_tables_follow_the_example_vectors():
-    # a second stream of different vectors must not reuse the first's tables
+    # a second stream of different vectors gets a map of its own
     inner = MitmInner(10, 2)
     x = BitVector.from_support(10, (2, 6))
     first = take(UniformSource(x, seed=1, eta=0.0), 20)
@@ -727,7 +748,7 @@ def _call(inner, method, examples):
 
 @pytest.mark.parametrize("method", ["run", "candidates"])
 def test_mitm_inner_checks_lengths_before_the_cache(method):
-    # the same values as length-9 vectors must not hit the length-8 map
+    # the same values as length-9 vectors must not reach the length-8 map
     hidden = BitVector.from_support(8, (1, 4))
     examples = take(UniformSource(hidden, seed=3, eta=0.0), 20)
     inner = MitmInner(8, 2)
@@ -748,13 +769,15 @@ def test_mitm_inner_rejects_a_wrong_length_stream_every_time(method):
             _call(inner, method, other)
 
 
-def test_mitm_inner_stores_the_key_after_the_map(monkeypatch):
-    # a build cut short must not leave its key pointing at the old map
+def test_mitm_inner_keeps_no_state_between_calls(monkeypatch):
+    # each call builds its own map, so a build cut short leaves nothing
+    # behind and the inner holds only n and k
     hidden = BitVector.from_support(8, (1, 4))
     first = take(UniformSource(hidden, seed=3, eta=0.0), 20)
     second = take(UniformSource(hidden, seed=4, eta=0.0), 20)
     inner = MitmInner(8, 2)
     assert inner.run(first) == hidden
+    assert inner.candidates(first, 2)
 
     def interrupted(rows, n, k):
         raise MemoryError
@@ -764,6 +787,7 @@ def test_mitm_inner_stores_the_key_after_the_map(monkeypatch):
         with pytest.raises(MemoryError):
             inner.run(second)
     assert inner.run(second) == hidden
+    assert vars(inner) == {"n": 8, "k": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +878,7 @@ def test_mitm_candidates_match_the_flip_set_loop(n, k, s_prime, budget, seed):
     budget = min(budget, s_prime)
     primary = _primary(n, k, s_prime, seed)
     assert MitmInner(n, k).candidates(primary, budget) == loop_candidates(
-        MitmInner(n, k), primary, budget
+        MitmLookup(n, k), primary, budget
     )
 
 
@@ -864,7 +888,7 @@ def test_mitm_candidates_keep_the_loop_order_across_sizes():
     primary = _primary(9, 1, 4, 77)
     got = MitmInner(9, 1).candidates(primary, 3)
     assert len(got) > 1
-    assert got == loop_candidates(MitmInner(9, 1), primary, 3)
+    assert got == loop_candidates(MitmLookup(9, 1), primary, 3)
 
 
 def test_mitm_candidates_empty_when_no_flip_set_decodes():
@@ -872,7 +896,7 @@ def test_mitm_candidates_empty_when_no_flip_set_decodes():
     honest = take(UniformSource(hidden, seed=6, eta=0.0), 30)
     inverted = [LabeledExample(ex.a, ex.label ^ 1) for ex in honest]
     assert MitmInner(8, 2).candidates(inverted, 0) == []
-    assert loop_candidates(MitmInner(8, 2), inverted, 0) == []
+    assert loop_candidates(MitmLookup(8, 2), inverted, 0) == []
 
 
 @pytest.mark.parametrize("n,k", [(7, 5), (9, 6), (6, 6), (5, 7)])
@@ -882,7 +906,7 @@ def test_mitm_candidates_weight_above_half(n, k):
         for budget in range(3):
             assert MitmInner(n, k).candidates(
                 primary, budget
-            ) == loop_candidates(MitmInner(n, k), primary, budget)
+            ) == loop_candidates(MitmLookup(n, k), primary, budget)
 
 
 @pytest.mark.parametrize("n,k", [(12, 2), (10, 0), (7, 5), (9, 6), (5, 7)])
@@ -891,10 +915,10 @@ def test_mitm_candidates_at_budget_zero_are_one_run(n, k):
         for s_prime in (1, 4, 12):
             primary = _primary(n, min(k, n), s_prime, seed)
             inner = MitmInner(n, k)
-            x = inner.run(primary)
+            x = MitmLookup(n, k).run(primary)
             got = inner.candidates(primary, 0)
             assert got == ([] if x is None else [x])
-            assert got == loop_candidates(MitmInner(n, k), primary, 0)
+            assert inner.run(primary) == x
 
 
 @pytest.mark.parametrize(
@@ -912,7 +936,7 @@ def test_reports_match_on_both_paths(n, k, eta, s_prime, seed):
         hook_inner, runs = MitmInner(n, k), []
         # the hook decodes from the syndrome map and never calls run
         hook_inner.run = runs.append
-        for inner in (hook_inner, RunOnly(MitmInner(n, k))):
+        for inner in (hook_inner, RunOnly(MitmLookup(n, k))):
             source = UniformSource(hidden, seed=source_seed, eta=eta)
             try:
                 reports.append(noisy_learn_report(inner, source, params))
@@ -1045,8 +1069,27 @@ def test_chart_candidates_match_the_flip_set_loop(
     inner = _chart_inner(n, k, delta)
     primary = _stream(kind, n, k, s_prime, seed)
     assert inner.candidates(primary, budget) == loop_candidates(
-        inner, primary, budget
+        ReplayRun(inner), primary, budget
     )
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(min_value=8, max_value=20),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=24),
+    st.sampled_from(STREAM_KINDS),
+    st.sampled_from((0.01, 0.25)),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_chart_candidates_at_budget_zero_are_one_replay(
+    n, k, s_prime, kind, delta, seed
+):
+    inner = _chart_inner(n, k, delta)
+    primary = _stream(kind, n, k, s_prime, seed)
+    x = ReplayRun(inner).run(primary)
+    assert inner.candidates(primary, 0) == ([] if x is None else [x])
+    assert inner.run(primary) == x
 
 
 def test_chart_candidates_hit_every_exit():
@@ -1066,7 +1109,7 @@ def test_chart_candidates_hit_every_exit():
         )
         for budget in range(4):
             assert inner.candidates(primary, budget) == loop_candidates(
-                inner, primary, budget
+                ReplayRun(inner), primary, budget
             )
     assert exits == {"identified", "threshold", "budget", "empty", "popcount"}
 
@@ -1130,7 +1173,7 @@ def test_chart_candidates_skip_flip_sets_past_the_stop(monkeypatch):
     monkeypatch.setattr(LearnerState, "fork", counted_fork)
     got = inner.candidates(primary, 1)
     assert len(forks) == root.draws
-    assert got == loop_candidates(inner, primary, 1)
+    assert got == loop_candidates(ReplayRun(inner), primary, 1)
 
 
 def test_chart_candidates_flip_the_last_example():
@@ -1149,7 +1192,7 @@ def test_chart_candidates_flip_the_last_example():
     primary = apply_flips(honest[:probe.draws], (probe.draws - 1,))
     assert inner.run(primary) is None
     assert inner.candidates(primary, 1) == [hidden]
-    assert loop_candidates(inner, primary, 1) == [hidden]
+    assert loop_candidates(ReplayRun(inner), primary, 1) == [hidden]
 
 
 def test_gate7_reports_match_on_both_paths():
@@ -1157,7 +1200,7 @@ def test_gate7_reports_match_on_both_paths():
     # trial and runs the inner learner zero times
     params = NoisyParams.from_counts(eta=0.01, delta=0.25, s_prime=67)
     inner = PacOnlineInner(48, 2, t=12, alpha=2, delta=0.01, rng_seed=7700)
-    loop_path = RunOnly(inner)
+    loop_path = ReplayRun(inner)
     runs = []
     inner.run = runs.append  # records any run call on the hook path
     master = SplitMix64(7)

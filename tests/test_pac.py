@@ -4,31 +4,36 @@ import math
 
 import pytest
 
-from sparseparity.errors import BudgetExhaustedError, SourceExhaustedError
+from sparseparity.errors import BudgetExhaustedError
 from sparseparity.gf2 import BitVector
 from sparseparity.online import new_learner
 from sparseparity.pac import PacParams, pac_learn, survival_threshold
-from sparseparity.sources import (
-    LabeledExample,
-    ReplaySource,
-    UniformSource,
-    gen_hidden,
-)
+from sparseparity.sources import LabeledExample, UniformSource, gen_hidden
+
+from replay_source import ReplaySource, SourceExhaustedError
+
+# more examples than any run here draws
+BUDGET = 10**6
 
 
 class TestPacParams:
-    def test_defaults(self):
-        p = PacParams()
-        assert 0 < p.delta < 1
+    def test_both_fields_required(self):
+        with pytest.raises(TypeError):
+            PacParams()
+        with pytest.raises(TypeError):
+            PacParams(delta=0.1)
+        p = PacParams(0.1, 5)
+        assert (p.delta, p.sample_budget) == (0.1, 5)
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, -0.2])
     def test_delta_validated(self, delta):
         with pytest.raises(ValueError):
-            PacParams(delta=delta)
+            PacParams(delta=delta, sample_budget=10)
 
     def test_budget_validated(self):
         with pytest.raises(ValueError):
-            PacParams(sample_budget=-1)
+            PacParams(delta=0.1, sample_budget=-1)
+        assert PacParams(delta=0.1, sample_budget=0).sample_budget == 0
 
 
 class TestSurvivalThreshold:
@@ -76,7 +81,7 @@ class TestPacLearn:
         source = UniformSource(hidden, seed=4)
         feed = [source.next_example() for _ in range(2)]
         with pytest.raises(SourceExhaustedError):
-            pac_learn(learner, ReplaySource(feed), PacParams(delta=0.1))
+            pac_learn(learner, ReplaySource(feed), PacParams(0.1, BUDGET))
 
     def test_success_rate_at_small_scale(self):
         # 200 seeded trials at n=16, k=2, t=4, delta=0.1: the guarantee
@@ -89,7 +94,7 @@ class TestPacLearn:
             learner = new_learner(16, 2, 4, 2, rng_seed=seed)
             hidden = gen_hidden(16, 2, 10_000 + seed)
             source = UniformSource(hidden, seed=20_000 + seed)
-            got = pac_learn(learner, source, PacParams(delta=0.1))
+            got = pac_learn(learner, source, PacParams(0.1, BUDGET))
             hits += got == hidden
             sample_records.append((source.draws, learner.mistake_bound))
         assert hits >= 0.90 * trials
@@ -103,7 +108,7 @@ class TestPacLearn:
         learner = new_learner(16, 2, 4, 2, rng_seed=9)
         hidden = gen_hidden(16, 2, 5)
         source = UniformSource(hidden, seed=6)
-        got = pac_learn(learner, source, PacParams(delta=0.999999 * 0.5))
+        got = pac_learn(learner, source, PacParams(0.999999 * 0.5, BUDGET))
         assert got.popcount() == 2
 
     def test_deterministic_given_seeds(self):
@@ -112,7 +117,7 @@ class TestPacLearn:
             learner = new_learner(16, 2, 4, 2, rng_seed=31)
             hidden = gen_hidden(16, 2, 7)
             source = UniformSource(hidden, seed=8)
-            results.append(pac_learn(learner, source, PacParams(delta=0.05)))
+            results.append(pac_learn(learner, source, PacParams(0.05, BUDGET)))
         assert results[0] == results[1]
 
 
@@ -132,7 +137,7 @@ class TestResume:
         assert threshold > 1
         source = ReplaySource([LabeledExample(a, guess)] * 5)
         got = pac_learn(
-            learner, source, PacParams(delta=0.1), run_length=threshold - 1
+            learner, source, PacParams(0.1, BUDGET), run_length=threshold - 1
         )
         assert source.draws == 1
         assert learner.mistakes == 0
@@ -144,7 +149,7 @@ class TestResume:
         wrong = LabeledExample(a, guess ^ 1)
         source = ReplaySource([wrong] * (threshold + 1))
         pac_learn(
-            learner, source, PacParams(delta=0.1), run_length=threshold - 1
+            learner, source, PacParams(0.1, BUDGET), run_length=threshold - 1
         )
         # the mistake restarts the run, which the repeats then fill
         assert learner.mistakes == 1
@@ -158,7 +163,7 @@ class TestResume:
             learner = new_learner(16, 2, 4, 2, rng_seed=1)
             source = UniformSource(hidden, seed=3)
             extra = {"run_length": 0} if resume else {}
-            results.append(pac_learn(learner, source, PacParams(delta=0.1), **extra))
+            results.append(pac_learn(learner, source, PacParams(0.1, BUDGET), **extra))
             draws.append(source.draws)
         assert results[0] == results[1] == hidden
         assert draws[0] == draws[1]

@@ -8,17 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparseparity import sources
-from sparseparity.errors import SourceExhaustedError
 from sparseparity.gf2 import BitVector
 from sparseparity.rng import SplitMix64
-from sparseparity.sources import (
-    LabeledExample,
-    ReplaySource,
-    UniformSource,
-    gen_hidden,
-)
+from sparseparity.sources import LabeledExample, UniformSource, gen_hidden
 
 from bit_reference import bernoulli, bits, dot, from01
+from replay_source import ReplaySource, SourceExhaustedError
 
 V = from01
 
