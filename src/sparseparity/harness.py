@@ -20,7 +20,7 @@ import logging
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -30,12 +30,7 @@ from .cover import (
     sample_family,
     verify_cover,
 )
-from .errors import (
-    AllChartsEmptyError,
-    BudgetExceededError,
-    InconsistentStreamError,
-    NoCandidatesError,
-)
+from .errors import AllChartsEmptyError, BudgetExceededError, NoCandidatesError
 from .noisy import (
     DEFAULT_FLIP_SET_LIMIT,
     MitmInner,
@@ -49,15 +44,6 @@ from .rng import SplitMix64
 from .sources import UniformSource, gen_hidden
 
 logger = logging.getLogger(__name__)
-
-BENCH_HEADER = (
-    "t",
-    "m",
-    "mean_samples",
-    "mean_live_charts",
-    "mean_round_wall_ns",
-    "identified_frac",
-)
 
 DEFAULT_SAMPLE_BUDGET = 10_000
 
@@ -87,24 +73,9 @@ CSV_HEADER = tuple(f.name for f in fields(RunRow))
 
 @dataclass(frozen=True)
 class RunReport:
-    """The rows a learn command produced, with serializers."""
+    """The rows a learn command produced."""
 
     rows: tuple[RunRow, ...]
-
-    def to_csv(self) -> str:
-        lines = [",".join(CSV_HEADER)]
-        for row in self.rows:
-            lines.append(
-                ",".join(_csv_cell(getattr(row, name)) for name in CSV_HEADER)
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        records = [
-            {name: getattr(row, name) for name in CSV_HEADER}
-            for row in self.rows
-        ]
-        return json.dumps(records, indent=2) + "\n"
 
 
 def _csv_cell(value) -> str:
@@ -115,6 +86,15 @@ def _csv_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _table(records: list[dict], fmt: str) -> str:
+    """Records as CSV, headed by the first one's keys, or as indented JSON."""
+    if fmt == "json":
+        return json.dumps(records, indent=2) + "\n"
+    lines = [",".join(records[0])]
+    lines += [",".join(map(_csv_cell, record.values())) for record in records]
+    return "\n".join(lines) + "\n"
 
 
 def closed_form_mistake_bound(n: int, k: int, t: int) -> float:
@@ -203,6 +183,8 @@ def run_learn_noisy(
     exact_bound = None
     paper_bound = None
     if inner == "mitm":
+        if t is not None or alpha is not None:
+            raise ValueError("the mitm inner takes no --t or --alpha")
         inner_obj = MitmInner(n, k)
     elif inner == "pac-online":
         if t is None or alpha is None:
@@ -286,9 +268,8 @@ def bench_tradeoff(
     """Sample-versus-time trade-off across a grid of t values.
 
     Shrinking t cuts the family size (and so per-round work) while
-    raising the number of examples needed; the log-ratio of family sizes
-    between consecutive grid points is logged for inspection.
-    ``mean_round_wall_ns`` leaves learner construction out.
+    raising the number of examples needed.  ``mean_round_wall_ns`` leaves
+    learner construction out.
     """
     master = SplitMix64(seed)
     table = []
@@ -319,23 +300,7 @@ def bench_tradeoff(
                 "identified_frac": identified_count / trials,
             }
         )
-    for prev, cur in zip(table, table[1:]):
-        if k > 0 and prev["m"] != cur["m"]:
-            rate = math.log2(max(prev["m"], cur["m"]) / min(prev["m"], cur["m"])) / k
-            logger.info(
-                "family-size rate between t=%d and t=%d: log2(m ratio)/k = %.3f",
-                prev["t"],
-                cur["t"],
-                rate,
-            )
     return table
-
-
-def _bench_csv(table: list[dict]) -> str:
-    lines = [",".join(BENCH_HEADER)]
-    for row in table:
-        lines.append(",".join(_csv_cell(row[name]) for name in BENCH_HEADER))
-    return "\n".join(lines) + "\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -348,14 +313,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _t_grid(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(",") if part)
+        return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"t grid must be comma-separated integers, got {text!r}"
         ) from exc
-    if not values:
-        raise argparse.ArgumentTypeError("t grid must be nonempty")
-    return values
 
 
 def _int_at_least(low: int):
@@ -387,26 +349,25 @@ def build_parser() -> argparse.ArgumentParser:
                         default="csv", help="report format")
     common.add_argument("--out", default=None,
                         help="write the report here instead of stdout")
+    common.add_argument("--n", type=int, required=True)
+    common.add_argument("--k", type=int, required=True)
+    t = argparse.ArgumentParser(add_help=False)
+    t.add_argument("--t", type=int, required=True)
+    alpha = argparse.ArgumentParser(add_help=False)
+    alpha.add_argument("--alpha", type=int, required=True)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--sample-budget", type=_int_at_least(0),
+                        default=DEFAULT_SAMPLE_BUDGET)
 
     parser = _Parser(
         prog="sparseparity",
         description="sparse-parity learning experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("learn-noiseless", parents=[common],
-                       help="chart learner on honest noiseless streams")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--sample-budget", type=_int_at_least(0),
-                   default=DEFAULT_SAMPLE_BUDGET)
-
+    sub.add_parser("learn-noiseless", parents=[common, t, alpha, budget],
+                   help="chart learner on honest noiseless streams")
     p = sub.add_parser("learn-noisy", parents=[common],
                        help="flip-set reduction on noisy streams")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--s-prime", type=int, required=True,
@@ -416,58 +377,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int, default=None)
     p.add_argument("--flip-set-limit", type=_int_at_least(0),
                    default=DEFAULT_FLIP_SET_LIMIT)
-
-    p = sub.add_parser("cover-check", parents=[common],
-                       help="sample a covering family and verify it")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--alpha", type=int, required=True)
-
-    p = sub.add_parser("bench", parents=[common],
+    sub.add_parser("cover-check", parents=[common, t, alpha],
+                   help="sample a covering family and verify it")
+    p = sub.add_parser("bench", parents=[common, alpha, budget],
                        help="sample/time trade-off across a t grid")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
     p.add_argument("--t-grid", type=_t_grid, required=True,
                    help="comma-separated t values, e.g. 12,6")
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--sample-budget", type=_int_at_least(0),
-                   default=DEFAULT_SAMPLE_BUDGET)
-
     return parser
 
 
 def _render(args: argparse.Namespace) -> str:
-    if args.command == "learn-noiseless":
-        report = run_learn_noiseless(
-            n=args.n, k=args.k, t=args.t, alpha=args.alpha,
-            trials=args.trials, seed=args.seed,
-            sample_budget=args.sample_budget,
-        )
-        return report.to_csv() if args.fmt == "csv" else report.to_json()
-    if args.command == "learn-noisy":
-        report = run_learn_noisy(
-            n=args.n, k=args.k, eta=args.eta, delta=args.delta,
-            s_prime=args.s_prime, trials=args.trials, seed=args.seed,
-            inner=args.inner, t=args.t, alpha=args.alpha,
-            flip_set_limit=args.flip_set_limit,
-        )
-        return report.to_csv() if args.fmt == "csv" else report.to_json()
     if args.command == "cover-check":
         result = run_cover_check(
             n=args.n, k=args.k, t=args.t, alpha=args.alpha, seed=args.seed
         )
         return json.dumps(result, indent=2) + "\n"
     if args.command == "bench":
-        table = bench_tradeoff(
+        return _table(bench_tradeoff(
             n=args.n, k=args.k, t_values=args.t_grid, alpha=args.alpha,
             trials=args.trials, seed=args.seed,
             sample_budget=args.sample_budget,
+        ), args.fmt)
+    if args.command == "learn-noiseless":
+        report = run_learn_noiseless(
+            n=args.n, k=args.k, t=args.t, alpha=args.alpha,
+            trials=args.trials, seed=args.seed,
+            sample_budget=args.sample_budget,
         )
-        if args.fmt == "csv":
-            return _bench_csv(table)
-        return json.dumps(table, indent=2) + "\n"
-    raise ValueError(f"unknown command {args.command!r}")
+    else:
+        report = run_learn_noisy(
+            n=args.n, k=args.k, eta=args.eta, delta=args.delta,
+            s_prime=args.s_prime, trials=args.trials, seed=args.seed,
+            inner=args.inner, t=args.t, alpha=args.alpha,
+            flip_set_limit=args.flip_set_limit,
+        )
+    return _table([asdict(row) for row in report.rows], args.fmt)
 
 
 def cli(argv: Sequence[str]) -> int:
@@ -479,7 +423,7 @@ def cli(argv: Sequence[str]) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         text = _render(args)
-    except (ValueError, BudgetExceededError, InconsistentStreamError) as exc:
+    except (ValueError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

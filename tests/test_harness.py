@@ -17,6 +17,7 @@ from sparseparity.harness import (
     CSV_HEADER,
     RunReport,
     RunRow,
+    _csv_cell,
     bench_tradeoff,
     cli,
     closed_form_mistake_bound,
@@ -78,6 +79,18 @@ def test_missing_inner_dimensions_exit_one(capsys):
     assert cli(argv) == 1
 
 
+@pytest.mark.parametrize("extra", [["--t", "6"], ["--alpha", "2"],
+                                   ["--t", "6", "--alpha", "2"]])
+def test_mitm_inner_rejects_t_and_alpha(extra, capsys):
+    """The mitm inner uses neither, so a row must not report them."""
+    argv = ["learn-noisy", "--n", "24", "--k", "2", "--eta", "0.05",
+            "--delta", "0.2", "--s-prime", "20", "--inner", "mitm"] + extra
+    assert cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_zero_trials_rejected(capsys):
     argv = ["learn-noiseless", "--n", "8", "--k", "1", "--t", "4",
             "--alpha", "2", "--trials", "0"]
@@ -97,6 +110,8 @@ def test_zero_trials_rejected(capsys):
          "--trials", "0"],
         ["learn-noiseless", "--n", "8", "--k", "1", "--t", "4", "--alpha", "2",
          "--trials", "two"],
+        ["bench", "--n", "16", "--k", "2", "--t-grid", "4,,2", "--alpha", "2"],
+        ["bench", "--n", "48", "--k", "2", "--t-grid", "12,6,", "--alpha", "2"],
     ],
 )
 def test_out_of_range_counts_exit_one_with_usage(argv, capsys):
@@ -201,20 +216,40 @@ def test_learn_noiseless_report_object():
         assert row.paper_bound == closed_form_mistake_bound(16, 2, 4)
 
 
-def test_learn_noiseless_json_matches_csv(tmp_path):
-    argv = ["learn-noiseless", "--n", "16", "--k", "2", "--t", "4",
-            "--alpha", "2", "--trials", "2", "--seed", "1"]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["learn-noiseless", "--n", "16", "--k", "2", "--t", "4",
+         "--alpha", "2", "--trials", "2", "--seed", "1"],
+        ["learn-noisy", "--n", "16", "--k", "2", "--eta", "0.05",
+         "--delta", "0.2", "--s-prime", "20", "--trials", "2", "--seed", "3"],
+        ["learn-noisy", "--n", "16", "--k", "2", "--eta", "0.05",
+         "--delta", "0.2", "--s-prime", "20", "--inner", "pac-online",
+         "--t", "4", "--alpha", "2", "--trials", "2", "--seed", "3"],
+        ["bench", "--n", "16", "--k", "2", "--t-grid", "4,2", "--alpha", "2",
+         "--trials", "2", "--seed", "17"],
+    ],
+    ids=["learn-noiseless", "learn-noisy-mitm", "learn-noisy-pac-online",
+         "bench"],
+)
+def test_json_matches_csv(tmp_path, monkeypatch, argv):
+    """Every JSON value renders as its CSV cell, keys in header order.
+
+    A clock that never moves makes the wall-clock columns agree too.
+    """
+    monkeypatch.setattr("sparseparity.harness.time",
+                        SimpleNamespace(perf_counter_ns=lambda: 0))
     _, csv_text = run_cli(tmp_path, argv, name="a.csv")
     _, json_text = run_cli(tmp_path, argv + ["--format", "json"], name="a.json")
+    lines = csv_text.strip("\n").split("\n")
+    header = lines[0].split(",")
     records = json.loads(json_text)
-    csv_rows = [line.split(",") for line in csv_text.strip().split("\n")[1:]]
-    assert len(records) == len(csv_rows) == 2
-    for rec, cells in zip(records, csv_rows):
-        assert list(rec) == list(CSV_HEADER)
-        assert rec["delta"] is None
-        assert rec["identified"] is True
-        assert str(rec["seed"]) == cells[0]
-        assert str(rec["mistakes"]) == cells[7]
+    assert len(records) == len(lines) - 1 >= 2
+    for record, line in zip(records, lines[1:]):
+        assert list(record) == header
+        for name, cell in zip(header, line.split(",")):
+            assert not isinstance(record[name], str)
+            assert _csv_cell(record[name]) == cell
 
 
 def force_one_chart_families(monkeypatch):
@@ -432,6 +467,9 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "data"
         (["learn-noiseless", "--n", "32", "--k", "4", "--t", "8",
           "--alpha", "3", "--trials", "3", "--seed", "22"],
          "wall_ns", "golden_learn_noiseless_k4.csv"),
+        (["learn-noiseless", "--n", "64", "--k", "3", "--t", "12",
+          "--alpha", "2", "--trials", "3", "--seed", "20", "--format", "json"],
+         "wall_ns", "golden_learn_noiseless.json"),
     ],
 )
 def test_reports_match_golden_output(tmp_path, argv, wall_column, golden):
@@ -445,11 +483,16 @@ def test_reports_match_golden_output(tmp_path, argv, wall_column, golden):
     join that its pair table replaced; the weight-4 noiseless report was
     written by the chart layout that packed charts back to back, before
     they moved to one padded stride.  A report without a wall-clock
-    column is compared whole.
+    column is compared whole; a JSON report drops it from every record.
     """
     code, text = run_cli(tmp_path, argv)
     assert code == 0
     expected = (GOLDEN_DIR / golden).read_text()
-    if wall_column is not None:
+    if wall_column is not None and golden.endswith(".json"):
+        records = json.loads(text)
+        for record in records:
+            del record[wall_column]
+        text = json.dumps(records, indent=2) + "\n"
+    elif wall_column is not None:
         text = strip_column(text, wall_column) + "\n"
     assert text == expected
