@@ -26,16 +26,14 @@ class AllChartsEmptyError(InconsistentStreamError):
 class BudgetExhaustedError(Exception):
     """The sample budget ran out before a hypothesis could be certified.
 
-    Carries the best uncertified hypothesis seen so far.
+    Carries ``samples_used``, the examples drawn before it ran out.
     """
 
-    def __init__(self, hypothesis, samples_used: int):
+    def __init__(self, samples_used: int):
         super().__init__(
             f"sample budget exhausted after {samples_used} examples"
         )
-        self.hypothesis = hypothesis
         self.samples_used = samples_used
-        self.certified = False
 
 
 class NoCandidatesError(Exception):

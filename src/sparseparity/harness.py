@@ -271,11 +271,14 @@ def bench_tradeoff(
     raising the number of examples needed.  ``mean_round_wall_ns`` leaves
     learner construction out.
     """
+    # Check every t before the first trial, so a bad grid runs nothing.
+    grid = [
+        (t, family_size_m(CoverParams(n=n, k=k, t=t, alpha=alpha)))
+        for t in t_values
+    ]
     master = SplitMix64(seed)
     table = []
-    for t in t_values:
-        params = CoverParams(n=n, k=k, t=t, alpha=alpha)
-        m = family_size_m(params)
+    for t, m in grid:
         samples_total = 0
         charts_total = 0
         round_ns_total = 0
@@ -312,12 +315,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _t_grid(text: str) -> tuple[int, ...]:
+    """Comma-separated t values, each a positive integer."""
+    positive = _int_at_least(1)
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"t grid must be comma-separated integers, got {text!r}"
-        ) from exc
+        return tuple(positive(part) for part in text.split(","))
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"t grid {text!r}: {exc}") from None
 
 
 def _int_at_least(low: int):
@@ -352,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--n", type=int, required=True)
     common.add_argument("--k", type=int, required=True)
     t = argparse.ArgumentParser(add_help=False)
-    t.add_argument("--t", type=int, required=True)
+    t.add_argument("--t", type=_int_at_least(1), required=True)
     alpha = argparse.ArgumentParser(add_help=False)
     alpha.add_argument("--alpha", type=int, required=True)
     budget = argparse.ArgumentParser(add_help=False)
@@ -373,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-prime", type=int, required=True,
                    help="primary sample count (sets the flip budget)")
     p.add_argument("--inner", choices=("mitm", "pac-online"), default="mitm")
-    p.add_argument("--t", type=int, default=None)
+    p.add_argument("--t", type=_int_at_least(1), default=None)
     p.add_argument("--alpha", type=int, default=None)
     p.add_argument("--flip-set-limit", type=_int_at_least(0),
                    default=DEFAULT_FLIP_SET_LIMIT)

@@ -63,11 +63,6 @@ def entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def flip_budget_for(eta: float, s_prime: int) -> int:
-    """floor(3/2 * eta * s_prime), computed exactly from the given eta."""
-    return int(Fraction(3, 2) * Fraction(eta) * s_prime)
-
-
 def flip_set_count(s_prime: int, flip_budget: int) -> int:
     """Number of index subsets of size at most the budget, exactly."""
     return sum(math.comb(s_prime, i) for i in range(flip_budget + 1))
@@ -101,15 +96,22 @@ class NoisyParams:
 
     @property
     def flip_budget(self) -> int:
-        """floor(3/2 * eta * s_prime)."""
-        return flip_budget_for(self.eta, self.s_prime)
+        """floor(3/2 * eta * s_prime), computed exactly from the given eta."""
+        return int(Fraction(3, 2) * Fraction(self.eta) * self.s_prime)
 
     @staticmethod
     def verification_count(eta: float, delta: float, s_prime: int) -> int:
-        """ceil(600 * (s_prime * H(3 eta / 2) + log2(8 / delta)))."""
-        return math.ceil(
-            600 * (s_prime * entropy(1.5 * eta) + math.log2(8.0 / delta))
-        )
+        """ceil(600 * (s_prime * H(3 eta / 2) + log2(8 / delta))).
+
+        Raises ValueError when that is not finite, as when ``8 / delta``
+        overflows for a subnormal ``delta``.
+        """
+        count = 600 * (s_prime * entropy(1.5 * eta) + math.log2(8.0 / delta))
+        if not math.isfinite(count):
+            raise ValueError(
+                f"verification count is not finite for delta={delta!r}"
+            )
+        return math.ceil(count)
 
     @classmethod
     def from_counts(
@@ -363,19 +365,17 @@ class PacOnlineInner:
         """
         found: list[tuple[int, tuple[int, ...], BitVector]] = []
 
-        def visit(learner, flips, run_length):
-            source = _ForkingReplay(
-                examples, flips, flip_budget, learner, run_length, visit
-            )
+        def visit(learner, flips):
+            source = _ForkingReplay(examples, flips, flip_budget, learner, visit)
             pac_params = PacParams(self.delta, len(examples) - source.start)
             try:
-                x = pac_learn(learner, source, pac_params, run_length)
+                x = pac_learn(learner, source, pac_params)
             except (BudgetExhaustedError, InconsistentStreamError):
                 return
             if x.popcount() == self.k:
                 found.append((len(flips), flips, x))
 
-        visit(self._start.fork(), (), 0)
+        visit(self._start.fork(), ())
         found.sort(key=lambda entry: entry[:2])
         distinct: dict[int, BitVector] = {}
         for _, _, x in found:
@@ -390,36 +390,25 @@ class _ForkingReplay:
     the empty set), whose label comes flipped; later examples come as
     drawn, since the earlier flips were stepped before the fork.  While
     the set has flips to spare, every draw of a later example ``i``
-    first runs ``branch`` on a fork of the learner for ``flips + (i,)``.
+    first runs ``branch`` on a fork of the learner for ``flips + (i,)``;
+    the fork carries the learner's survival run over.
     """
 
-    def __init__(
-        self, examples, flips, flip_budget, learner, run_length, branch
-    ):
+    def __init__(self, examples, flips, flip_budget, learner, branch):
         self.examples = examples
         self.flips = flips
         self.start = flips[-1] if flips else 0
         self.spare = len(flips) < flip_budget
         self.learner = learner
-        self.run_length = run_length
-        self.mistakes = learner.mistakes
         self.branch = branch
         self.draws = 0
 
     def next_example(self) -> LabeledExample:
         i = self.start + self.draws
         ex = self.examples[i]
-        if self.draws:
-            # pac_learn's run grew unless the round just stepped was a
-            # mistake, which the learner counts.
-            if self.learner.mistakes == self.mistakes:
-                self.run_length += 1
-            else:
-                self.run_length = 0
-                self.mistakes = self.learner.mistakes
         if self.flips and not self.draws:
             ex = LabeledExample(ex.a, ex.label ^ 1)
         elif self.spare:
-            self.branch(self.learner.fork(), self.flips + (i,), self.run_length)
+            self.branch(self.learner.fork(), self.flips + (i,))
         self.draws += 1
         return ex

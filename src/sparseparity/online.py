@@ -119,6 +119,8 @@ class LearnerState:
         self._live = guards
         self.live_charts = guards.bit_count()
         self.mistakes = 0
+        # Rounds since the last mistake: the PAC driver's survival run.
+        self.run_length = 0
         self.rounds = 0
         # Exact number of points across charts, counted with multiplicity.
         self.initial_mass = self.mass = sum(
@@ -207,7 +209,7 @@ def learner_update(state: LearnerState, a: BitVector, y: int) -> int:
     half drops ``z``, adds ``z`` to every later odd basis vector, and adds
     ``z`` to the point when the point's label is not ``y``.  Returns the
     prediction made before the update and counts a mistake when it differs
-    from ``y``.
+    from ``y``; ``run_length`` then restarts at 0, and otherwise grows by 1.
     """
     if y not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {y!r}")
@@ -261,6 +263,9 @@ def learner_update(state: LearnerState, a: BitVector, y: int) -> int:
     guess = 0 if mass[0] >= mass[1] else 1
     if guess != y:
         state.mistakes += 1
+        state.run_length = 0
+    else:
+        state.run_length += 1
     if split:
         points = split >> 1
         flips = points & parities

@@ -10,8 +10,10 @@ distinct hypotheses the learner can move through (its mistake bound).
 The driver is prediction-driven: the learner need not expose a point
 hypothesis while active, so "the hypothesis survives" means "the
 learner's predictions were all correct in the run".  A learner offers
-four members: ``step(a, y)`` predicts, counts its own mistake and
-updates, mistaken or not; ``identified()`` is the pinned vector or None;
+five members: ``step(a, y)`` predicts, counts its own mistake and
+updates, mistaken or not; ``run_length`` is the number of rounds since
+its last mistake, which ``step`` restarts at 0 on a mistake and grows by
+1 otherwise; ``identified()`` is the pinned vector or None;
 ``best_hypothesis()`` is its uncertified point; ``mistake_bound`` sizes
 the survival run.
 """
@@ -47,17 +49,14 @@ def survival_threshold(mistake_bound: int, delta: float) -> int:
     return max(1, math.ceil(math.log2((mistake_bound + 1) / delta)))
 
 
-def pac_learn(
-    learner, source, params: PacParams, run_length: int = 0
-) -> BitVector:
+def pac_learn(learner, source, params: PacParams) -> BitVector:
     """Run the online protocol over random examples until certified.
 
-    Returns the identified vector, or the hypothesis extracted after a
-    surviving run of ``survival_threshold`` examples.  Raises
-    BudgetExhausted (carrying the best uncertified hypothesis) when the
-    sample budget runs out first.  ``run_length`` resumes a stream midway:
-    it is the learner's mistake-free run so far, and ``source`` and the
-    budget cover the rest of the stream.
+    Returns the identified vector, or the hypothesis extracted once the
+    learner's ``run_length`` reaches ``survival_threshold``.  Raises
+    BudgetExhaustedError when the sample budget runs out first.  A
+    learner that has already stepped continues its run: ``source`` and
+    the budget cover the rest of its stream.
     """
     threshold = survival_threshold(learner.mistake_bound, params.delta)
     samples_used = 0
@@ -65,19 +64,13 @@ def pac_learn(
         found = learner.identified()
         if found is not None:
             return found
-        if run_length >= threshold:
+        if learner.run_length >= threshold:
             return extract_hypothesis(learner)
         if samples_used >= params.sample_budget:
-            raise BudgetExhaustedError(
-                hypothesis=extract_hypothesis(learner),
-                samples_used=samples_used,
-            )
+            raise BudgetExhaustedError(samples_used)
         ex = source.next_example()
         samples_used += 1
-        if learner.step(ex.a, ex.label) == ex.label:
-            run_length += 1
-        else:
-            run_length = 0
+        learner.step(ex.a, ex.label)
 
 
 def extract_hypothesis(learner) -> BitVector:

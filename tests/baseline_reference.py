@@ -90,6 +90,7 @@ class CandidateSet:
             for support in itertools.combinations(range(n), k)
         ]
         self.mistakes = 0
+        self.run_length = 0
 
     @property
     def mistake_bound(self) -> int:
@@ -107,6 +108,9 @@ class CandidateSet:
         guess = 1 if 2 * sum(labels) > len(labels) else 0
         if guess != y:
             self.mistakes += 1
+            self.run_length = 0
+        else:
+            self.run_length += 1
         self.survivors = [
             f for f, label in zip(self.survivors, labels) if label == y
         ]

@@ -546,7 +546,7 @@ def reference_state(family: CoverFamily) -> LearnerState:
     state._initial_dims = tuple((d, mask) for d, mask in layout.dims if d)
     state._basis = (layout.guards >> 1) - layout.starts
     state.live_charts = layout.guards.bit_count()
-    state.mistakes = state.rounds = 0
+    state.mistakes = state.run_length = state.rounds = 0
     state.initial_mass = state.mass = sum(
         mask.bit_count() << d for d, mask in layout.dims
     )

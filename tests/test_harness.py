@@ -1,6 +1,8 @@
 """Tests for the CLI experiment runner and its report formats."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import subprocess
@@ -9,6 +11,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparseparity import harness
 from sparseparity.cover import CoverParams, family_size_m, sample_family
@@ -112,6 +116,12 @@ def test_zero_trials_rejected(capsys):
          "--trials", "two"],
         ["bench", "--n", "16", "--k", "2", "--t-grid", "4,,2", "--alpha", "2"],
         ["bench", "--n", "48", "--k", "2", "--t-grid", "12,6,", "--alpha", "2"],
+        # the closed-form bound divides by t
+        ["learn-noiseless", "--n", "0", "--k", "0", "--t", "0", "--alpha", "2"],
+        ["bench", "--n", "16", "--k", "0", "--t-grid", "0", "--alpha", "2"],
+        ["learn-noisy", "--n", "24", "--k", "0", "--eta", "0.05",
+         "--delta", "0.2", "--s-prime", "10", "--inner", "pac-online",
+         "--t", "0", "--alpha", "2"],
     ],
 )
 def test_out_of_range_counts_exit_one_with_usage(argv, capsys):
@@ -119,6 +129,107 @@ def test_out_of_range_counts_exit_one_with_usage(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage: sparseparity ")
+
+
+def _mostly(valid, invalid):
+    """Values that pass the parser's checks, and one time in 16 not."""
+    return st.integers(min_value=0, max_value=15).flatmap(
+        lambda roll: invalid if roll == 0 else valid
+    )
+
+
+def _counts(low, high):
+    return _mostly(
+        st.integers(min_value=low, max_value=high),
+        st.integers(min_value=-1, max_value=low - 1),
+    )
+
+
+def _open_floats(low, high):
+    return st.floats(low, high, exclude_min=True, exclude_max=True).map(repr)
+
+
+# Floats the checks have missed: nan, infinities and subnormals, whose
+# reciprocal overflows.
+_SPECIAL_FLOATS = st.sampled_from(
+    ["0", "-0.1", "nan", "inf", "-inf", "5e-324", "1e-320"]
+)
+_FLAG_VALUES = {
+    "--seed": st.integers(min_value=0, max_value=3),
+    "--trials": _counts(1, 2),
+    "--format": _mostly(st.sampled_from(["csv", "json"]), st.just("xml")),
+    "--n": _counts(1, 24),
+    "--k": _counts(0, 3),
+    "--t": _counts(1, 6),
+    "--alpha": _counts(2, 4),
+    "--sample-budget": _counts(0, 64),
+    "--eta": _mostly(_open_floats(0.0, 1 / 3), _SPECIAL_FLOATS),
+    # s'' grows with log2(1 / delta): near 1e-300 one run takes a minute
+    "--delta": _mostly(_open_floats(1e-3, 1.0), _SPECIAL_FLOATS),
+    "--s-prime": _counts(1, 12),
+    "--flip-set-limit": _counts(0, 10**4),
+    "--t-grid": st.lists(
+        _mostly(st.integers(1, 6).map(str), st.sampled_from(["", "0", "-1"])),
+        min_size=1, max_size=3,
+    ).map(",".join),
+}
+_COMMON = ("--seed", "--trials", "--format", "--n", "--k")
+_CLI_FLAGS = {
+    "learn-noiseless": _COMMON + ("--t", "--alpha", "--sample-budget"),
+    "learn-noisy": _COMMON + ("--eta", "--delta", "--s-prime",
+                              "--flip-set-limit"),
+    "cover-check": _COMMON + ("--t", "--alpha"),
+    "bench": _COMMON + ("--alpha", "--sample-budget", "--t-grid"),
+}
+_INNERS = _mostly(st.sampled_from(["mitm", "pac-online"]), st.just("lookup"))
+
+
+@st.composite
+def cli_argvs(draw):
+    """A command and its flags, each given once, left out or repeated,
+    with mostly valid values.  learn-noisy gets an inner learner, and
+    ``--t`` and ``--alpha`` when the inner is the one that takes them."""
+    command = draw(st.sampled_from(sorted(_CLI_FLAGS)))
+    argv = [command]
+    flags = _CLI_FLAGS[command]
+    if command == "learn-noisy":
+        inner = draw(_INNERS)
+        argv += ["--inner", inner]
+        if inner == "pac-online":
+            flags += ("--t", "--alpha")
+    for flag in flags:
+        for _ in range(draw(st.sampled_from((1,) * 18 + (0, 2)))):
+            argv += [flag, str(draw(_FLAG_VALUES[flag]))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argvs())
+@example(["learn-noiseless", "--n", "0", "--k", "0", "--t", "0",
+          "--alpha", "2"])
+@example(["bench", "--n", "16", "--k", "0", "--t-grid", "0", "--alpha", "2"])
+@example(["learn-noisy", "--n", "24", "--k", "0", "--eta", "0.05",
+          "--delta", "0.2", "--s-prime", "10", "--inner", "pac-online",
+          "--t", "0", "--alpha", "2"])
+@example(["learn-noisy", "--n", "24", "--k", "2", "--eta", "0.05",
+          "--delta", "1e-320", "--s-prime", "10"])
+def test_cli_exits_with_a_code_on_every_input(argv):
+    """No exception escapes ``cli``; it exits 0, 1 or 2, and a failure
+    explains itself in one ``error:`` line or in argparse's usage."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli(argv)
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert out.getvalue()
+    elif code == 1:
+        assert out.getvalue() == ""
+        if lines[0].startswith("usage: sparseparity "):
+            assert lines[-1].startswith("sparseparity ")
+            assert ": error: " in lines[-1]
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_unwritable_out_exits_two(tmp_path, capsys):
@@ -381,6 +492,17 @@ def test_bench_round_time_leaves_construction_out(monkeypatch):
     assert [row["mean_round_wall_ns"] for row in table] == [1000.0, 1000.0]
     for row in run_learn_noiseless(16, 2, 4, 2, trials=3, seed=17).rows:
         assert row.wall_ns == 10**9 + 1000 * row.samples
+
+
+def test_bench_checks_the_whole_grid_before_any_trial(monkeypatch, capsys):
+    def no_trial(*args):
+        pytest.fail("a trial ran before the grid was checked")
+
+    monkeypatch.setattr("sparseparity.harness._noiseless_trial", no_trial)
+    argv = ["bench", "--n", "64", "--k", "3", "--t-grid", "12,100",
+            "--alpha", "2"]
+    assert cli(argv) == 1
+    assert capsys.readouterr().err.startswith("error: need 0 <= k <= t <= n")
 
 
 def test_bench_single_point_grid():

@@ -27,7 +27,6 @@ from sparseparity.noisy import (
     PacOnlineInner,
     agreement_select,
     entropy,
-    flip_budget_for,
     flip_set_count,
     noisy_learn_report,
     syndrome_owners,
@@ -178,17 +177,21 @@ def test_entropy_symmetric_and_bounded(p):
 # flip budgets and flip-set enumeration
 
 
+def flip_budget(eta, s_prime):
+    return NoisyParams(eta=eta, delta=0.1, s_prime=s_prime).flip_budget
+
+
 def test_flip_budget_examples():
-    assert flip_budget_for(0.05, 40) == 3
-    assert flip_budget_for(0.05, 39) == 2
-    assert flip_budget_for(0.01, 67) == 1
-    assert flip_budget_for(0.2, 10) == 3
+    assert flip_budget(0.05, 40) == 3
+    assert flip_budget(0.05, 39) == 2
+    assert flip_budget(0.01, 67) == 1
+    assert flip_budget(0.2, 10) == 3
 
 
 def test_flip_budget_matches_exact_fraction():
     for eta, s in [(0.05, 40), (0.1, 20), (0.25, 33), (0.01, 400)]:
         exact = Fraction(3, 2) * Fraction(eta) * s
-        assert flip_budget_for(eta, s) == math.floor(exact)
+        assert flip_budget(eta, s) == math.floor(exact)
 
 
 def test_flip_set_iterator_small():
@@ -286,6 +289,10 @@ def test_param_domain_errors():
         NoisyParams.from_counts(eta=0.05, delta=1.0, s_prime=10)
     with pytest.raises(ValueError):
         NoisyParams.from_counts(eta=0.05, delta=0.2, s_prime=0)
+    # 8 / delta overflows to inf, so s'' would be ceil(inf)
+    for delta in (1e-320, 5e-324):
+        with pytest.raises(ValueError, match="not finite"):
+            NoisyParams.from_counts(eta=0.05, delta=delta, s_prime=10)
 
 
 # ---------------------------------------------------------------------------

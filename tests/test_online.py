@@ -187,8 +187,8 @@ class TestFork:
     @staticmethod
     def snapshot(state):
         return (
-            list(decode_charts(state)), state.mistakes, state.rounds,
-            state.initial_mass, state.mass,
+            list(decode_charts(state)), state.mistakes, state.run_length,
+            state.rounds, state.initial_mass, state.mass,
         )
 
     def test_stepping_a_fork_leaves_the_original_unchanged(self):
@@ -220,6 +220,44 @@ class TestFork:
             assert whole.step(ex.a, ex.label) == twin.step(ex.a, ex.label)
         assert self.snapshot(twin) == self.snapshot(whole)
         assert twin.identified() == whole.identified()
+
+
+class TestRunLength:
+    """``run_length`` counts the rounds since the learner's last mistake."""
+
+    @staticmethod
+    def replay(state, examples):
+        """Step the examples until every chart dies; after each round, the
+        learner's ``run_length`` and the run its predictions give."""
+        run, runs = state.run_length, []
+        for ex in examples:
+            try:
+                guess = state.step(ex.a, ex.label)
+            except AllChartsEmptyError:
+                break
+            run = run + 1 if guess == ex.label else 0
+            runs.append((state.run_length, run))
+        return runs
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        eta=st.sampled_from((0.0, 0.1, 0.3)),
+        cut=st.integers(min_value=0, max_value=30),
+    )
+    def test_matches_the_predictions_and_forks_carry_it(self, seed, eta, cut):
+        whole = new_learner(16, 2, 4, 2, rng_seed=seed)
+        part = whole.fork()
+        assert whole.run_length == 0
+        hidden = gen_hidden(16, 2, seed)
+        examples = take(UniformSource(hidden, seed=seed, eta=eta), 30)
+        runs = self.replay(whole, examples)
+        assert all(own == recomputed for own, recomputed in runs)
+        head = self.replay(part, examples[:cut])
+        twin = part.fork()
+        assert twin.run_length == part.run_length
+        tail = self.replay(twin, examples[cut:])
+        assert head + tail == runs
 
 
 class TestPredict:

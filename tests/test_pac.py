@@ -63,8 +63,6 @@ class TestPacLearn:
         with pytest.raises(BudgetExhaustedError) as info:
             pac_learn(learner, source, PacParams(delta=0.1, sample_budget=0))
         assert info.value.samples_used == 0
-        assert not info.value.certified
-        assert isinstance(info.value.hypothesis, BitVector)
 
     def test_budget_exhausted_reports_samples(self):
         learner = new_learner(16, 2, 4, 2, rng_seed=1)
@@ -74,6 +72,18 @@ class TestPacLearn:
             pac_learn(learner, source, PacParams(delta=0.1, sample_budget=3))
         assert info.value.samples_used == 3
         assert source.draws == 3
+
+    @pytest.mark.parametrize("budget", [0, 3])
+    def test_exhaustion_extracts_no_hypothesis(self, budget, monkeypatch):
+        learner = new_learner(16, 2, 4, 2, rng_seed=1)
+        source = UniformSource(gen_hidden(16, 2, 2), seed=3)
+
+        def unread():
+            pytest.fail("an exhausted run built a hypothesis nobody reads")
+
+        monkeypatch.setattr(learner, "best_hypothesis", unread)
+        with pytest.raises(BudgetExhaustedError):
+            pac_learn(learner, source, PacParams(0.1, sample_budget=budget))
 
     def test_replay_exhaustion_propagates(self):
         learner = new_learner(16, 2, 4, 2, rng_seed=1)
@@ -122,7 +132,7 @@ class TestPacLearn:
 
 
 class TestResume:
-    """``run_length`` carries a mistake-free run over from earlier rounds."""
+    """A learner that has already stepped continues its mistake-free run."""
 
     @staticmethod
     def learner_and_vector():
@@ -131,26 +141,33 @@ class TestResume:
         a = UniformSource(gen_hidden(16, 2, 2), seed=3).next_example().a
         return learner, a, learner.fork().step(a, 0)
 
+    @staticmethod
+    def step_correctly(learner, a, guess, rounds):
+        """``rounds`` steps on ``a`` labeled as the learner predicts it."""
+        for _ in range(rounds):
+            assert learner.step(a, guess) == guess
+        assert learner.run_length == rounds
+        assert learner.mistakes == 0
+
     def test_one_run_short_certifies_after_one_correct_example(self):
         learner, a, guess = self.learner_and_vector()
         threshold = survival_threshold(learner.mistake_bound, 0.1)
         assert threshold > 1
+        self.step_correctly(learner, a, guess, threshold - 1)
         source = ReplaySource([LabeledExample(a, guess)] * 5)
-        got = pac_learn(
-            learner, source, PacParams(0.1, BUDGET), run_length=threshold - 1
-        )
+        got = pac_learn(learner, source, PacParams(0.1, BUDGET))
         assert source.draws == 1
         assert learner.mistakes == 0
         assert got == learner.best_hypothesis()
 
     def test_a_mistake_resets_the_carried_run(self):
-        learner, a, guess = self.learner_and_vector()
+        learner, a, _ = self.learner_and_vector()
         threshold = survival_threshold(learner.mistake_bound, 0.1)
-        wrong = LabeledExample(a, guess ^ 1)
+        b = UniformSource(gen_hidden(16, 2, 4), seed=5).next_example().a
+        self.step_correctly(learner, b, learner.fork().step(b, 0), threshold - 1)
+        wrong = LabeledExample(a, learner.fork().step(a, 0) ^ 1)
         source = ReplaySource([wrong] * (threshold + 1))
-        pac_learn(
-            learner, source, PacParams(0.1, BUDGET), run_length=threshold - 1
-        )
+        pac_learn(learner, source, PacParams(0.1, BUDGET))
         # the mistake restarts the run, which the repeats then fill
         assert learner.mistakes == 1
         assert source.draws == threshold + 1
@@ -159,11 +176,12 @@ class TestResume:
         hidden = gen_hidden(16, 2, 2)
         draws = []
         results = []
-        for resume in (False, True):
-            learner = new_learner(16, 2, 4, 2, rng_seed=1)
+        start = new_learner(16, 2, 4, 2, rng_seed=1)
+        assert start.run_length == 0
+        # a fork of an unstepped learner runs as the learner itself does
+        for learner in (start.fork(), start):
             source = UniformSource(hidden, seed=3)
-            extra = {"run_length": 0} if resume else {}
-            results.append(pac_learn(learner, source, PacParams(0.1, BUDGET), **extra))
+            results.append(pac_learn(learner, source, PacParams(0.1, BUDGET)))
             draws.append(source.draws)
         assert results[0] == results[1] == hidden
         assert draws[0] == draws[1]
