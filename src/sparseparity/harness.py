@@ -239,9 +239,7 @@ def run_cover_check(n: int, k: int, t: int, alpha: int, seed: int) -> dict:
     """Sample one covering family at the given seed and verify it."""
     params = CoverParams(n=n, k=k, t=t, alpha=alpha)
     family = sample_family(params, seed)
-    checked, witness = verify_cover(family)
-    if witness is not None:
-        logger.info("cover check failed; uncovered part set %s", witness)
+    checked, _ = verify_cover(family)
     return {
         "n": n,
         "k": k,

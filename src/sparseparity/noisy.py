@@ -63,9 +63,20 @@ def entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def flip_set_count(s_prime: int, flip_budget: int) -> int:
-    """Number of index subsets of size at most the budget, exactly."""
-    return sum(math.comb(s_prime, i) for i in range(flip_budget + 1))
+def flip_set_count(
+    s_prime: int, flip_budget: int, limit: float = math.inf
+) -> int:
+    """Number of index subsets of size at most the budget, exactly.
+
+    The sum stops at its first partial total over ``limit``, so a budget
+    far past the limit costs a few binomials instead of one per size.
+    """
+    total = 0
+    for size in range(flip_budget + 1):
+        total += math.comb(s_prime, size)
+        if total > limit:
+            break
+    return total
 
 
 @dataclass(frozen=True)
@@ -104,12 +115,19 @@ class NoisyParams:
         """ceil(600 * (s_prime * H(3 eta / 2) + log2(8 / delta))).
 
         Raises ValueError when that is not finite, as when ``8 / delta``
-        overflows for a subnormal ``delta``.
+        overflows for a subnormal ``delta`` or ``s_prime`` is past the
+        float range.
         """
-        count = 600 * (s_prime * entropy(1.5 * eta) + math.log2(8.0 / delta))
+        try:
+            count = 600 * (
+                s_prime * entropy(1.5 * eta) + math.log2(8.0 / delta)
+            )
+        except OverflowError:
+            count = math.inf
         if not math.isfinite(count):
             raise ValueError(
-                f"verification count is not finite for delta={delta!r}"
+                f"verification count is not finite for delta={delta!r} "
+                f"and an s_prime of {s_prime.bit_length()} bits"
             )
         return math.ceil(count)
 
@@ -186,10 +204,10 @@ def noisy_learn_report(
 ) -> NoisyReport:
     """Run the reduction and return the output with its run counters."""
     flip_budget = params.flip_budget
-    total_sets = flip_set_count(params.s_prime, flip_budget)
+    total_sets = flip_set_count(params.s_prime, flip_budget, flip_set_limit)
     if total_sets > flip_set_limit:
         raise BudgetExceededError(
-            f"{total_sets} flip sets exceed the enumeration limit "
+            f"at least {total_sets} flip sets exceed the enumeration limit "
             f"{flip_set_limit}; shrink s_prime or eta"
         )
     primary = [source.next_example() for _ in range(params.s_prime)]

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparseparity.cover import (
-    SAMPLE_ATTEMPTS,
     CoverFamily,
     CoverParams,
     _first_uncovered,
@@ -62,6 +61,10 @@ class TestCoverParams:
     def test_rejects_k_above_t(self):
         with pytest.raises(ValueError):
             CoverParams(n=12, k=4, t=3, alpha=2)
+
+    def test_rejects_negative_k(self):
+        with pytest.raises(ValueError, match="0 <= k"):
+            CoverParams(n=12, k=-1, t=3, alpha=2)
 
     def test_rejects_t_above_n(self):
         with pytest.raises(ValueError):
@@ -259,6 +262,17 @@ class TestVerifyCover:
         monkeypatch.setattr("sparseparity.cover.ENUMERATION_BUDGET", 5)
         with pytest.raises(BudgetExceededError):
             verify_cover(fam)
+        # C(4, 2) = 6 k-subsets are at the budget, not over it
+        monkeypatch.setattr("sparseparity.cover.ENUMERATION_BUDGET", 6)
+        assert verify_cover(fam)[1] is None
+
+    def test_the_budget_is_a_million_k_subsets(self):
+        # C(27, 7) = 888 030 k-subsets may be walked; C(28, 7) may not.
+        under = hand_family(27, 7, 9, 3, [tuple(range(1, 27))])
+        assert verify_cover(under)[1] == tuple(range(7))
+        over = hand_family(28, 7, 14, 2, [])
+        with pytest.raises(BudgetExceededError, match="= 1184040 exceeds"):
+            verify_cover(over)
 
     def test_verification_does_not_mutate_input(self):
         fam = hand_family(4, 2, 2, 2, [(0, 1, 2, 3)])
@@ -483,14 +497,15 @@ class TestBuildVerifiedFamily:
         seeds = self.never_verified(monkeypatch)
         with caplog.at_level(logging.WARNING, logger="sparseparity.cover"):
             fam = build_verified_family(p, rng_seed=1)
-        # one draw per attempt and none after them: attempt 0's is kept
+        # one draw per attempt, ten attempts, and none after them: attempt
+        # 0's is kept
         meta = SplitMix64(1)
-        retries = [meta.next_u64() for _ in range(SAMPLE_ATTEMPTS - 1)]
+        retries = [meta.next_u64() for _ in range(9)]
         assert seeds == [1, *retries]
         assert not fam.verified
         assert fam == sample_family(p, 1)
         (record,) = caplog.records
-        assert f"within {SAMPLE_ATTEMPTS} attempts" in record.getMessage()
+        assert "within 10 attempts" in record.getMessage()
         assert "unverified" in record.getMessage()
 
     def test_attempts_are_read_at_call_time(self, monkeypatch):
@@ -556,8 +571,9 @@ class TestRatioBoundReport:
         assert rep.ratio_log2 == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            ratio_bound_report(t=3, k=4, alpha=2)
+        for k in (4, -1):
+            with pytest.raises(ValueError, match="0 <= k <= t"):
+                ratio_bound_report(t=3, k=k, alpha=2)
         with pytest.raises(ValueError):
             ratio_bound_report(t=3, k=1, alpha=1)
 

@@ -12,7 +12,6 @@ from sparseparity.gf2 import BitVector, transpose
 
 from affine_reference import AffineSpace, reduce_rows
 from bit_reference import dot, from01
-from chart_reference import restrict, split_sizes
 
 V = from01
 
@@ -92,12 +91,6 @@ class TestBitVector:
         assert (V("1100") ^ V("1010")).to01() == "0110"
         with pytest.raises(LengthMismatchError):
             V("110") ^ V("1100")
-
-    def test_restrict(self):
-        v = V("10110")
-        assert restrict(v, [0, 2, 3]).to01() == "111"
-        assert restrict(v, [4, 0]).to01() == "01"
-        assert restrict(v, []).to01() == ""
 
     def test_equality_and_hash(self):
         assert V("101") == V("101")
@@ -197,23 +190,6 @@ class TestReduce:
         for bits in range(16):
             residual, _ = reduce_rows(int_rows(s), bits, 0)
             assert residual & pivot_mask == 0
-
-
-class TestSplitSizes:
-    def test_full_space_halves(self):
-        assert split_sizes(AffineSpace.full(3), V("101")) == (2, 2)
-
-    def test_forced_label(self):
-        s = space_from(3, [("101", 1)])
-        assert split_sizes(s, V("101")) == (None, 2)
-
-    def test_zero_vector_forces_zero(self):
-        assert split_sizes(AffineSpace.full(3), V("000")) == (3, None)
-
-    def test_empty_space(self):
-        s = space_from(2, [("10", 1), ("10", 0)])
-        assert s.empty
-        assert split_sizes(s, V("10")) == (None, None)
 
 
 class TestConstrain:
@@ -388,16 +364,13 @@ class TestSpaceProperties:
         for v, y in cons:
             s = s.constrain(v, y)
         v = BitVector(dim, vbits & ((1 << dim) - 1))
-        s0, s1 = split_sizes(s, v)
+        branches = [s.constrain(v, y) for y in (0, 1)]
         if s.empty:
-            assert (s0, s1) == (None, None)
+            assert all(branch.empty for branch in branches)
             return
-        total = (0 if s0 is None else 1 << s0) + (0 if s1 is None else 1 << s1)
-        assert total == 1 << s.log2_size
-        # Each branch of constrain lands on the matching split size.
-        for y, sy in ((0, s0), (1, s1)):
-            branch = s.constrain(v, y)
-            assert branch.log2_size == sy
+        # The two labels halve the space, or one label takes all of it.
+        sizes = [b.log2_size for b in branches if not b.empty]
+        assert sizes in ([s.log2_size], [s.log2_size - 1] * 2)
 
     @given(constraint_sequences(max_dim=8))
     @settings(max_examples=200, deadline=None)

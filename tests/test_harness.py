@@ -213,6 +213,11 @@ def cli_argvs(draw):
           "--t", "0", "--alpha", "2"])
 @example(["learn-noisy", "--n", "24", "--k", "2", "--eta", "0.05",
           "--delta", "1e-320", "--s-prime", "10"])
+# 7.5e9 binomials to sum, and an s' past the float range
+@example(["learn-noisy", "--n", "24", "--k", "2", "--eta", "0.05",
+          "--delta", "0.2", "--s-prime", "100000000000"])
+@example(["learn-noisy", "--n", "24", "--k", "2", "--eta", "0.05",
+          "--delta", "0.2", "--s-prime", "9" * 400])
 def test_cli_exits_with_a_code_on_every_input(argv):
     """No exception escapes ``cli``; it exits 0, 1 or 2, and a failure
     explains itself in one ``error:`` line or in argparse's usage."""

@@ -224,6 +224,17 @@ def test_flip_set_count_within_entropy_bound():
     assert 176 <= 2.0 ** (entropy(0.3) * 10)
 
 
+def test_flip_set_count_stops_at_the_first_total_over_the_limit():
+    # 1 + 10 + 45 + 120: the sum stops at 176 once it passes the limit
+    assert flip_set_count(10, 3, limit=176) == 176
+    assert flip_set_count(10, 3, limit=175) == 176
+    assert flip_set_count(10, 3, limit=56) == 176
+    assert flip_set_count(10, 3, limit=55) == 56
+    assert flip_set_count(10, 3, limit=0) == 1
+    # a budget of 7.5e9 sizes stops after the second
+    assert flip_set_count(10**11, 75 * 10**8, limit=10**7) == 10**11 + 1
+
+
 def test_apply_flips_involution_and_no_aliasing():
     src = UniformSource(BitVector.from_support(10, (2, 7)), seed=13, eta=0.0)
     examples = take(src, 6)
@@ -293,6 +304,10 @@ def test_param_domain_errors():
     for delta in (1e-320, 5e-324):
         with pytest.raises(ValueError, match="not finite"):
             NoisyParams.from_counts(eta=0.05, delta=delta, s_prime=10)
+    # s' * H(3 eta / 2) is past the float range, or its product with 600
+    for s_prime in (10**400, 10**306):
+        with pytest.raises(ValueError, match="not finite"):
+            NoisyParams.from_counts(eta=0.05, delta=0.2, s_prime=s_prime)
 
 
 # ---------------------------------------------------------------------------

@@ -21,16 +21,7 @@ from sparseparity.sources import UniformSource, gen_hidden
 
 from affine_reference import AffineSpace
 from bit_reference import dot, from01
-from chart_reference import (
-    ChartLearner,
-    ReferenceLearner,
-    RowLearner,
-    back_substitute,
-    decode_charts,
-    reference_layout,
-    reference_state,
-    six_operation_update,
-)
+from chart_reference import ChartLearner, decode_charts, six_operation_update
 
 V = from01
 
@@ -295,10 +286,28 @@ class TestPredict:
         with pytest.raises(AllChartsEmptyError):
             state.fork().step(V("10"), 0)
 
+    @pytest.mark.parametrize("y", [0, 1])
+    def test_no_live_chart_raises_before_the_counters_move(self, y):
+        state = hand_state(2, 1, 1, 2, [(0, 1)])
+        state.step(V("10"), 0)
+        with pytest.raises(AllChartsEmptyError):
+            state.step(V("10"), 1)
+        counters = (state.rounds, state.mistakes, state.run_length)
+        with pytest.raises(AllChartsEmptyError, match="no live charts"):
+            state.step(V("01"), y)
+        assert (state.rounds, state.mistakes, state.run_length) == counters
+
     def test_length_checked(self):
         state = hand_state(3, 1, 1, 3, [(0, 1, 2)])
         with pytest.raises(ValueError):
             state.fork().step(V("10"), 0)
+
+    @pytest.mark.parametrize("y", [2, -1])
+    def test_label_checked(self, y):
+        state = hand_state(3, 1, 1, 3, [(0, 1, 2)])
+        with pytest.raises(ValueError, match="label must be 0 or 1"):
+            state.step(V("101"), y)
+        assert (state.rounds, state.mass) == (0, state.initial_mass)
 
 
 class TestLearnerUpdate:
@@ -504,170 +513,22 @@ class TestZeroSparsity:
         assert state.identified() == BitVector(6)
         assert state.mistake_bound == 0
 
+    def test_zero_parts(self):
+        # t = 0 gives no parts and one empty chart: the zero vector.
+        state = new_learner(6, 0, 0, 2, rng_seed=0)
+        assert (state.live_charts, state.initial_mass) == (1, 1)
+        assert state.identified() == state.best_hypothesis() == BitVector(6)
+        assert state.step(V("101100"), 0) == 0
+        assert state.identified() == BitVector(6)
+        with pytest.raises(AllChartsEmptyError):
+            state.step(V("101100"), 1)
 
-class TestLocalReferenceEquivalence:
-    """Round-by-round agreement with the local-coordinate reference learner.
-
-    Each chart is compared with the canonical generator form derived from
-    the reference chart's RREF rows, which fixes the solution set; on the
-    hand-built families the solution sets themselves are enumerated and
-    compared as global vectors too.
-    """
-
-    def assert_same_state(self, state, ref, points):
-        assert state.mistakes == ref.mistakes
-        assert state.rounds == ref.rounds
-        assert state.initial_mass == ref.mass_history[0]
-        assert state.mass == ref.mass_history[-1]
-        assert len(decode_charts(state)) == len(ref.charts)
-        assert state.identified() == ref.identified()
-        assert state.best_hypothesis() == ref.best_hypothesis()
-        assert decode_charts(state) == [
-            (support, *canonical_form(support, rows))
-            for support, rows in ref.global_charts()
-        ]
-        if points:
-            for i, chart in enumerate(decode_charts(state)):
-                assert chart_points(chart, state.n) == ref.global_points(i)
-
-    def drive(self, state, examples, points=False):
-        """Feed both learners the same (a, y) pairs; returns rounds run."""
-        ref = ReferenceLearner(state.n, state.k, state.family)
-        self.assert_same_state(state, ref, points)
-        for rounds, (a, y) in enumerate(examples):
-            if state.identified() is not None:
-                return rounds
-            try:
-                expected = ref.step(a, y)
-            except AllChartsEmptyError:
-                with pytest.raises(AllChartsEmptyError):
-                    state.step(a, y)
-                self.assert_same_state(state, ref, points)
-                return rounds + 1
-            assert state.step(a, y) == expected
-            self.assert_same_state(state, ref, points)
-        return len(examples)
-
-    def honest(self, hidden, seed, count):
-        src = UniformSource(hidden, seed=seed)
-        return [(ex.a, ex.label) for ex in take(src, count)]
-
-    @pytest.mark.parametrize(
-        "n,k,t,alpha", [(64, 3, 12, 2), (96, 2, 16, 2), (32, 4, 8, 3)]
-    )
-    def test_gate_two_configs(self, n, k, t, alpha):
-        for trial in range(2):
-            state = new_learner(n, k, t, alpha, rng_seed=40 + trial)
-            hidden = gen_hidden(n, k, 60 + trial)
-            rounds = self.drive(state, self.honest(hidden, 80 + trial, 200))
-            assert 0 < rounds < 200
-            assert state.identified() == hidden
-
-    def test_zero_sparsity(self):
-        state = new_learner(6, 0, 3, 2, rng_seed=0)
-        assert self.drive(state, self.honest(BitVector(6), 1, 5), True) == 0
-        ref = ReferenceLearner(6, 0, state.family)
-        for a, y in self.honest(BitVector(6), 2, 5):
-            assert state.step(a, y) == ref.step(a, y)
-            self.assert_same_state(state, ref, True)
-
-    def test_duplicate_subsets_and_dying_charts(self):
-        # Six parts {j, j + 6}; the hidden vector {0, 2} lies in parts 0
-        # and 2, so only the two charts over those parts survive: (0, 2)
-        # once deduplicated, and (2, 0) with the same support.
-        family = hand_family(
-            12, 1, 3, 2, [(0, 2), (1, 3), (0, 2), (4, 5), (0, 1), (2, 0)]
-        )
-        hidden = BitVector.from_support(12, [0, 2])
-        state = LearnerState(family)
-        rounds = self.drive(state, self.honest(hidden, 3, 60), True)
-        assert len(decode_charts(state)) == 2
-        assert 0 < rounds < 60
-
-    def test_every_chart_dies(self):
-        family = hand_family(8, 1, 2, 2, [(0, 1), (2, 3), (0, 1), (1, 2)])
-        src = UniformSource(BitVector(8), seed=7)
-        examples = [(ex.a, 1) for ex in take(src, 40)]
-        state = LearnerState(family)
-        assert self.drive(state, examples, True) < 40
-        assert decode_charts(state) == []
-        assert state.best_hypothesis() is None
-
-
-class TestRowReferenceEquivalence:
-    """Round-by-round agreement with the append-row learner it replaced.
-
-    Every chart's point must be the back-substituted point of the
-    reference chart's rows, and its basis must have one vector per free
-    coordinate, ``dim - rank``.
-    """
-
-    STREAMS = ("honest", "complemented", "noisy")
-
-    @staticmethod
-    def stream(hidden, kind, seed, count):
-        eta = 0.2 if kind == "noisy" else 0.0
-        flip = int(kind == "complemented")
-        src = UniformSource(hidden, seed=seed, eta=eta)
-        return [(ex.a, ex.label ^ flip) for ex in take(src, count)]
-
-    @staticmethod
-    def assert_same_state(state, ref):
-        assert (state.mistakes, state.rounds) == (ref.mistakes, ref.rounds)
-        assert (state.initial_mass, state.mass) == (ref.initial_mass, ref.mass)
-        assert len(decode_charts(state)) == len(ref.charts)
-        for chart, (support, dim, rows) in zip(decode_charts(state), ref.charts):
-            assert chart.support == support
-            assert chart.point == back_substitute(rows)
-            assert len(chart.basis) == dim - len(rows)
-        assert state.identified() == ref.identified()
-        assert state.best_hypothesis() == ref.best_hypothesis()
-
-    def drive(self, family, examples):
-        """Step both learners on the same pairs until every chart dies;
-        returns the rounds run."""
-        state, ref = LearnerState(family), RowLearner(family)
-        self.assert_same_state(state, ref)
-        for a, y in examples:
-            try:
-                expected = ref.step(a, y)
-            except AllChartsEmptyError:
-                with pytest.raises(AllChartsEmptyError):
-                    state.step(a, y)
-                self.assert_same_state(state, ref)
-                break
-            assert state.step(a, y) == expected
-            self.assert_same_state(state, ref)
-        return state
-
-    @pytest.mark.parametrize("kind", STREAMS)
-    @pytest.mark.parametrize(
-        "n,k,t,alpha",
-        [(64, 3, 12, 2), (96, 2, 16, 2), (32, 4, 8, 3), (48, 2, 12, 2)],
-    )
-    def test_gate_configs(self, n, k, t, alpha, kind):
-        family = new_learner(n, k, t, alpha, rng_seed=n + k).family
-        hidden = gen_hidden(n, k, 7 * n)
-        state = self.drive(family, self.stream(hidden, kind, n, 60))
-        if kind == "honest":
-            assert state.identified() == hidden
-        if kind == "complemented":
-            assert not decode_charts(state)
-
-    @pytest.mark.parametrize("kind", STREAMS)
-    def test_zero_sparsity(self, kind):
-        family = new_learner(6, 0, 3, 2, rng_seed=0).family
-        state = self.drive(family, self.stream(BitVector(6), kind, 5, 20))
-        assert state.rounds > 0
-
-    @pytest.mark.parametrize("kind", STREAMS)
-    def test_duplicate_subsets(self, kind):
-        family = hand_family(
-            12, 1, 3, 2, [(0, 2), (1, 3), (0, 2), (4, 5), (0, 1), (2, 0)]
-        )
-        hidden = BitVector.from_support(12, [0, 2])
-        state = self.drive(family, self.stream(hidden, kind, 3, 60))
-        assert state.rounds > 0
+    def test_no_subsets(self):
+        # n = 2T: a chart width below zero would be a negative shift
+        state = hand_state(8, 1, 2, 2, [])
+        assert (state.live_charts, state.initial_mass) == (0, 0)
+        assert state.mistake_bound == 0
+        assert state.identified() is None and state.best_hypothesis() is None
 
 
 class TestInvalidFamilies:
@@ -902,69 +763,3 @@ class TestColumnUpdateReference:
             if not self.step_both(state, ref, ex.a, ex.label):
                 break
 
-
-class TestLayoutReferenceEquivalence:
-    """The layout against the back-to-back builder it replaced.
-
-    With one subset size and ``n % T == 0`` every chart fills the stride,
-    so the two layouts agree bit for bit.  Otherwise the charts are padded
-    to one stride, and the learners must still agree at every round.
-    """
-
-    @staticmethod
-    def assert_same_layout(family):
-        state, ref = LearnerState(family), reference_layout(family)
-        assert state._cols == ref.cols
-        assert state._guards == ref.guards
-        assert state._starts == ref.starts
-        assert state._dims == ref.dims
-
-    @pytest.mark.parametrize("n,k,t,alpha", [(48, 2, 12, 2), (96, 2, 16, 2)])
-    def test_gate_configs(self, n, k, t, alpha):
-        for seed in range(3):
-            self.assert_same_layout(new_learner(n, k, t, alpha, seed).family)
-
-    def test_one_part(self):
-        family = CoverFamily(
-            params=CoverParams(n=5, k=0, t=0, alpha=2),
-            parts=(tuple(range(5)),),
-            subsets=((0,), (0,)),
-            verified=False,
-        )
-        self.assert_same_layout(family)
-
-    @given(st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_random_uniform_families(self, data):
-        alpha = data.draw(st.integers(min_value=2, max_value=4))
-        t = data.draw(st.integers(min_value=1, max_value=4))
-        T = alpha * t
-        n = T * data.draw(st.integers(min_value=1, max_value=3))
-        size = data.draw(st.integers(min_value=0, max_value=T))
-        subset = st.lists(
-            st.integers(min_value=0, max_value=T - 1),
-            unique=True, min_size=size, max_size=size,
-        ).map(tuple)
-        subsets = data.draw(st.lists(subset, min_size=1, max_size=12))
-        k = data.draw(st.integers(min_value=0, max_value=t))
-        self.assert_same_layout(hand_family(n, k, t, alpha, subsets))
-
-    @pytest.mark.parametrize("n,k,t,alpha", [(64, 3, 12, 2), (32, 4, 8, 3)])
-    def test_padded_layouts_step_alike(self, n, k, t, alpha):
-        rows, extra = divmod(n, alpha * t)
-        stride = rows * alpha * k + min(alpha * k, extra) + 2
-        for trial in range(3):
-            family = new_learner(n, k, t, alpha, rng_seed=40 + trial).family
-            state, ref = LearnerState(family), reference_state(family)
-            # The stride is the largest chart's dim + 2, and no wider.
-            assert state._starts & ((2 << stride) - 1) == 1 | (1 << stride)
-            assert state._guards.bit_length() > ref._guards.bit_length()
-            source = UniformSource(gen_hidden(n, k, trial), seed=trial)
-            while ref.identified() is None:
-                ex = source.next_example()
-                assert state.step(ex.a, ex.label) == ref.step(ex.a, ex.label)
-                assert (state.mass, state.mistakes) == (ref.mass, ref.mistakes)
-                assert state.live_charts == ref.live_charts
-                assert state.best_hypothesis() == ref.best_hypothesis()
-                assert decode_charts(state) == decode_charts(ref)
-            assert state.identified() == ref.identified()
