@@ -21,18 +21,17 @@ of the run above, and each mutant that the rest of tier-1 leaves alive is
 run against it alone.  A retired suite may go only if it kills none of
 those mutants: then every mutant it kills has a kept killer in the table.
 
-The kill table lists each mutant with its verdict (``killed``,
-``survived`` or ``equivalent``) and the first kept test that failed, or
-the test file that no longer imports.  A
-survivor judged equivalent is marked by hand in the table, as
-``"verdict": "equivalent"`` with a ``"reason"``; a later run keeps the
-mark while the mutant still survives.  A later run against an unchanged
-module also keeps each kill whose killer still exists, since adding tests
-kills more, never less; so after a test is added for a survivor, only the
-survivors run again.  Delete the table for a full run.
+The kill table lists each mutant, by its index in ``sites`` of its
+module, with its verdict (``killed``, ``survived`` or ``equivalent``) and
+the first kept test that failed, or the test file that no longer imports.
+A survivor judged equivalent is marked by hand in the table, as
+``"verdict": "equivalent"`` with a ``"reason"``; a later run against an
+unchanged module keeps the mark while that mutant still survives.  Every
+run runs every mutant: a kill taken over from an earlier table could
+stand for a test that has since been edited.
 
-Run from the repository root.  On a shared 2-core VM a full run of both
-modules took 83 minutes, and a rerun that kept the earlier kills 37:
+Run from the repository root.  On a shared 2-core VM a run of both
+modules takes about 70 minutes:
 
     python scripts/mutate.py \\
         --retire tests/test_online.py::TestChartReferenceEquivalence
@@ -272,22 +271,24 @@ def _test_order(logged: list, own: str) -> list[str]:
 
 
 def _key(row: dict) -> tuple:
-    return row["site"], row["col"], row["mutation"]
+    return row["site"], row["index"], row["col"], row["mutation"]
 
 
 def run(args) -> dict:
-    sources = {module: (ROOT / module).read_text() for module in args.module}
+    sources = {module: (ROOT / module).read_text() for module in MODULES}
     digests = {
         module: hashlib.sha256(text.encode()).hexdigest()
         for module, text in sources.items()
     }
-    previous = {}
+    # Site indices are stable while the module is; so are the marks.
+    reasons = {}
     if args.out.exists():
         table = json.loads(args.out.read_text())
         for row in table["mutants"]:
             module = row["site"].rpartition(":")[0]
-            if table["sources"].get(module) == digests.get(module):
-                previous[_key(row)] = row
+            if ("reason" in row
+                    and table["sources"].get(module) == digests[module]):
+                reasons[_key(row)] = row["reason"]
     deselect = [f"--deselect={nodeid}" for nodeid in args.retire]
     with tempfile.TemporaryDirectory(prefix="mutate-") as workdir:
         runner = Runner(Path(workdir), args.workers)
@@ -307,7 +308,6 @@ def run(args) -> dict:
         print(f"clean run: {len(logged)} reports in {clean_s:.1f} s",
               file=sys.stderr)
 
-        tests = {nodeid for nodeid, _, _ in logged}
         jobs = []
         for module, source in sources.items():
             own = f"tests/test_{Path(module).stem}.py"
@@ -321,12 +321,10 @@ def run(args) -> dict:
             module, source, index, site, order = job
             row = {
                 "site": f"{module}:{site.line}",
+                "index": index,
                 "col": site.col,
                 "mutation": site.mutation,
             }
-            old = previous.get(_key(row), {})
-            if old.get("killer") in tests:
-                return old
             copy = runner.copies.get()
             target = copy / module
             try:
@@ -344,8 +342,9 @@ def run(args) -> dict:
                        killer=killer)
             if killer is None:
                 row["retired_killers"] = retired
-                if "reason" in old and not retired:
-                    row.update(verdict="equivalent", reason=old["reason"])
+                reason = reasons.get(_key(row))
+                if reason and not retired:
+                    row.update(verdict="equivalent", reason=reason)
             print(f"{row['site']} {site.mutation}: {row['verdict']}"
                   f" {killer or retired}", file=sys.stderr)
             return row
@@ -354,7 +353,7 @@ def run(args) -> dict:
             rows = list(pool.map(one, jobs))
 
     summary = {}
-    for module in args.module:
+    for module in MODULES:
         own = [r for r in rows if r["site"].startswith(module + ":")]
         summary[module] = {
             verdict: sum(r["verdict"] == verdict for r in own)
@@ -378,8 +377,6 @@ def run(args) -> dict:
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--module", action="append",
-                        help=f"source file to mutate (default: {MODULES})")
     parser.add_argument("--retire", action="append", default=[],
                         help="test node id that might go; see the docstring")
     parser.add_argument("--out", type=Path,
@@ -389,11 +386,10 @@ def main(argv=None) -> None:
     parser.add_argument("--list", action="store_true",
                         help="print the sites and exit")
     args = parser.parse_args(argv)
-    args.module = args.module or list(MODULES)
     if args.list:
-        for module in args.module:
-            for site in sites((ROOT / module).read_text()):
-                print(f"{module}:{site.line}:{site.col} {site.mutation}")
+        for module in MODULES:
+            for i, site in enumerate(sites((ROOT / module).read_text())):
+                print(f"{module}:{site.line}:{site.col} #{i} {site.mutation}")
         return
     table = run(args)
     args.out.write_text(json.dumps(table, indent=1) + "\n")
