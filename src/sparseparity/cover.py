@@ -11,21 +11,29 @@ k-subsets of parts, unless that walk is over ``ENUMERATION_BUDGET``.
 until one family verifies, and otherwise hands back the seed's first
 sample, unverified.
 The part bitsets and the chart columns of the learner are both sliced out
-of the family's ``m x T`` 0/1 incidence table, which the sampler fills as
-it draws.
+of the family's ``m x T`` 0/1 incidence table.
+
+:func:`sample_family` draws all ``m`` subsets at once, with the subsets,
+words and rejections of ``m`` calls of ``SplitMix64.sample_sorted``.  A
+compiled bytes regex splits the stream of low word bytes into each
+subset's rejected and accepted draws, the partial Fisher-Yates shuffle runs
+with one lane of an int per subset, and each part's incidence column is
+the set of lanes whose shuffle took it.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import re
+import struct
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, repeat
+from functools import cached_property, lru_cache
+from itertools import groupby
 
 from .errors import BudgetExceededError
-from .rng import SplitMix64
+from .rng import _LANE_BYTES, SplitMix64
 
 logger = logging.getLogger(__name__)
 
@@ -33,8 +41,10 @@ logger = logging.getLogger(__name__)
 ENUMERATION_BUDGET = 10**6
 SAMPLE_ATTEMPTS = 10
 # Words mixed at once while sampling a family: UniformSource's block size,
-# so SplitMix64.words keeps one set of cached lane constants for both.
+# so SplitMix64.lanes keeps one set of cached lane constants for both.
 _WORD_BLOCK = 256
+# Any one byte, in a bytes regex.
+_ANY = rb"[\x00-\xff]"
 # Map 0/1 bytes to the ASCII digits int(..., 2) reads, and to 0 and bit b.
 _ASCII = bytes.maketrans(b"\0\1", b"01")
 _PHASES = [bytes.maketrans(b"\0\1", bytes((0, 1 << b))) for b in range(8)]
@@ -63,8 +73,6 @@ class CoverParams:
         if self.alpha < 2:
             raise ValueError(f"alpha must be >= 2, got {self.alpha}")
         object.__setattr__(self, "T", self.alpha * self.t)
-        if self.alpha * self.k > self.T:
-            raise ValueError("alpha*k exceeds the number of parts")
         if self.T > self.n:
             raise ValueError(
                 f"number of parts T=alpha*t={self.T} exceeds n={self.n}"
@@ -84,8 +92,8 @@ class CoverFamily:
     def incidence(self) -> bytes:
         """Byte ``i * len(parts) + p`` is 1 when subset ``i`` holds part ``p``.
 
-        :func:`sample_family` fills it as it draws and :func:`verify_cover`
-        hands it on; for a family built by hand it is filled on first use.
+        :func:`sample_family` fills it and :func:`verify_cover` hands it
+        on; for a family built by hand it is filled on first use.
         Raises ValueError for a part outside ``range(len(parts))``.
         """
         T = len(self.parts)
@@ -108,12 +116,12 @@ class CoverFamily:
 def family_size_m(params: CoverParams) -> int:
     """Number of random subsets to draw: ceil(2 * ratio * ln C(T,k)), >= 1.
 
+    The clamp to 1 is for ``k = 0``, where the formula gives 0.
+
     ``ratio`` is C(T, alpha*k) / C(T-k, alpha*k - k), the reciprocal of the
     probability that one random subset covers a fixed k-subset of parts.
     """
     T, k, ak = params.T, params.k, params.alpha * params.k
-    if k == 0:
-        return 1
     ratio = Fraction(math.comb(T, ak), math.comb(T - k, ak - k))
     m = math.ceil(2 * ratio * math.log(math.comb(T, k)))
     return max(1, m)
@@ -128,49 +136,166 @@ def sample_family(params: CoverParams, rng_seed: int) -> CoverFamily:
     """Draw an unverified family deterministically from the seed.
 
     The subsets are ``m`` calls of ``rng.sample_sorted(T, alpha*k)`` on
-    ``SplitMix64(rng_seed)``: the same partial Fisher-Yates shuffle and the
-    same rejection of each word's low bits, fed from ``words`` blocks
-    instead of one ``next_u64`` call per word.  The generator is private to
-    the family, so the words drawn past the last one used are never seen.
-    Each subset's row of the incidence table is written as its parts are
-    drawn, and the family carries the table.
+    ``SplitMix64(rng_seed)``: the same partial Fisher-Yates shuffle, the
+    same words and the same rejection of each word's low bits, done for
+    all ``m`` subsets at once.  :func:`_accepted` reads every subset's
+    accepted draws out of the word stream.  The shuffle then runs in every
+    subset's lane of an int at once ("SIMD within a register"; Warren,
+    Hacker's Delight, ch. 2), keeping only the positions swapped into so
+    far as ``(position, part)`` lane pairs, the latest pair for a position
+    winning.  Each swap looks up the part at its own position and at the
+    one it draws, with one lane compare-and-select per earlier swap for
+    each: a lane of ``high - (x ^ y)`` keeps its top bit only where ``x``
+    equals ``y``.  Part ``p``'s column of the incidence table is the lanes
+    where some swap took ``p``.  The generator is private to the family,
+    so the words drawn past the last one used are never seen.  The family
+    carries the table.
     """
     T, ak = params.T, params.alpha * params.k
     m = family_size_m(params)
-    draw = chain.from_iterable(
-        map(SplitMix64(rng_seed).words, repeat(_WORD_BLOCK))
-    ).__next__
-    # below(1) draws no word, so only the first T - 1 swaps draw.
-    draws = min(ak, T - 1)
-    steps = [
-        (i, (1 << (T - 1 - i).bit_length()) - 1, T - i) for i in range(draws)
-    ]
-    parts = list(range(T))
-    table = bytearray(m * T)
-    subsets = []
-    for base in map(T.__mul__, range(m)):
-        pool = parts[:]
-        for i, mask, bound in steps:
-            offset = draw() & mask
-            while offset >= bound:
-                offset = draw() & mask
-            j = i + offset
-            part = pool[j]
-            pool[j] = pool[i]
-            pool[i] = part
-            table[base + part] = 1
-        # With alpha*k = T the last part is taken without a draw.
-        for part in pool[draws:ak]:
-            table[base + part] = 1
-        subsets.append(tuple(sorted(pool[:ak])))
+    if ak in (0, T):
+        # No draw decides anything: each subset is empty or every part.
+        subsets = (tuple(range(ak)),) * m
+        table = (b"\1" * ak + bytes(T - ak)) * m
+    else:
+        # The narrowest lane that holds any part with its top bit clear.
+        code = next(c for c in "BHIQ" if T <= 1 << 8 * struct.calcsize(c) - 1)
+        lane = struct.calcsize(code)
+        ones = int.from_bytes((b"\1" + bytes(lane - 1)) * m, "little")
+        top = 8 * lane - 1
+        high = ones << top
+        # A token is the low bytes of a word that the widest mask reads.
+        width = ((T - 1).bit_length() + 7) // 8
+        accepted = _accepted(T, ak, width, m, SplitMix64(rng_seed))
+        spread = bytearray(m * lane)
+        swapped = []
+        chosen = []
+        for i, mask in enumerate(_step_masks(T, ak)):
+            for c in range(width):
+                spread[c::lane] = accepted[i * width + c::ak * width]
+            here = i * ones
+            drawn = (int.from_bytes(spread, "little") & mask * ones) + here
+            part, held = drawn, here
+            for position, value in swapped:
+                same = (high - (position ^ drawn)) & high
+                part ^= (part ^ value) & (same - (same >> top))
+                same = (high - (position ^ here)) & high
+                held ^= (held ^ value) & (same - (same >> top))
+            swapped.append((drawn, held))
+            chosen.append(part)
+        table = bytearray(m * T)
+        for p in range(T):
+            here = p * ones
+            held = 0
+            for part in chosen:
+                held |= (high - (part ^ here)) & high
+            table[p::T] = (held >> top).to_bytes(m * lane, "little")[::lane]
+        # A bubble-sort network of lane compare-and-swaps orders each
+        # subset's parts: a lane of high + a - b keeps its top bit where
+        # a >= b.
+        for i in range(1, ak):
+            for j in range(i, 0, -1):
+                a, b = chosen[j - 1], chosen[j]
+                ge = (high + a - b) & high
+                swap = (a ^ b) & (ge - (ge >> top))
+                chosen[j - 1], chosen[j] = a ^ swap, b ^ swap
+        unpack = struct.Struct(f"<{m}{code}").unpack
+        drawn = (unpack(part.to_bytes(m * lane, "little")) for part in chosen)
+        subsets = tuple(zip(*drawn))
     family = CoverFamily(
         params=params,
         parts=round_robin_parts(params.n, T),
-        subsets=tuple(subsets),
+        subsets=subsets,
         verified=False,
     )
     family.__dict__["incidence"] = bytes(table)
     return family
+
+
+def _step_masks(T: int, draws: int) -> list[int]:
+    """Swap ``i`` of a draw from ``range(T)`` keeps the low bits of
+    ``T - 1 - i`` and rejects an offset past ``T - 1 - i``."""
+    return [(1 << (T - 1 - i).bit_length()) - 1 for i in range(draws)]
+
+
+def _tokens(width: int, mask: int, bound: int, accept: bool) -> bytes:
+    """Regex of the ``width``-byte tokens, low byte first, whose value
+    ``w`` has ``(w & mask < bound) == accept``; b"" when there are none.
+
+    Read from the top byte down, the first masked byte that differs from
+    the bound's decides, and a token equal to the bound is rejected.
+    """
+    if bound > mask:
+        return _ANY * width if accept else b""
+    masks = mask.to_bytes(width, "little")
+    bounds = bound.to_bytes(width, "little")
+
+    def byte_class(keep) -> bytes:
+        runs = [list(run) for kept, run in groupby(range(256), keep) if kept]
+        ranges = b"".join(b"\\x%02x-\\x%02x" % (r[0], r[-1]) for r in runs)
+        return ranges and b"[" + ranges + b"]"
+
+    alternatives = []
+    for k in range(width):
+        decides = byte_class(
+            lambda b: (b & masks[k] < bounds[k]) == accept
+            and (k == 0 or b & masks[k] != bounds[k])
+        )
+        equal = [
+            byte_class(lambda b, j=j: b & masks[j] == bounds[j])
+            for j in range(k + 1, width)
+        ]
+        alternatives.append([_ANY] * k + [decides] + equal)
+    found = b"|".join(b"".join(alt) for alt in alternatives if all(alt))
+    return b"(?:" + found + b")"
+
+
+@lru_cache(maxsize=16)
+def _draw_regex(T: int, draws: int, width: int) -> re.Pattern:
+    """One subset's draws from a stream of ``width``-byte tokens.
+
+    Each swap matches the tokens it rejects, repeated, then captures the
+    one it accepts.  A stream that ends inside a subset matches the last
+    group instead, all of it, so ``findall`` never starts a match inside
+    a token or out of step with the subsets.
+    """
+    steps = b""
+    for i, mask in enumerate(_step_masks(T, draws)):
+        reject = _tokens(width, mask, T - i, False)
+        accept = _tokens(width, mask, T - i, True)
+        steps += (reject and reject + b"*") + b"(" + accept + b")"
+    return re.compile(steps + b"|(" + _ANY + b"+)")
+
+
+def _accepted(
+    T: int, draws: int, width: int, m: int, rng: SplitMix64
+) -> bytes:
+    """The accepted tokens of the first ``m`` subsets, ``draws`` a subset.
+
+    A token is the low ``width`` bytes of one word, little-endian.  Blocks
+    are drawn for the expected words per subset, and more when too few
+    subsets come out.
+    """
+    pattern = _draw_regex(T, draws, width)
+    per_subset = sum(
+        (mask + 1) / (T - i) for i, mask in enumerate(_step_masks(T, draws))
+    )
+    found = []
+    tail = b""
+    step = width * _WORD_BLOCK
+    while len(found) < m:
+        blocks = math.ceil((m - len(found)) * per_subset / _WORD_BLOCK)
+        tokens = bytearray(tail) + bytes(blocks * step)
+        for start in range(len(tail), len(tokens), step):
+            raw = rng.lanes(_WORD_BLOCK).to_bytes(
+                _LANE_BYTES * _WORD_BLOCK, "little"
+            )
+            for c in range(width):
+                tokens[start + c:start + step:width] = raw[c::_LANE_BYTES]
+        matches = pattern.findall(bytes(tokens))
+        tail = matches.pop()[-1] if matches[-1][-1] else b""
+        found += matches
+    return b"".join(map(b"".join, found[:m]))
 
 
 def verify_cover(

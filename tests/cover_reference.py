@@ -11,8 +11,11 @@ per (subset, part) pair.
 
 :func:`reference_sample_family` and :func:`reference_incidence` are the
 two passes the library made before :func:`sample_family` filled the
-incidence table as it drew: the subsets first, then a row per subset.
-The library's sampler must give the same subsets and the same bytes.
+incidence table as it drew: the subsets first, one partial Fisher-Yates
+shuffle per subset fed word by word from ``words`` blocks, then a row per
+subset.  They are the oracle for the bulk sampler, which splits the word
+stream with a regex and shuffles every subset at once in the lanes of an
+int: it must give the same subsets and the same bytes.
 """
 
 from __future__ import annotations

@@ -146,6 +146,57 @@ def word_by_word_subsets(params, seed):
     )
 
 
+# T = alpha * t parts and alpha * k drawn per subset, with n up to 3
+# past T.  Up to t = 8 any k; from t = 9 to T = 300, k = 1, so m stays
+# near T ln T.  t = 0 gives T = 0 and k = t gives alpha*k = T: no draw
+# decides anything.
+drawn_params = st.builds(
+    lambda alpha, t, share, extra: CoverParams(
+        n=alpha * t + extra,
+        k=round(share * t) if t <= 8 else 1,
+        t=t,
+        alpha=alpha,
+    ),
+    st.integers(min_value=2, max_value=4),
+    st.one_of(
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=9, max_value=75),
+    ),
+    st.floats(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=3),
+)
+
+
+def lane_and_token_examples(test):
+    """The part counts on both sides of where the sampler widens a lane
+    (past 128) or a token (past 256), and the edge cases of a draw.
+
+    127 and 257 are prime, so no alpha >= 2 gives them.  T = 16 and 32
+    make every bound 2**b - i; T = 24 with alpha*k = 12 narrows the mask
+    from 5 to 4 bits partway through a subset; T = 256 accepts every word
+    at the first swap; T = 129 with alpha*k = T draws every part.
+    """
+    for params, seed in [
+        (CoverParams(n=3, k=0, t=0, alpha=2), 1),
+        (CoverParams(n=2, k=1, t=1, alpha=2), 0),
+        (CoverParams(n=16, k=3, t=8, alpha=2), 3),
+        (CoverParams(n=16, k=8, t=8, alpha=2), 2),
+        (CoverParams(n=32, k=8, t=8, alpha=4), 5),
+        (CoverParams(n=24, k=4, t=8, alpha=3), 4),
+        (CoverParams(n=126, k=1, t=63, alpha=2), 7),
+        (CoverParams(n=128, k=1, t=64, alpha=2), 8),
+        (CoverParams(n=129, k=1, t=43, alpha=3), 9),
+        (CoverParams(n=130, k=1, t=65, alpha=2), 10),
+        (CoverParams(n=255, k=1, t=85, alpha=3), 11),
+        (CoverParams(n=256, k=1, t=128, alpha=2), 12),
+        (CoverParams(n=258, k=1, t=86, alpha=3), 6),
+        (CoverParams(n=260, k=1, t=130, alpha=2), 5),
+        (CoverParams(n=129, k=43, t=43, alpha=3), 13),
+    ]:
+        test = example(params, seed)(test)
+    return test
+
+
 class TestBlockDraws:
     """Block-fed sampling gives the subsets of word-by-word sampling."""
 
@@ -158,25 +209,19 @@ class TestBlockDraws:
             family = sample_family(params, seed)
             assert family.subsets == word_by_word_subsets(params, seed)
 
-    # T = alpha * t parts and alpha * k drawn per subset.  T = 16 and
-    # T = 32 make every bound 2**b - i; k = t draws every part, so the last
-    # swap has bound 1.
-    @given(
-        st.builds(
-            lambda alpha, t, share: CoverParams(
-                n=alpha * t, k=round(share * t), t=t, alpha=alpha
-            ),
-            st.integers(min_value=2, max_value=4),
-            st.integers(min_value=1, max_value=8),
-            st.floats(min_value=0, max_value=1),
-        ),
-        st.integers(min_value=0, max_value=2**64 - 1),
-    )
-    @example(CoverParams(n=16, k=3, t=8, alpha=2), 3)
-    @example(CoverParams(n=32, k=8, t=8, alpha=4), 5)
-    @example(CoverParams(n=2, k=1, t=1, alpha=2), 0)
+    @given(drawn_params, st.integers(min_value=0, max_value=2**64 - 1))
+    @lane_and_token_examples
     @settings(max_examples=80, deadline=None)
     def test_any_part_count_and_subset_size(self, params, seed):
+        family = sample_family(params, seed)
+        assert family.subsets == word_by_word_subsets(params, seed)
+
+    @pytest.mark.parametrize("seed", [0, 2, 14, 24])
+    def test_a_high_rejection_rate_draws_more_blocks(self, seed):
+        # T = 34: the first swap's 6-bit mask rejects 30 of 64 words.  Of
+        # these seeds, 2, 14 and 24 need more words for their m = 5 205
+        # subsets than the first estimate of blocks, and 0 does not.
+        params = CoverParams(n=34, k=3, t=17, alpha=2)
         family = sample_family(params, seed)
         assert family.subsets == word_by_word_subsets(params, seed)
 
@@ -212,28 +257,8 @@ class TestSamplerFillsIncidence:
         for seed in range(3):
             self.assert_same_draw(CoverParams(n=n, k=k, t=t, alpha=alpha), seed)
 
-    # t = 0 gives T = 0; k = t gives alpha*k = T, where only the first
-    # T - 1 swaps draw; T = 24 with
-    # alpha*k = 12 narrows the mask from 5 to 4 bits partway through a
-    # subset; T = 260 and 258 have parts past one byte.
-    @given(
-        st.builds(
-            lambda alpha, t, share, extra: CoverParams(
-                n=alpha * t + extra, k=round(share * t), t=t, alpha=alpha
-            ),
-            st.integers(min_value=2, max_value=4),
-            st.integers(min_value=0, max_value=8),
-            st.floats(min_value=0, max_value=1),
-            st.integers(min_value=0, max_value=3),
-        ),
-        st.integers(min_value=0, max_value=2**64 - 1),
-    )
-    @example(CoverParams(n=3, k=0, t=0, alpha=2), 1)
-    @example(CoverParams(n=16, k=8, t=8, alpha=2), 2)
-    @example(CoverParams(n=2, k=1, t=1, alpha=2), 0)
-    @example(CoverParams(n=24, k=4, t=8, alpha=3), 4)
-    @example(CoverParams(n=260, k=1, t=130, alpha=2), 5)
-    @example(CoverParams(n=258, k=1, t=86, alpha=3), 6)
+    @given(drawn_params, st.integers(min_value=0, max_value=2**64 - 1))
+    @lane_and_token_examples
     @settings(max_examples=80, deadline=None)
     def test_any_part_count_and_subset_size(self, params, seed):
         self.assert_same_draw(params, seed)
