@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""Mutation testing of the chart learner and the cover sampler.
+"""Mutation testing of the library's learners and their kernels.
+
+``MODULES`` names every module a test oracle can reach: ``online``,
+``cover``, ``noisy``, ``sources``, ``rng``, ``gf2`` and ``pac``.  The CLI
+harness and the exception module stay out.
 
 Each mutant changes one site of a module, found with ``ast``:
 
@@ -12,26 +16,33 @@ Each mutant changes one site of a module, found with ``ast``:
 Annotations and docstrings are skipped.  Every mutant runs against tier-1
 with ``-x`` in a copy of the repository under ``TMPDIR``, never in the
 checkout.  The mutated module's own test file runs first, then the other
-test files, fastest first.  A test over ``TEST_TIMEOUT`` seconds fails, so
-a mutant that hangs counts as killed, and so does one that runs a test
-out of ``MEMORY`` bytes of address space.
+test files, fastest first.  The child run logs each test as it starts,
+and a run whose log has not grown for ``TEST_TIMEOUT`` seconds is killed
+from outside: the test it had started last is the killer.  So a mutant
+that hangs counts as killed, even where an exception raised inside the
+test could not stop it (hypothesis catches one and replays the example),
+and so does one that runs a test out of ``MEMORY`` bytes of address
+space.
 
 ``--retire NODEID`` names a test or suite that might go.  It is left out
 of the run above, and each mutant that the rest of tier-1 leaves alive is
 run against it alone.  A retired suite may go only if it kills none of
 those mutants: then every mutant it kills has a kept killer in the table.
 
-The kill table lists each mutant, by its index in ``sites`` of its
-module, with its verdict (``killed``, ``survived`` or ``equivalent``) and
-the first kept test that failed, or the test file that no longer imports.
+The kill table, ``TABLE``, lists each mutant, by its index in ``sites``
+of its module, with its verdict (``killed``, ``survived`` or
+``equivalent``) and the first kept test that failed, or the test file that
+no longer imports.
 A survivor judged equivalent is marked by hand in the table, as
 ``"verdict": "equivalent"`` with a ``"reason"``; a later run against an
 unchanged module keeps the mark while that mutant still survives.  Every
 run runs every mutant: a kill taken over from an earlier table could
 stand for a test that has since been edited.
 
-Run from the repository root.  On a shared 2-core VM a run of both
-modules takes about 70 minutes:
+Run from the repository root.  A survivor costs a run of all of tier-1
+and one more run per retired suite, so the time goes with the survivors:
+on a shared 2-core VM, a run of the seven modules with fifteen suites
+under ``--retire`` took about three hours (1 984 sites, 122 survivors).
 
     python scripts/mutate.py \\
         --retire tests/test_online.py::TestChartReferenceEquivalence
@@ -49,7 +60,6 @@ import os
 import queue
 import resource
 import shutil
-import signal
 import subprocess
 import sys
 import tempfile
@@ -58,10 +68,10 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
-import pytest
-
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = ("src/sparseparity/online.py", "src/sparseparity/cover.py")
+MODULES = tuple(f"src/sparseparity/{name}.py" for name in (
+    "online", "cover", "noisy", "sources", "rng", "gf2", "pac"))
+TABLE = ROOT / "MUTATION_oracles.json"
 # The slowest clean test takes about 15 s on a shared 2-core VM.
 TEST_TIMEOUT = 60
 MEMORY = 2 << 30
@@ -174,30 +184,13 @@ def mutant(source: str, index: int) -> str:
 
 # -- pytest plugin, loaded in the child runs with ``-p mutate`` ------------
 
-class MutantTimeout(Exception):
-    """A test ran past ``TEST_TIMEOUT``."""
-
-
-def _alarm(signum, frame):
-    raise MutantTimeout("test ran past the mutation timeout")
-
-
-def pytest_configure(config):
-    signal.signal(signal.SIGALRM, _alarm)
-
-
-@pytest.hookimpl(wrapper=True)
-def pytest_runtest_call(item):
-    signal.alarm(TEST_TIMEOUT)
-    try:
-        return (yield)
-    finally:
-        signal.alarm(0)
-
-
 def _log(nodeid: str, outcome: str, duration: float) -> None:
     with open(os.environ["MUTATE_REPORT"], "a") as f:
         f.write(json.dumps([nodeid, outcome, duration]) + "\n")
+
+
+def pytest_runtest_logstart(nodeid, location):
+    _log(nodeid, "started", 0.0)
 
 
 def pytest_runtest_logreport(report):
@@ -215,7 +208,6 @@ class Runner:
     """Runs pytest in one copy of the repository per worker."""
 
     def __init__(self, workdir: Path, workers: int):
-        self.run_timeout = None
         self.copies: queue.Queue[Path] = queue.Queue()
         for i in range(workers):
             copy = workdir / f"copy{i}"
@@ -225,9 +217,12 @@ class Runner:
             ))
             self.copies.put(copy)
 
-    def pytest(self, copy: Path, args: list[str]) -> tuple[str | None, list]:
+    @staticmethod
+    def pytest(copy: Path, args: list[str]) -> tuple[str | None, list]:
         """Run pytest in ``copy``; the first failure's node id (None when
-        everything passed) and every logged report."""
+        everything passed) and every logged report.  A run whose report
+        has not grown for ``TEST_TIMEOUT`` seconds is killed, and the
+        test it had started last is the failure."""
         report = copy / "mutate_report.jsonl"
         report.unlink(missing_ok=True)
         shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
@@ -242,22 +237,37 @@ class Runner:
             sys.executable, "-m", "pytest", "-x", "-q", "-p", "mutate",
             "-p", "no:cacheprovider", "--hypothesis-seed=0", *args,
         ]
-        try:
-            done = subprocess.run(
-                command, cwd=copy, env=env, capture_output=True,
-                timeout=self.run_timeout,
-            )
-        except subprocess.TimeoutExpired:
-            return "<timeout>", []
+        proc = subprocess.Popen(
+            command, cwd=copy, env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        size, grown = 0, time.monotonic()
+        while True:
+            try:
+                returncode = proc.wait(timeout=1)
+                break
+            except subprocess.TimeoutExpired:
+                pass
+            if report.exists() and report.stat().st_size != size:
+                size, grown = report.stat().st_size, time.monotonic()
+            elif time.monotonic() - grown > TEST_TIMEOUT:
+                proc.kill()
+                proc.wait()
+                returncode = None
+                break
         logged = []
         if report.exists():
             logged = [json.loads(line)
                       for line in report.read_text().splitlines()]
-        if done.returncode == 0:
+        if returncode is None:
+            started = [nodeid for nodeid, outcome, _ in logged
+                       if outcome == "started"]
+            return (started[-1] if started else "<timeout>"), logged
+        if returncode == 0:
             return None, logged
         failed = [nodeid for nodeid, outcome, _ in logged
                   if outcome == "failed"]
-        return (failed[0] if failed else f"<exit {done.returncode}>"), logged
+        return (failed[0] if failed else f"<exit {returncode}>"), logged
 
 
 def _test_order(logged: list, own: str) -> list[str]:
@@ -282,8 +292,8 @@ def run(args) -> dict:
     }
     # Site indices are stable while the module is; so are the marks.
     reasons = {}
-    if args.out.exists():
-        table = json.loads(args.out.read_text())
+    if TABLE.exists():
+        table = json.loads(TABLE.read_text())
         for row in table["mutants"]:
             module = row["site"].rpartition(":")[0]
             if ("reason" in row
@@ -304,7 +314,6 @@ def run(args) -> dict:
         runner.copies.put(copy)
         if failed is not None:
             raise SystemExit(f"the unmutated tree fails at {failed}")
-        runner.run_timeout = 3 * clean_s + 60
         print(f"clean run: {len(logged)} reports in {clean_s:.1f} s",
               file=sys.stderr)
 
@@ -345,7 +354,7 @@ def run(args) -> dict:
                 reason = reasons.get(_key(row))
                 if reason and not retired:
                     row.update(verdict="equivalent", reason=reason)
-            print(f"{row['site']} {site.mutation}: {row['verdict']}"
+            print(f"{row['site']} #{index} {site.mutation}: {row['verdict']}"
                   f" {killer or retired}", file=sys.stderr)
             return row
 
@@ -379,8 +388,6 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--retire", action="append", default=[],
                         help="test node id that might go; see the docstring")
-    parser.add_argument("--out", type=Path,
-                        default=ROOT / "MUTATION_chart_oracles.json")
     parser.add_argument("--workers", type=int, default=2,
                         help="pytest runs at once, one repository copy each")
     parser.add_argument("--list", action="store_true",
@@ -392,7 +399,7 @@ def main(argv=None) -> None:
                 print(f"{module}:{site.line}:{site.col} #{i} {site.mutation}")
         return
     table = run(args)
-    args.out.write_text(json.dumps(table, indent=1) + "\n")
+    TABLE.write_text(json.dumps(table, indent=1) + "\n")
 
 
 if __name__ == "__main__":

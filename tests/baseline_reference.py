@@ -1,130 +1,25 @@
-"""Exhaustive reference learners, the yardsticks for the library's learners.
+"""Exhaustive reference decoders for the meet-in-the-middle inner learner.
 
-* :func:`gauss_learn` solves the full n-column linear system — sample-hungry
-  (needs rank n) but polynomial time, and ignores sparsity entirely.
-* :class:`CandidateSet` materializes every weight-k parity and halves the
-  survivor set by majority vote — few samples, C(n,k) space and time.
 * :func:`brute_force_owners` and :func:`brute_force_candidates` decode
-  syndromes by listing every weight-k vector, the oracle for the
-  meet-in-the-middle inner learner of the noisy reduction.
+  syndromes by listing every weight-k vector, the oracle acceptance
+  gate 5 holds ``MitmInner`` to.
 * :func:`join_owners` builds the same syndrome map by meeting left-half
   and right-half supports, the oracle for ``noisy.syndrome_owners``.
 * :class:`MitmLookup` answers one stream by looking its labels up in the
-  syndrome map of its vectors, kept across relabelings, the flip-set loop's ``run`` for
-  the meet-in-the-middle inner learner.
+  syndrome map of its vectors, kept across relabelings, the flip-set
+  loop's ``run`` for the meet-in-the-middle inner learner.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from sparseparity.errors import BudgetExceededError, InconsistentStreamError
 from sparseparity.gf2 import BitVector
 from sparseparity.noisy import syndrome_owners
 from sparseparity.sources import LabeledExample
 
 from bit_reference import dot
-
-from affine_reference import AffineSpace
-
-DEFAULT_CANDIDATE_BUDGET = 10**6
-
-
-# -- Gaussian elimination ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UniqueSolution:
-    f: BitVector
-
-
-@dataclass(frozen=True)
-class Underdetermined:
-    rank: int
-
-
-@dataclass(frozen=True)
-class Inconsistent:
-    pass
-
-
-GaussResult = UniqueSolution | Underdetermined | Inconsistent
-
-
-def gauss_learn(examples: Sequence[LabeledExample]) -> GaussResult:
-    """Solve the examples as one linear system over all n coordinates."""
-    if not examples:
-        return Underdetermined(rank=0)
-    n = examples[0].a.n
-    space = AffineSpace.full(n)
-    for ex in examples:
-        if ex.a.n != n:
-            raise ValueError(f"mixed example lengths {n} and {ex.a.n}")
-        space = space.constrain(ex.a, ex.label)
-        if space.empty:
-            return Inconsistent()
-    if space.rank == n:
-        return UniqueSolution(f=space.sole_point())
-    return Underdetermined(rank=space.rank)
-
-
-# -- explicit halving over weight-k candidates ---------------------------
-
-
-class CandidateSet:
-    """All weight-k vectors consistent with the examples fed so far."""
-
-    def __init__(self, n: int, k: int, budget: int = DEFAULT_CANDIDATE_BUDGET):
-        total = math.comb(n, k)
-        if total > budget:
-            raise BudgetExceededError(
-                f"C({n},{k}) = {total} candidates exceed budget {budget}"
-            )
-        self.n = n
-        self.k = k
-        self.survivors: list[BitVector] = [
-            BitVector.from_support(n, support)
-            for support in itertools.combinations(range(n), k)
-        ]
-        self.mistakes = 0
-        self.run_length = 0
-
-    @property
-    def mistake_bound(self) -> int:
-        return math.ceil(math.log2(math.comb(self.n, self.k)))
-
-    def step(self, a: BitVector, y: int) -> int:
-        """One protocol round: predict, count the mistake, update.
-
-        The prediction is the majority label over the survivors (ties
-        predict 0); the survivors labelling ``a`` with ``y`` remain.
-        """
-        if not self.survivors:
-            raise InconsistentStreamError("no surviving weight-k candidates")
-        labels = [dot(a, f) for f in self.survivors]
-        guess = 1 if 2 * sum(labels) > len(labels) else 0
-        if guess != y:
-            self.mistakes += 1
-            self.run_length = 0
-        else:
-            self.run_length += 1
-        self.survivors = [
-            f for f, label in zip(self.survivors, labels) if label == y
-        ]
-        if not self.survivors:
-            raise InconsistentStreamError(
-                "every weight-k candidate is inconsistent with the stream"
-            )
-        return guess
-
-    def identified(self) -> BitVector | None:
-        return self.survivors[0] if len(self.survivors) == 1 else None
-
-    def best_hypothesis(self) -> BitVector | None:
-        return self.survivors[0] if self.survivors else None
 
 
 # -- brute-force syndrome decoding ----------------------------------------

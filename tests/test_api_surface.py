@@ -8,7 +8,9 @@ attributes, and string constants that spell a name or a dotted name
 used by any of these; a method or property only by an attribute or a
 dotted string, since a bare name never reaches it.  Each definition must be used
 somewhere outside its own body, be exported in ``sparseparity.__all__``,
-or sit in :data:`ALLOWED` with its reason.
+or sit in :data:`ALLOWED` with its reason.  The same walk holds the
+test oracles (``tests/*_reference.py`` and ``tests/replay_source.py``)
+to a caller among ``tests/*.py``.
 
 It is a tripwire, not a proof: uses are matched by name alone, so a
 method named like another attribute in use (``BitVector.words`` and
@@ -114,6 +116,17 @@ def test_every_public_name_has_a_caller():
     assert unused_public_names(
         library, callers, sparseparity.__all__, ALLOWED
     ) == []
+
+
+def test_every_test_oracle_has_a_caller():
+    # An oracle whose last test retired goes with it.
+    tests = ROOT / "tests"
+    oracles = [*tests.glob("*_reference.py"), tests / "replay_source.py"]
+    library = {
+        f"tests/{path.stem}": ast.parse(path.read_text(), str(path))
+        for path in sorted(oracles)
+    }
+    assert unused_public_names(library, parse_folder(tests)) == []
 
 
 def test_every_allowlisted_name_is_defined():

@@ -5,6 +5,7 @@ import itertools
 import logging
 import math
 import weakref
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -160,10 +161,9 @@ def test_entropy_quarter_frozen_value():
 
 
 def test_entropy_domain_errors():
-    with pytest.raises(ValueError):
-        entropy(-0.01)
-    with pytest.raises(ValueError):
-        entropy(1.01)
+    for p in (-0.01, 1.01, math.nan):
+        with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
+            entropy(p)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
@@ -289,6 +289,10 @@ def test_tampered_verification_count_rejected():
     params = NoisyParams(eta=0.05, delta=0.2, s_prime=40)
     assert params == NoisyParams.from_counts(eta=0.05, delta=0.2, s_prime=40)
     assert params.s_doubleprime == 12417
+    # ... but it is a field all the same
+    assert asdict(params) == {
+        "eta": 0.05, "delta": 0.2, "s_prime": 40, "s_doubleprime": 12417,
+    }
 
 
 def test_param_domain_errors():
@@ -298,6 +302,9 @@ def test_param_domain_errors():
         NoisyParams.from_counts(eta=1.0 / 3.0, delta=0.2, s_prime=10)
     with pytest.raises(ValueError):
         NoisyParams.from_counts(eta=0.05, delta=1.0, s_prime=10)
+    with pytest.raises(ValueError):
+        NoisyParams.from_counts(eta=0.05, delta=0.0, s_prime=10)
+    assert NoisyParams.from_counts(eta=0.05, delta=0.2, s_prime=1).s_prime == 1
     with pytest.raises(ValueError):
         NoisyParams.from_counts(eta=0.05, delta=0.2, s_prime=0)
     # 8 / delta overflows to inf, so s'' would be ceil(inf)
@@ -337,6 +344,10 @@ def test_agreement_tie_prefers_lowest_index():
 def test_agreement_rejects_empty_candidate_list():
     with pytest.raises(ValueError):
         replay_select([], [])
+    source = UniformSource(BitVector.from_support(8, (1,)), seed=2)
+    with pytest.raises(ValueError, match="at least one candidate"):
+        agreement_select([], source, 10)
+    assert source.draws == 0  # raised before any draw
 
 
 def test_agreement_separates_hidden_from_impostor():
@@ -344,32 +355,6 @@ def test_agreement_separates_hidden_from_impostor():
     impostor = BitVector.from_support(16, (2, 9))
     source = UniformSource(hidden, seed=31, eta=0.05)
     assert agreement_select([impostor, hidden], source, 200) == 1
-
-
-def dot_agreement_select(candidates, verif):
-    """The dot-per-example scoring agreement_select used before packing."""
-    disagreements = [
-        sum(1 for ex in verif if dot(ex.a, x) != ex.label) for x in candidates
-    ]
-    return min(range(len(candidates)), key=lambda i: disagreements[i])
-
-
-@given(st.integers(1, 130), st.integers(1, 6), st.integers(0, 60), st.data())
-@settings(deadline=None, max_examples=200)
-def test_agreement_matches_dot_scoring(n, count, verif_len, data):
-    vec = st.integers(0, (1 << n) - 1).map(lambda v: BitVector(n, v))
-    candidates = data.draw(st.lists(vec, min_size=count, max_size=count))
-    if data.draw(st.booleans()):
-        # a duplicate forces an exact tie
-        candidates.append(candidates[0])
-    hidden = data.draw(st.sampled_from(candidates))
-    eta = data.draw(st.sampled_from([0.0, 0.1, 0.45]))
-    seed = data.draw(st.integers(0, 99))
-    verif = take(UniformSource(hidden, seed=seed, eta=eta), verif_len)
-    source = UniformSource(hidden, seed=seed, eta=eta)
-    assert agreement_select(candidates, source, verif_len) == (
-        dot_agreement_select(candidates, verif)
-    )
 
 
 def test_agreement_tie_between_distinct_candidates_goes_lowest():
@@ -419,6 +404,16 @@ def test_agreement_margin_logged_only_at_debug(caplog):
         source = UniformSource(hidden, seed=31, eta=0.05)
         agreement_select([impostor, hidden], source, 200)
     assert any("agreement margin" in r.message for r in caplog.records)
+
+
+def test_agreement_lone_candidate_logs_no_margin(caplog):
+    # a lone candidate has no runner-up, so it is not scored, even at DEBUG
+    hidden = BitVector.from_support(16, (1, 5))
+    with caplog.at_level(logging.DEBUG, logger="sparseparity.noisy"):
+        source = UniformSource(hidden, seed=31, eta=0.05)
+        assert agreement_select([hidden], source, 200) == 0
+    assert not caplog.records
+    assert source.draws == 200
 
 
 def list_disagreements(candidates, verif):
@@ -521,43 +516,6 @@ def test_streamed_agreement_logs_the_list_margin(caplog):
     assert lanes == replayed == listed
 
 
-@pytest.mark.parametrize(
-    "count, replay",
-    [
-        pytest.param(0, False, id="0"),
-        pytest.param(1, False, id="1"),
-        pytest.param(3, False, id="3"),
-        pytest.param(0, True, id="0-replay"),
-        pytest.param(1, True, id="1-replay"),
-        pytest.param(3, True, id="3-replay"),
-    ],
-)
-def test_report_streams_verification_like_the_list_path(count, replay):
-    """No candidate stops after s' draws. One candidate skips the s''
-    examples and two or more have the source score them; either way the
-    output matches scoring a list of the same examples, and the source
-    ends where s' + s'' draws would."""
-    hidden = gen_hidden(24, 2, 71)
-    candidates = [hidden, gen_hidden(24, 2, 72), gen_hidden(24, 2, 73)][:count]
-    params = NoisyParams.from_counts(eta=0.05, delta=0.2, s_prime=40)
-    total = params.s_prime + params.s_doubleprime
-    stream = take(UniformSource(hidden, seed=74, eta=0.05), total + 1)
-    if replay:
-        source = ReplaySource(stream)
-    else:
-        source = UniformSource(hidden, seed=74, eta=0.05)
-    if not count:
-        with pytest.raises(NoCandidatesError):
-            noisy_learn_report(ListInner(candidates), source, params)
-        assert source.draws == params.s_prime
-        return
-    report = noisy_learn_report(ListInner(candidates), source, params)
-    verif = stream[params.s_prime:total]
-    assert report.output == candidates[list_agreement_select(candidates, verif)]
-    assert report.samples_drawn == source.draws == total
-    assert source.next_example() == stream[total]
-
-
 @pytest.mark.parametrize("replay", [False, True])
 def test_driver_rejects_a_lone_candidate_of_the_wrong_length(replay):
     hidden = gen_hidden(24, 2, 85)
@@ -655,6 +613,34 @@ def test_flip_set_limit_guard():
         noisy_learn_report(
             DecliningInner(), ReplaySource([]), params, flip_set_limit=1000
         )
+
+
+def test_flip_set_limit_admits_a_count_equal_to_it():
+    params = NoisyParams.from_counts(eta=0.3, delta=0.2, s_prime=20)
+    total = flip_set_count(params.s_prime, params.flip_budget)
+    hidden = gen_hidden(8, 2, 1)
+    report = noisy_learn_report(
+        ListInner([hidden]), UniformSource(hidden, seed=3), params,
+        flip_set_limit=total,
+    )
+    assert report.inner_invocations == total
+
+
+def test_default_flip_set_limit_is_ten_million():
+    # at budget 8, 30 examples have 8 656 937 flip sets and 31 have
+    # 11 460 949; the inner is handed the list, so neither is enumerated
+    under = NoisyParams.from_counts(eta=0.18, delta=0.2, s_prime=30)
+    over = NoisyParams.from_counts(eta=0.18, delta=0.2, s_prime=31)
+    assert under.flip_budget == over.flip_budget == 8
+    hidden = gen_hidden(8, 2, 1)
+    report = noisy_learn_report(
+        ListInner([hidden]), UniformSource(hidden, seed=3, eta=0.18), under
+    )
+    assert report.inner_invocations == 8_656_937
+    source = UniformSource(hidden, seed=3, eta=0.18)
+    with pytest.raises(BudgetExceededError, match="11460949"):
+        noisy_learn_report(ListInner([hidden]), source, over)
+    assert source.draws == 0
 
 
 def test_flip_set_limit_guard_fires_before_any_draw_with_the_hook():

@@ -19,7 +19,6 @@ from sparseparity.gf2 import BitVector
 from sparseparity.online import LearnerState, learner_update, new_learner
 from sparseparity.sources import UniformSource, gen_hidden
 
-from affine_reference import AffineSpace
 from bit_reference import dot, from01
 from chart_reference import ChartLearner, decode_charts, six_operation_update
 
@@ -51,30 +50,6 @@ def chart_points(chart, n):
     for z in chart.basis:
         points += [p ^ z for p in points]
     return set(points)
-
-
-def canonical_form(support, rows):
-    """(point, basis) of the chart whose constraints are the RREF ``rows``.
-
-    In RREF each row holds its pivot (lowest set bit) and free coordinates
-    only, so the point sets the pivots of the rows with rhs 1, and the
-    basis vector of free coordinate ``c`` sets ``c`` and the pivot of
-    every row that contains ``c``.
-    """
-    pivots = point = 0
-    for mask, rhs in rows:
-        pivots |= mask & -mask
-        if rhs:
-            point |= mask & -mask
-    basis = []
-    for c in range(support.bit_length()):
-        if (support >> c) & 1 and not (pivots >> c) & 1:
-            z = 1 << c
-            for mask, _ in rows:
-                if (mask >> c) & 1:
-                    z |= mask & -mask
-            basis.append(z)
-    return point, basis
 
 
 def assert_canonical(chart):
@@ -457,33 +432,6 @@ class TestChartInvariants:
                 assert_canonical(chart)
 
 
-class TestCanonicalForm:
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_affine_space(self, data):
-        """One full chart fed consistent constraints holds the canonical
-        point and null-space basis of the RREF the constraints give."""
-        n = data.draw(st.integers(min_value=2, max_value=10))
-        target = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
-        masks = data.draw(
-            st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=14)
-        )
-        state = hand_state(n, 1, 1, n, [tuple(range(n))])
-        space = AffineSpace.full(n)
-        for mask in masks:
-            rhs = (mask & target).bit_count() & 1
-            state.step(BitVector(n, mask), rhs)
-            space = space.constrain(BitVector(n, mask), rhs)
-            (chart,) = decode_charts(state)
-            assert_canonical(chart)
-            rows = [(bv.value, r) for bv, r in space.rows]
-            assert (chart.point, chart.basis) == canonical_form((1 << n) - 1, rows)
-            assert state.mass == 1 << space.log2_size
-        if space.rank == n:
-            assert state.identified() == space.sole_point()
-            assert space.sole_point().value == target
-
-
 class TestBestHypothesis:
     def test_prefers_most_constrained_chart(self):
         state = hand_state(5, 1, 1, 5, [(0, 1, 2), (3, 4)])
@@ -762,4 +710,3 @@ class TestColumnUpdateReference:
             self.assert_same_state(state, ref)
             if not self.step_both(state, ref, ex.a, ex.label):
                 break
-

@@ -4,16 +4,30 @@ import math
 
 import pytest
 
-from sparseparity.errors import BudgetExhaustedError
+from sparseparity.errors import BudgetExhaustedError, NotSingletonError
 from sparseparity.gf2 import BitVector
 from sparseparity.online import new_learner
-from sparseparity.pac import PacParams, pac_learn, survival_threshold
+from sparseparity.pac import (
+    PacParams,
+    extract_hypothesis,
+    pac_learn,
+    survival_threshold,
+)
 from sparseparity.sources import LabeledExample, UniformSource, gen_hidden
 
 from replay_source import ReplaySource, SourceExhaustedError
 
 # more examples than any run here draws
 BUDGET = 10**6
+
+
+def test_no_hypothesis_left_raises():
+    class Emptied:
+        def best_hypothesis(self):
+            return None
+
+    with pytest.raises(NotSingletonError):
+        extract_hypothesis(Emptied())
 
 
 class TestPacParams:

@@ -1,11 +1,15 @@
 """Tests for the pinned SplitMix64 generator and its derived draws."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sparseparity
 from sparseparity.rng import SplitMix64, lane_words, word_lanes
 
 from bit_reference import bernoulli, bits
@@ -27,6 +31,11 @@ def reference_stream(seed: int, count: int) -> list[int]:
 
 
 class TestNextU64:
+    def test_state_is_one_slot(self):
+        # a generator holds its 64-bit counter and nothing else
+        with pytest.raises(AttributeError):
+            SplitMix64(0).extra = 1
+
     def test_seed_zero_published_vector(self):
         # First outputs of SplitMix64 with seed 0, as published with the
         # reference C implementation.
@@ -97,9 +106,29 @@ class TestWords:
         got = r.words(3) + r.words(256) + r.words(1) + r.words(40)
         assert got == reference_stream(seed, 300)
 
+    def test_first_call_of_a_fresh_process(self):
+        # the lane constants are cached per count: the cache a process
+        # starts with must hold no count
+        src = Path(sparseparity.__file__).resolve().parent.parent
+        code = (
+            "from sparseparity.rng import SplitMix64\n"
+            "for count in (1, 0):\n"
+            "    print(SplitMix64(5).words(count))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={"PYTHONPATH": str(src)},
+        )
+        assert done.stdout.split("\n")[:2] == [
+            str(reference_stream(5, 1)), "[]"]
+
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
             SplitMix64(0).words(-1)
+        r = SplitMix64(3)
+        with pytest.raises(ValueError, match="cannot draw"):
+            r.lanes(-1)
+        assert r.next_u64() == reference_stream(3, 1)[0]
 
 
 class TestLanes:

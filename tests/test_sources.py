@@ -23,6 +23,13 @@ def take(source, count):
     return [source.next_example() for _ in range(count)]
 
 
+def test_example_label_must_be_a_bit():
+    assert LabeledExample(V("10"), 1).label == 1
+    for label in (2, -1):
+        with pytest.raises(ValueError, match="label must be 0 or 1"):
+            LabeledExample(V("10"), label)
+
+
 class TestGenHidden:
     def test_zero_weight(self):
         assert gen_hidden(5, 0, 7) == BitVector(5)
@@ -37,8 +44,9 @@ class TestGenHidden:
         assert a.popcount() == 3
 
     def test_rejects_k_above_n(self):
-        with pytest.raises(ValueError):
-            gen_hidden(3, 4, 0)
+        for k in (4, -1):
+            with pytest.raises(ValueError, match="need 0 <= k <= n"):
+                gen_hidden(3, k, 0)
 
     def test_support_distribution_roughly_uniform(self):
         # 15 possible supports for n=6, k=2; chi-square over 10^4 seeds.
@@ -272,6 +280,22 @@ class TestDrawEquivalence:
         src = UniformSource(hidden, seed=seed, eta=0.25)
         assert src.disagreements([hidden], 1) == [int(flipped)]
 
+    @pytest.mark.parametrize("offset", [0, -1])
+    def test_scored_like_drawn_past_the_first_example(self, offset):
+        # example 1's flip word at an odd threshold (eta * 2**64 below
+        # 2**53): each flip lane is read alone, whatever the lanes below
+        # it hold and whatever the parity of its word
+        eta = 1e-5
+        threshold = int(eta * 2.0**64)
+        assert threshold & 1
+        seed = (unmix(threshold + offset) - 4 * GAMMA) % (1 << 64)
+        hidden = gen_hidden(24, 2, 3)
+        drawn = take(UniformSource(hidden, seed=seed, eta=eta), 2)
+        assert drawn[1].label ^ dot(drawn[1].a, hidden) == (offset < 0)
+        misses = sum(ex.label ^ dot(ex.a, hidden) for ex in drawn)
+        src = UniformSource(hidden, seed=seed, eta=eta)
+        assert src.disagreements([hidden], 2) == [misses]
+
     def test_flip_word_drawn_below_threshold_resolution(self):
         # eta * 2**64 < 1: bernoulli never flips but still draws its word
         hidden = gen_hidden(10, 2, 1)
@@ -311,12 +335,50 @@ class TestSkip:
         assert upcoming_words(fast) == upcoming_words(twin)
         assert take(fast, 3) == take(twin, 3)
 
+    @pytest.mark.parametrize("then", ["skip", "score"])
+    def test_a_skip_past_the_block_leaves_the_source_as_drawing(self, then):
+        # from mid-block past its end, then on: nothing of the old block
+        # may be counted again
+        hidden = gen_hidden(24, 2, 3)
+        x = BitVector.from_support(24, (0,))
+        fast = UniformSource(hidden, seed=5)
+        twin = UniformSource(hidden, seed=5)
+        take(fast, 3)
+        fast.skip(sources._BLOCK_WORDS)
+        take(twin, 3 + sources._BLOCK_WORDS)
+        if then == "skip":
+            fast.skip(2)
+            take(twin, 2)
+        else:
+            assert fast.disagreements([x], 2) == twin.disagreements([x], 2)
+        assert take(fast, 3) == take(twin, 3)
+
     def test_rejects_negative_count(self):
         src = UniformSource(gen_hidden(8, 2, 1), seed=1)
         with pytest.raises(ValueError):
             src.skip(-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot score"):
             src.disagreements([], -1)
+        assert src.draws == 0
+
+    def test_scores_a_block_and_the_word_before_it(self):
+        # one word left: the block refills only once it is used up, so a
+        # pass scores that word's example and a whole fresh block
+        hidden = gen_hidden(24, 2, 3)
+        x = BitVector.from_support(24, (0, 1))
+        src = UniformSource(hidden, seed=7)
+        twin = UniformSource(hidden, seed=7)
+        take(src, sources._BLOCK_WORDS - 1)
+        take(twin, sources._BLOCK_WORDS - 1)
+        drawn = take(twin, sources._BLOCK_WORDS + 1)
+        want = [sum(ex.label ^ dot(ex.a, v) for ex in drawn) for v in (hidden, x)]
+        assert src.disagreements([hidden, x], len(drawn)) == want
+
+    def test_scores_zero_length_examples(self):
+        # n = 0 and no noise draw no words: every label and guess is 0
+        src = UniformSource(BitVector(0), seed=1)
+        assert src.disagreements([BitVector(0)] * 2, 5) == [0, 0]
+        assert src.draws == 5
 
     def test_replay_skips_then_exhausts_like_drawing(self):
         exs = take(UniformSource(gen_hidden(8, 2, 1), seed=2), 5)
