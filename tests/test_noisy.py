@@ -516,6 +516,43 @@ def test_streamed_agreement_logs_the_list_margin(caplog):
     assert lanes == replayed == listed
 
 
+@pytest.mark.parametrize(
+    "count, replay",
+    [
+        pytest.param(0, False, id="0"),
+        pytest.param(1, False, id="1"),
+        pytest.param(3, False, id="3"),
+        pytest.param(0, True, id="0-replay"),
+        pytest.param(1, True, id="1-replay"),
+        pytest.param(3, True, id="3-replay"),
+    ],
+)
+def test_report_streams_verification_like_the_list_path(count, replay):
+    """No candidate stops after s' draws. One candidate skips the s''
+    examples and two or more have the source score them; either way the
+    output matches scoring a list of the same examples, and the source
+    ends where s' + s'' draws would."""
+    hidden = gen_hidden(24, 2, 71)
+    candidates = [hidden, gen_hidden(24, 2, 72), gen_hidden(24, 2, 73)][:count]
+    params = NoisyParams.from_counts(eta=0.05, delta=0.2, s_prime=40)
+    total = params.s_prime + params.s_doubleprime
+    stream = take(UniformSource(hidden, seed=74, eta=0.05), total + 1)
+    if replay:
+        source = ReplaySource(stream)
+    else:
+        source = UniformSource(hidden, seed=74, eta=0.05)
+    if not count:
+        with pytest.raises(NoCandidatesError):
+            noisy_learn_report(ListInner(candidates), source, params)
+        assert source.draws == params.s_prime
+        return
+    report = noisy_learn_report(ListInner(candidates), source, params)
+    verif = stream[params.s_prime:total]
+    assert report.output == candidates[list_agreement_select(candidates, verif)]
+    assert report.samples_drawn == source.draws == total
+    assert source.next_example() == stream[total]
+
+
 @pytest.mark.parametrize("replay", [False, True])
 def test_driver_rejects_a_lone_candidate_of_the_wrong_length(replay):
     hidden = gen_hidden(24, 2, 85)
