@@ -27,12 +27,13 @@ None.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, repeat, starmap
+from itertools import combinations, compress, repeat, starmap
 from operator import itemgetter, xor
 from typing import Sequence
 
@@ -105,9 +106,10 @@ class NoisyParams:
             self.verification_count(self.eta, self.delta, self.s_prime),
         )
 
-    @property
+    @functools.cached_property
     def flip_budget(self) -> int:
-        """floor(3/2 * eta * s_prime), computed exactly from the given eta."""
+        """floor(3/2 * eta * s_prime), computed exactly from the given eta
+        on first use."""
         return int(Fraction(3, 2) * Fraction(self.eta) * self.s_prime)
 
     @staticmethod
@@ -210,7 +212,7 @@ def noisy_learn_report(
             f"at least {total_sets} flip sets exceed the enumeration limit "
             f"{flip_set_limit}; shrink s_prime or eta"
         )
-    primary = [source.next_example() for _ in range(params.s_prime)]
+    primary = source.examples(params.s_prime)
     candidates = list(inner.candidates(primary, flip_budget))
     if not candidates:
         raise NoCandidatesError(
@@ -255,40 +257,14 @@ def _weight_syndromes(columns: Sequence[int], k: int) -> list[int]:
     return syndromes
 
 
-def syndrome_owners(
-    rows: Sequence[int], n: int, k: int
-) -> dict[int, tuple[int, ...] | None]:
-    """Every weight-k syndrome against the example vectors, with its owner.
-
-    ``rows`` holds the vectors' packed values, each below ``2**n`` (one
-    at or above raises ValueError).  The syndrome of a support has bit i
-    set when vector i has an odd number of ones on it.  A syndrome maps
-    to its only weight-k support, or to None when two or more supports
-    share it.  The columns come from :func:`~sparseparity.gf2.transpose`,
-    :func:`_weight_syndromes` lists every support's syndrome in the order
-    of ``combinations(range(n), k)``, and zipping the two gives the map;
-    only when the map came out shorter than the list does a ``Counter``
-    pass mark the shared syndromes.  No labels are read, so the map
-    serves every labeling of the same vectors.
-    """
-    syndromes = _weight_syndromes(transpose(rows, n), k)
-    owner: dict[int, tuple[int, ...] | None] = dict(
-        zip(syndromes, combinations(range(n), k))
-    )
-    if len(owner) < len(syndromes):
-        shared = Counter(syndromes)
-        owner.update(dict.fromkeys(s for s, c in shared.items() if c > 1))
-    return owner
-
-
 class MitmInner:
     """Noiseless inner learner backed by the exhaustive weight-k search,
     the meet-in-the-middle baseline's search space.
 
-    :meth:`candidates` decodes every flip set at once from the syndrome
-    map of the example vectors (:func:`syndrome_owners`), built afresh
-    per call after every vector's length is checked against ``n``;
-    :meth:`run` is its flip budget 0.
+    :meth:`candidates` decodes every flip set at once from the list of
+    weight-k syndromes of the example vectors (:func:`_weight_syndromes`),
+    built afresh per call after every vector's length is checked against
+    ``n``; :meth:`run` is its flip budget 0.
     """
 
     def __init__(self, n: int, k: int):
@@ -313,6 +289,13 @@ class MitmInner:
         bounded-distance syndrome decoding (Prange 1962; Stern 1988).
         Each vector comes from one F, so sorting by (|F|, indices of F)
         gives the flip-set loop's first-occurrence order.
+
+        One pass over the syndromes, in the order of
+        ``combinations(range(n), k)``, marks those near the labels, and
+        the marks pick them and their supports out.  Every copy of a
+        syndrome lies at the same distance from the labels, so a
+        ``Counter`` over the near ones alone tells which are owned; no map
+        of all ``C(n, k)`` syndromes is built.
         """
         rows = []
         for ex in examples:
@@ -320,10 +303,15 @@ class MitmInner:
                 raise ValueError(f"example length {ex.a.n} != n={self.n}")
             rows.append(ex.a.value)
         labels = BitVector.from_bits(ex.label for ex in examples).value
+        syndromes = _weight_syndromes(transpose(rows, self.n), self.k)
+        near = [(s ^ labels).bit_count() <= flip_budget for s in syndromes]
+        hits = list(compress(syndromes, near))
+        copies = Counter(hits)
+        supports = compress(combinations(range(self.n), self.k), near)
         found = []
-        for syndrome, support in syndrome_owners(rows, self.n, self.k).items():
-            flips = syndrome ^ labels
-            if support is not None and flips.bit_count() <= flip_budget:
+        for syndrome, support in zip(hits, supports):
+            if copies[syndrome] == 1:
+                flips = syndrome ^ labels
                 flip_set = tuple(
                     i for i in range(len(examples)) if (flips >> i) & 1
                 )
@@ -347,7 +335,6 @@ class PacOnlineInner:
     def __init__(
         self, n: int, k: int, t: int, alpha: int, delta: float, rng_seed: int
     ):
-        self.n = n
         self.k = k
         self.delta = delta
         self._start = new_learner(n, k, t, alpha, rng_seed)

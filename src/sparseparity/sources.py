@@ -6,17 +6,20 @@ XORed with an independent Bernoulli flip.  All randomness flows through a
 seeded :class:`~sparseparity.rng.SplitMix64`, so streams are reproducible
 across runs and platforms.
 
-Besides ``next_example``, a source can move past examples it does not
-build: ``skip(count)`` drops them unread, and ``disagreements(candidates,
-count)`` scores candidate vectors against their labels.  Both leave the
-source, and ``draws``, where ``count`` draws would.  :class:`UniformSource`
-is the library's one source; any object with these members and ``n``
-serves the noisy driver.
+Besides ``next_example``, a source hands out examples in bulk and moves
+past examples it does not build: ``examples(count)`` returns the next
+``count`` in one list, ``skip(count)`` drops them unread, and
+``disagreements(candidates, count)`` scores candidate vectors against
+their labels.  All three leave the source, and ``draws``, where ``count``
+draws would.  :class:`UniformSource` is the library's one source; any
+object with these members and ``n`` serves the noisy driver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import lshift, or_
 from typing import Sequence
 
 from .gf2 import BitVector
@@ -34,11 +37,14 @@ class LabeledExample:
 
 
 # Trusted construction for UniformSource, whose arithmetic already
-# guarantees a 0/1 int label: the slot setters bypass the frozen
-# __setattr__ and __post_init__'s check, at half the constructor's cost.
+# guarantees a 0/1 int label and a vector below 2**n: the slot setters
+# bypass the frozen __setattr__ and the constructors' checks, at half
+# their cost.
 _new = object.__new__
 _set_a = LabeledExample.a.__set__
 _set_label = LabeledExample.label.__set__
+_set_n = BitVector.n.__set__
+_set_bits = BitVector._bits.__set__
 
 
 def gen_hidden(n: int, k: int, seed: int) -> BitVector:
@@ -75,7 +81,6 @@ class UniformSource:
             raise ValueError(f"noise rate must be in [0, 0.5), got {eta}")
         self.n = hidden.n
         self.hidden = hidden
-        self.eta = eta
         self._rng = SplitMix64(seed)
         self._hidden_bits = hidden.value
         self._mask = (1 << self.n) - 1
@@ -114,6 +119,49 @@ class UniformSource:
         _set_a(ex, BitVector(self.n, bits))
         _set_label(ex, label)
         return ex
+
+    def examples(self, count: int) -> list[LabeledExample]:
+        """The next ``count`` examples: those of ``count`` calls of
+        :meth:`next_example`, in one list.
+
+        The block is refilled as :meth:`next_example` refills it, once
+        for each block those draws would mix, so the source is left in the
+        state ``count`` draws leave it in.
+        """
+        if count < 0:
+            raise ValueError(f"cannot draw {count} examples")
+        width, c, block = self._width, self._cursor, self._block
+        end = c + count * width
+        while end > len(block):
+            block = self._block = block[c:] + self._rng.words(
+                max(_BLOCK_WORDS, width)
+            )
+            c, end = 0, end - c
+        self._cursor = end
+        self.draws += count
+        # example e's words start at c + width * e: its vector words, then
+        # its flip word when eta > 0 (a flip of 0 is never below 0)
+        vectors = self._vector_words
+        values = block[c:end:width] if vectors else [0] * count
+        for j in range(1, vectors):
+            high = map(lshift, block[c + j : end : width], repeat(64 * j))
+            values = list(map(or_, values, high))
+        flips = block[c + vectors : end : width] if self._noisy else repeat(0)
+        n, mask, hidden = self.n, self._mask, self._hidden_bits
+        threshold = self._threshold
+        drawn = []
+        for bits, flip in zip(values, flips):
+            bits &= mask
+            a = _new(BitVector)
+            _set_n(a, n)
+            _set_bits(a, bits)
+            ex = _new(LabeledExample)
+            _set_a(ex, a)
+            _set_label(
+                ex, ((bits & hidden).bit_count() & 1) ^ (flip < threshold)
+            )
+            drawn.append(ex)
+        return drawn
 
     def skip(self, count: int) -> None:
         """Move past ``count`` examples without drawing their words.

@@ -3,20 +3,24 @@
 * :func:`brute_force_owners` and :func:`brute_force_candidates` decode
   syndromes by listing every weight-k vector, the oracle acceptance
   gate 5 holds ``MitmInner`` to.
-* :func:`join_owners` builds the same syndrome map by meeting left-half
-  and right-half supports, the oracle for ``noisy.syndrome_owners``.
-* :class:`MitmLookup` answers one stream by looking its labels up in the
-  syndrome map of its vectors, kept across relabelings, the flip-set
-  loop's ``run`` for the meet-in-the-middle inner learner.
+* :func:`join_owners` builds the syndrome map by meeting left-half and
+  right-half supports, the oracle for :func:`syndrome_owners`.
+* :func:`syndrome_owners` builds the same map from the library's list of
+  weight-k syndromes (``noisy._weight_syndromes``), so checking it against
+  :func:`join_owners` checks that list.
+* :class:`MitmLookup` answers one stream by looking its labels up in that
+  map, kept across relabelings, the flip-set loop's ``run`` for the
+  meet-in-the-middle inner learner.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Sequence
 
-from sparseparity.gf2 import BitVector
-from sparseparity.noisy import syndrome_owners
+from sparseparity.gf2 import BitVector, transpose
+from sparseparity.noisy import _weight_syndromes
 from sparseparity.sources import LabeledExample
 
 from bit_reference import dot
@@ -111,6 +115,31 @@ def join_owners(
 
 
 # -- syndrome lookup, one map per set of vectors --------------------------
+
+
+def syndrome_owners(
+    rows: Sequence[int], n: int, k: int
+) -> dict[int, tuple[int, ...] | None]:
+    """Every weight-k syndrome against the example vectors, with its owner.
+
+    ``rows`` holds the vectors' packed values, each below ``2**n`` (one
+    at or above raises ValueError).  A syndrome maps to its only weight-k
+    support, or to None when two or more supports share it.  The columns
+    come from :func:`~sparseparity.gf2.transpose`, ``_weight_syndromes``
+    lists every support's syndrome in the order of
+    ``combinations(range(n), k)``, and zipping the two gives the map;
+    only when the map came out shorter than the list does a ``Counter``
+    pass mark the shared syndromes.  No labels are read, so the map
+    serves every labeling of the same vectors.
+    """
+    syndromes = _weight_syndromes(transpose(rows, n), k)
+    owner: dict[int, tuple[int, ...] | None] = dict(
+        zip(syndromes, itertools.combinations(range(n), k))
+    )
+    if len(owner) < len(syndromes):
+        shared = Counter(syndromes)
+        owner.update(dict.fromkeys(s for s, c in shared.items() if c > 1))
+    return owner
 
 
 class MitmLookup:

@@ -1,6 +1,8 @@
 """Bit helpers the tests use and the library does not keep.
 
-``from01`` and ``dot`` read and label vectors in test oracles.  ``bits``
+``from01`` and ``dot`` read and label vectors in test oracles, and
+``list_disagreements`` scores candidates against a list of examples the
+plain way, as the streamed scorers' yardstick.  ``bits``
 and ``bernoulli`` are the per-word draws ``UniformSource`` was defined by
 before it read its words in blocks, kept here as its oracle's streams:
 
@@ -36,3 +38,13 @@ def bits(rng, nbits: int) -> int:
 
 def bernoulli(rng, p: float) -> bool:
     return rng.next_u64() < int(p * 2.0**64)
+
+
+def list_disagreements(candidates, verif):
+    """Per candidate, the labels of the list it misses: one pass over the
+    whole list per candidate."""
+    examples = [(ex.a.value, ex.label) for ex in verif]
+    return [
+        sum(((a & x).bit_count() & 1) ^ y for a, y in examples)
+        for x in (c.value for c in candidates)
+    ]

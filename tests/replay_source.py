@@ -3,8 +3,8 @@ library hand-built streams.
 
 :class:`ReplaySource` offers the members of
 :class:`~sparseparity.sources.UniformSource` that the PAC driver and the
-noisy reduction read: ``n``, ``draws``, ``next_example``, ``skip`` and
-``disagreements``.  Past the end of its list it raises
+noisy reduction read: ``n``, ``draws``, ``next_example``, ``examples``,
+``skip`` and ``disagreements``.  Past the end of its list it raises
 :class:`SourceExhaustedError`.
 """
 
@@ -48,6 +48,13 @@ class ReplaySource:
         ex = self._examples[self._cursor]
         self._cursor += 1
         return ex
+
+    def examples(self, count: int) -> list[LabeledExample]:
+        """The next ``count`` examples; past the end, stop there and raise
+        SourceExhaustedError, as drawing would."""
+        start = self._cursor
+        self.skip(count)
+        return self._examples[start:self._cursor]
 
     def skip(self, count: int) -> None:
         """Move past ``count`` examples; past the end, stop there and raise

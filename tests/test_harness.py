@@ -597,6 +597,10 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "data"
         (["learn-noiseless", "--n", "64", "--k", "3", "--t", "12",
           "--alpha", "2", "--trials", "3", "--seed", "20", "--format", "json"],
          "wall_ns", "golden_learn_noiseless.json"),
+        (["learn-noisy", "--n", "70", "--k", "2", "--eta", "0.05",
+          "--delta", "0.2", "--s-prime", "30", "--trials", "4",
+          "--seed", "23"],
+         "wall_ns", "golden_learn_noisy_mitm_n70.csv"),
     ],
 )
 def test_reports_match_golden_output(tmp_path, argv, wall_column, golden):
@@ -609,7 +613,9 @@ def test_reports_match_golden_output(tmp_path, argv, wall_column, golden):
     syndrome map replaced, and the weight-3 report by the coordinate-split
     join that its pair table replaced; the weight-4 noiseless report was
     written by the chart layout that packed charts back to back, before
-    they moved to one padded stride.  A report without a wall-clock
+    they moved to one padded stride; the two-word (``n = 70``)
+    meet-in-the-middle report was written while the primaries were still
+    drawn one ``next_example`` call at a time.  A report without a wall-clock
     column is compared whole; a JSON report drops it from every record.
     """
     code, text = run_cli(tmp_path, argv)

@@ -30,15 +30,20 @@ from sparseparity.noisy import (
     entropy,
     flip_set_count,
     noisy_learn_report,
-    syndrome_owners,
 )
 from sparseparity.online import LearnerState, new_learner
 from sparseparity.pac import PacParams, pac_learn
 from sparseparity.rng import SplitMix64
 from sparseparity.sources import LabeledExample, UniformSource, gen_hidden
 
-from baseline_reference import MitmLookup, brute_force_owners, join_owners
-from bit_reference import bits, dot, from01
+from baseline_reference import (
+    MitmLookup,
+    brute_force_candidates,
+    brute_force_owners,
+    join_owners,
+    syndrome_owners,
+)
+from bit_reference import bits, dot, from01, list_disagreements
 from chart_reference import decode_charts
 from replay_source import ReplaySource
 
@@ -416,16 +421,6 @@ def test_agreement_lone_candidate_logs_no_margin(caplog):
     assert source.draws == 200
 
 
-def list_disagreements(candidates, verif):
-    """Per candidate, the labels of the list it misses: one pass over the
-    whole list per candidate."""
-    examples = [(ex.a.value, ex.label) for ex in verif]
-    return [
-        sum(((a & x).bit_count() & 1) ^ y for a, y in examples)
-        for x in (c.value for c in candidates)
-    ]
-
-
 def list_agreement_select(candidates, verif):
     """The list-based scoring agreement_select used before it streamed:
     lengths checked up front, then one pass over the whole list per
@@ -454,19 +449,11 @@ def list_agreement_select(candidates, verif):
     return best
 
 
-def assert_same_state(source, twin):
-    """Same draw count, generator state and upcoming words."""
-    assert source.draws == twin.draws
-    assert source._rng._state == twin._rng._state
-    assert source._block[source._cursor:] == twin._block[twin._cursor:]
-    assert source.next_example() == twin.next_example()
-
-
 @given(
     st.one_of(st.sampled_from([1, 24, 63, 64, 65, 128, 129]),
               st.integers(1, 200)),
     st.sampled_from([0.0, 0.05, 0.3]),
-    st.integers(1, 4),
+    st.integers(2, 4),
     st.one_of(st.sampled_from([0, 1, 127, 128, 129, 255, 256, 257]),
               st.integers(0, 700)),
     st.data(),
@@ -475,8 +462,10 @@ def assert_same_state(source, twin):
 def test_streamed_agreement_matches_list_scoring(
     n, eta, count, verif_len, data
 ):
-    """Both sources' scorers give list_disagreements' counts, starting
-    anywhere in a block, and leave the source as drawing would."""
+    """agreement_select picks list_agreement_select's candidate, starting
+    anywhere in a block, and leaves the source as drawing would.  The
+    source's own scorer is held to list_disagreements in
+    tests/test_sources.py."""
     vec = st.integers(0, (1 << n) - 1).map(lambda v: BitVector(n, v))
     candidates = data.draw(st.lists(vec, min_size=count, max_size=count))
     if data.draw(st.booleans()):
@@ -487,21 +476,13 @@ def test_streamed_agreement_matches_list_scoring(
     source = UniformSource(hidden, seed=seed, eta=eta)
     twin = UniformSource(hidden, seed=seed, eta=eta)
     take(source, before)
-    primary = take(twin, before)
+    take(twin, before)
     verif = take(twin, verif_len)
-    want = list_disagreements(candidates, verif)
-    assert source.disagreements(candidates, verif_len) == want
-    assert_same_state(source, twin)
-    replay = ReplaySource(primary + verif + take(twin, 1))
-    take(replay, before)
-    assert replay.disagreements(candidates, verif_len) == want
-    assert replay.draws == before + verif_len
-    if len(candidates) > 1:
-        source = UniformSource(hidden, seed=seed, eta=eta)
-        take(source, before)
-        assert agreement_select(candidates, source, verif_len) == (
-            list_agreement_select(candidates, verif)
-        )
+    assert agreement_select(candidates, source, verif_len) == (
+        list_agreement_select(candidates, verif)
+    )
+    assert source.draws == twin.draws
+    assert source.next_example() == twin.next_example()
 
 
 def test_streamed_agreement_logs_the_list_margin(caplog):
@@ -771,7 +752,7 @@ def test_mitm_inner_matches_exhaustive_consistency(seed):
 
 
 def test_mitm_inner_tables_follow_the_example_vectors():
-    # a second stream of different vectors gets a map of its own
+    # a second stream of different vectors gets syndromes of its own
     inner = MitmInner(10, 2)
     x = BitVector.from_support(10, (2, 6))
     first = take(UniformSource(x, seed=1, eta=0.0), 20)
@@ -815,8 +796,8 @@ def test_mitm_inner_rejects_a_wrong_length_stream_every_time(method):
 
 
 def test_mitm_inner_keeps_no_state_between_calls(monkeypatch):
-    # each call builds its own map, so a build cut short leaves nothing
-    # behind and the inner holds only n and k
+    # each call lists its own syndromes, so a listing cut short leaves
+    # nothing behind and the inner holds only n and k
     hidden = BitVector.from_support(8, (1, 4))
     first = take(UniformSource(hidden, seed=3, eta=0.0), 20)
     second = take(UniformSource(hidden, seed=4, eta=0.0), 20)
@@ -824,11 +805,11 @@ def test_mitm_inner_keeps_no_state_between_calls(monkeypatch):
     assert inner.run(first) == hidden
     assert inner.candidates(first, 2)
 
-    def interrupted(rows, n, k):
+    def interrupted(columns, k):
         raise MemoryError
 
     with monkeypatch.context() as patch:
-        patch.setattr(noisy, "syndrome_owners", interrupted)
+        patch.setattr(noisy, "_weight_syndromes", interrupted)
         with pytest.raises(MemoryError):
             inner.run(second)
     assert inner.run(second) == hidden
@@ -878,6 +859,25 @@ def test_syndrome_owners_match_the_join_and_brute_force(case):
     }
     examples = [LabeledExample(v, 0) for v in vectors]
     assert owned == brute_force_owners(examples, n, k)
+
+
+@settings(deadline=None, max_examples=80)
+@given(example_rows(), st.integers(0, (1 << 70) - 1))
+@example((0, 0, []), 0)
+@example((3, 5, [1, 2, 3]), 0b101)
+@example((5, 2, [0b00011] * 7), 0b1010101)
+@example((4, 2, [0b0011, 0b0111, 0b0011, 0b0100]), 0b0110)
+def test_mitm_candidates_decode_every_owned_syndrome(case, label_bits):
+    """At a flip budget of every example, MitmInner lists every owned
+    syndrome's vector in (|F|, F) order and no shared one."""
+    n, k, rows = case
+    examples = [
+        LabeledExample(BitVector(n, row), (label_bits >> i) & 1)
+        for i, row in enumerate(rows)
+    ]
+    got = MitmInner(n, k).candidates(examples, len(rows))
+    assert got == brute_force_candidates(examples, n, k, len(rows))
+    assert len(got) == len(brute_force_owners(examples, n, k))
 
 
 def test_syndrome_owners_mark_shared_syndromes():

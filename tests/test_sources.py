@@ -12,7 +12,7 @@ from sparseparity.gf2 import BitVector
 from sparseparity.rng import SplitMix64
 from sparseparity.sources import LabeledExample, UniformSource, gen_hidden
 
-from bit_reference import bernoulli, bits, dot, from01
+from bit_reference import bernoulli, bits, dot, from01, list_disagreements
 from replay_source import ReplaySource, SourceExhaustedError
 
 V = from01
@@ -140,6 +140,15 @@ class ReferenceSource:
                 label ^= 1
         self.draws += 1
         return LabeledExample(a, label)
+
+
+def assert_same_state(source, twin):
+    """Same draw count, generator state and upcoming words."""
+    assert source.draws == twin.draws
+    assert source._rng._state == twin._rng._state
+    assert source._block[source._cursor:] == twin._block[twin._cursor:]
+    assert source.next_example() == twin.next_example()
+
 
 def upcoming_words(source, count=3):
     """The next ``count`` words the source would consume, without drawing.
@@ -396,6 +405,111 @@ class TestSkip:
             src.skip(-1)
         src.skip(5)
         assert src.draws == 5
+
+
+class TestExamples:
+    # widths 0 to 4: up to three vector words, a flip word when eta > 0
+    @given(
+        st.one_of(
+            st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129, 130]),
+            st.integers(0, 130),
+        ),
+        st.sampled_from([0.0, 0.05, 0.3]),
+        st.integers(0, (1 << 64) - 1),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_examples_as_drawing(self, n, eta, seed, data):
+        width = max(words_per_example(n, eta), 1)
+        per_block = sources._BLOCK_WORDS // width
+        # before: mid-block, at the block's end, or past its refill
+        near = st.integers(-2, 2)
+        before = data.draw(st.one_of(
+            st.integers(0, 300),
+            near.map(lambda d: per_block + d),
+        ).filter(lambda b: b >= 0))
+        count = data.draw(st.one_of(
+            st.integers(0, 300),
+            near.map(lambda d: per_block - before % per_block + d),
+        ).filter(lambda c: c >= 0))
+        hidden = gen_hidden(n, min(n, 3), seed)
+        fast = UniformSource(hidden, seed=seed, eta=eta)
+        twin = UniformSource(hidden, seed=seed, eta=eta)
+        take(fast, before)
+        take(twin, before)
+        got = fast.examples(count)
+        assert got == take(twin, count)
+        # the trusted constructors store an int label and a length-n vector
+        assert all(type(ex.label) is int and ex.a.n == n for ex in got)
+        # straight after, a skip, a score or a draw goes on as after
+        # drawing; then a second batch from mid-block
+        then = data.draw(st.sampled_from(["skip", "score", "draw"]))
+        if then == "skip":
+            fast.skip(5)
+            twin.skip(5)
+        elif then == "score":
+            x = gen_hidden(n, min(n, 2), seed ^ 1)
+            assert fast.disagreements([hidden, x], 40) == (
+                twin.disagreements([hidden, x], 40)
+            )
+        assert_same_state(fast, twin)
+        assert fast.examples(count) == take(twin, count)
+        assert_same_state(fast, twin)
+
+    def test_rejects_negative_count(self):
+        src = UniformSource(gen_hidden(8, 2, 1), seed=1, eta=0.05)
+        with pytest.raises(ValueError, match="cannot draw"):
+            src.examples(-1)
+        assert src.draws == 0
+        assert src.examples(2) == take(UniformSource(src.hidden, 1, 0.05), 2)
+
+    def test_replay_hands_out_then_exhausts_like_drawing(self):
+        exs = take(UniformSource(gen_hidden(8, 2, 1), seed=2), 5)
+        src = ReplaySource(exs)
+        assert src.examples(0) == []
+        assert src.examples(2) == exs[:2]
+        assert src.next_example() == exs[2]
+        with pytest.raises(SourceExhaustedError):
+            src.examples(3)
+        assert src.draws == 5  # as far as drawing gets before it raises
+        with pytest.raises(ValueError):
+            ReplaySource(exs).examples(-1)
+
+
+@given(
+    st.one_of(st.sampled_from([1, 24, 63, 64, 65, 128, 129]),
+              st.integers(1, 200)),
+    st.sampled_from([0.0, 0.05, 0.3]),
+    st.integers(1, 4),
+    st.one_of(st.sampled_from([0, 1, 127, 128, 129, 255, 256, 257]),
+              st.integers(0, 700)),
+    st.data(),
+)
+@settings(deadline=None, max_examples=200)
+def test_streamed_disagreements_match_list_scoring(
+    n, eta, count, verif_len, data
+):
+    """Both sources' scorers give list_disagreements' counts, starting
+    anywhere in a block, and leave the source as drawing would."""
+    vec = st.integers(0, (1 << n) - 1).map(lambda v: BitVector(n, v))
+    candidates = data.draw(st.lists(vec, min_size=count, max_size=count))
+    if data.draw(st.booleans()):
+        candidates.append(candidates[0])  # an exact tie
+    hidden = data.draw(st.sampled_from(candidates))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    before = data.draw(st.integers(0, 300))
+    source = UniformSource(hidden, seed=seed, eta=eta)
+    twin = UniformSource(hidden, seed=seed, eta=eta)
+    take(source, before)
+    primary = take(twin, before)
+    verif = take(twin, verif_len)
+    want = list_disagreements(candidates, verif)
+    assert source.disagreements(candidates, verif_len) == want
+    assert_same_state(source, twin)
+    replay = ReplaySource(primary + verif + take(twin, 1))
+    take(replay, before)
+    assert replay.disagreements(candidates, verif_len) == want
+    assert replay.draws == before + verif_len
 
 
 class TestReplaySource:
