@@ -5,8 +5,9 @@ parts and draws ``m`` random ``alpha*k``-element subsets of the part indices.
 A family *covers* when every ``k``-subset of part indices is contained in
 some drawn subset; ``m`` is sized so a single draw covers with probability
 better than 1/2.  :func:`verify_cover` certifies coverage by ANDing
-per-part bitsets of the drawn subsets along a walk of the ``C(T, k)``
-k-subsets of parts, unless that walk is over ``ENUMERATION_BUDGET``.
+per-part bitsets of the drawn subsets over the ``C(T, k)`` k-subsets of
+parts, a chunk of pairs at a time, unless that walk is over
+``ENUMERATION_BUDGET``.
 :func:`build_verified_family` resamples up to ``SAMPLE_ATTEMPTS`` times
 until one family verifies, and otherwise hands back the seed's first
 sample, unverified.
@@ -30,9 +31,11 @@ import struct
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import groupby
+from itertools import combinations, compress, groupby, repeat
+from operator import and_, not_
 
 from .errors import BudgetExceededError
+from .gf2 import subset_chunks
 from .rng import _LANE_BYTES, SplitMix64
 
 logger = logging.getLogger(__name__)
@@ -305,13 +308,14 @@ def verify_cover(
 
     ``holders[p]`` is the bitset of drawn subsets that contain part ``p``,
     its incidence column, so a k-subset of parts is covered exactly when
-    the AND of its parts' holders is nonzero.  The k-subsets are walked
-    depth first in lexicographic order with one running AND per depth; a
-    prefix whose AND is already 0 leaves every completion uncovered, so its
-    first completion is the witness.  Returns ``(certified_family, None)``
-    on success, or the unchanged family with the lexicographically first
-    uncovered k-subset as witness.  Raises BudgetExceededError when
-    ``C(T, k)`` is over ``ENUMERATION_BUDGET``.
+    the AND of its parts' holders is nonzero.  The k-subsets are walked in
+    lexicographic order, one (k-2)-prefix at a time: the prefix's AND meets
+    every pair of parts past it in one C-level pass over a table of the
+    ``C(T, 2)`` pair ANDs (:func:`~sparseparity.gf2.subset_chunks`).  Since
+    ``k <= T/2``, that table is no longer than the walk.  Returns
+    ``(certified_family, None)`` on success, or the unchanged family with
+    the lexicographically first uncovered k-subset as witness.  Raises
+    BudgetExceededError when ``C(T, k)`` is over ``ENUMERATION_BUDGET``.
     """
     T, k = family.params.T, family.params.k
     total = math.comb(T, k)
@@ -364,33 +368,21 @@ def _first_uncovered(
 ) -> tuple[int, ...] | None:
     """The lex-first k-subset of parts whose holders AND to 0, or None.
 
-    ``drawn`` has one bit per drawn subset: the empty k-subset is covered
-    exactly when at least one subset was drawn.
+    ``drawn`` has one bit per drawn subset and is the walk's unit, so the
+    empty k-subset is covered exactly when at least one subset was drawn.
+    Each chunk of :func:`~sparseparity.gf2.subset_chunks` is checked with
+    one ``all`` over its ANDs; the first chunk with a zero holds the
+    witness, at the position of its first zero.  The empty prefix's value
+    is ``drawn``, which ANDs nothing away, so its chunk is checked as it
+    stands.
     """
-    if k == 0:
-        return None if drawn else ()
-    T = len(holders)
-    combo = list(range(k))
-    # ands[d] is the AND of drawn and the holders of combo[:d].
-    ands = [drawn] * k
-    d = 0
-    while True:
-        part = combo[d]
-        if part > T - k + d:
-            if d == 0:
-                return None
-            d -= 1
-            combo[d] += 1
-            continue
-        held = ands[d] & holders[part]
-        if not held:
-            return (*combo[:d], *range(part, part + k - d))
-        if d == k - 1:
-            combo[d] += 1
-        else:
-            d += 1
-            ands[d] = held
-            combo[d] = part + 1
+    for prefix, value, chunk, start in subset_chunks(holders, k, and_, drawn):
+        held = map(and_, repeat(value, len(chunk)), chunk) if prefix else chunk
+        if not all(held):
+            tails = combinations(range(start, len(holders)), min(k, 2))
+            missed = map(not_, map(and_, repeat(value), chunk))
+            return prefix + next(compress(tails, missed))
+    return None
 
 
 def build_verified_family(params: CoverParams, rng_seed: int) -> CoverFamily:

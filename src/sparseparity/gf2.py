@@ -4,12 +4,14 @@ A :class:`BitVector` is a fixed-length bit sequence; bit ``i`` is
 coordinate ``i``, stored little-endian (64 bits per storage word, so word
 ``j`` holds coordinates ``64*j .. 64*j+63``).  :func:`transpose` turns a
 list of packed rows into its packed columns with whole-int steps.
+:func:`subset_chunks` walks the k-subsets of a list of columns in
+lexicographic order, one chunk of pair values per (k-2)-prefix.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Iterable, Sequence
+from itertools import chain, combinations, repeat, starmap
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import LengthMismatchError
 
@@ -156,3 +158,69 @@ def transpose(rows: Sequence[int], width: int) -> list[int]:
         int.from_bytes(data[i : i + step], "little")
         for i in range(0, width * step, step)
     ]
+
+
+def subset_chunks(
+    columns: Sequence[int], k: int, op: Callable[[int, int], int], unit: int
+) -> Iterable[tuple[tuple[int, ...], int, Sequence[int], int]]:
+    """The values of the k-subsets of ``columns``, in lexicographic order,
+    one chunk per (k-2)-subset of indices.
+
+    A subset's value is ``unit`` and its columns folded with ``op``, which
+    must be associative and commutative with ``unit`` its identity on the
+    columns: ``xor`` and 0, or ``and_`` and an int holding every column.
+    Gives ``(prefix, value, chunk, start)`` for each (k-2)-subset
+    ``prefix`` in lexicographic order: ``value`` is the prefix's value, and
+    ``chunk`` holds one entry per ``tail`` of
+    ``combinations(range(start, len(columns)), min(k, 2))``, in that order,
+    with ``op(value, entry)`` the value of the k-subset ``prefix + tail``.
+
+    One pair table, ``starmap(op, combinations(columns, 2))``, serves
+    every chunk: in that lexicographic order the pairs whose smaller index
+    is at least ``start`` form one suffix, so past a nonempty prefix,
+    ``start`` is one more than its last index and the chunk is one slice.
+    Below k = 3 the prefix is empty and ``start`` is 0, and the one chunk
+    is ``[unit]`` (k = 0), ``columns`` itself (k = 1) or the pair table
+    (k = 2).  The prefix values come from the same walk at ``k - 2``, one
+    chunk at a time, so besides the pair table the walk holds one chunk
+    per level.  A negative ``k`` raises ValueError.
+    """
+    if k < 0:
+        raise ValueError(f"subset size must be nonnegative, got {k}")
+    pairs = list(starmap(op, combinations(columns, 2))) if k >= 2 else []
+    return _chunks(columns, pairs, k, op, unit)
+
+
+def _chunks(
+    columns: Sequence[int],
+    pairs: list[int],
+    k: int,
+    op: Callable[[int, int], int],
+    unit: int,
+) -> Iterable[tuple[tuple[int, ...], int, Sequence[int], int]]:
+    # Below k = 3 the one chunk comes back in a tuple: no generator is
+    # started, so a walk at k <= 2 costs what its one chunk costs.
+    if k <= 2:
+        return (((), unit, ([unit], columns, pairs)[k], 0),)
+    return _prefix_chunks(columns, pairs, k, op, unit)
+
+
+def _prefix_chunks(
+    columns: Sequence[int],
+    pairs: list[int],
+    k: int,
+    op: Callable[[int, int], int],
+    unit: int,
+) -> Iterator[tuple[tuple[int, ...], int, Sequence[int], int]]:
+    # A module-level generator, not one nested in subset_chunks: a nested
+    # generator that calls itself is a reference cycle per call, which
+    # holds the pair table until the cyclic collector runs.
+    n = len(columns)
+    values = chain.from_iterable(
+        map(op, repeat(value), chunk)
+        for _, value, chunk, _ in _chunks(columns, pairs, k - 2, op, unit)
+    )
+    for prefix, value in zip(combinations(range(n), k - 2), values):
+        start = prefix[-1] + 1
+        # start * (2n - 1 - start) / 2 pairs have smaller index < start
+        yield prefix, value, pairs[start * (2 * n - 1 - start) // 2 :], start

@@ -33,8 +33,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, compress, repeat, starmap
-from operator import itemgetter, xor
+from itertools import combinations, compress
+from operator import xor
 from typing import Sequence
 
 from .errors import (
@@ -44,7 +44,7 @@ from .errors import (
     LengthMismatchError,
     NoCandidatesError,
 )
-from .gf2 import BitVector, transpose
+from .gf2 import BitVector, subset_chunks, transpose
 from .online import new_learner
 from .pac import PacParams, pac_learn
 from .sources import LabeledExample
@@ -232,39 +232,14 @@ def noisy_learn_report(
     )
 
 
-def _weight_syndromes(columns: Sequence[int], k: int) -> list[int]:
-    """The syndrome of every k-subset of ``columns``, in the order of
-    ``itertools.combinations(range(len(columns)), k)``.
-
-    The pair syndromes come from one ``starmap(xor, ...)`` over
-    ``combinations(columns, 2)``.  In that lexicographic order the pairs
-    whose smaller index exceeds j form one suffix, so each (k-2)-subset's
-    syndrome is XORed onto the suffix past its last index with one
-    ``map``: one XOR per support, all at C speed.
-    """
-    if k < 2:
-        return [0] if k == 0 else list(columns)
-    pairs = list(starmap(xor, combinations(columns, 2)))
-    if k == 2:
-        return pairs
-    n = len(columns)
-    lasts = map(itemgetter(-1), combinations(range(n), k - 2))
-    syndromes: list[int] = []
-    for prefix, last in zip(_weight_syndromes(columns, k - 2), lasts):
-        # (last + 1) * (2n - 2 - last) / 2 pairs have smaller index <= last
-        tail = pairs[(last + 1) * (2 * n - 2 - last) // 2 :]
-        syndromes.extend(map(xor, repeat(prefix, len(tail)), tail))
-    return syndromes
-
-
 class MitmInner:
     """Noiseless inner learner backed by the exhaustive weight-k search,
     the meet-in-the-middle baseline's search space.
 
-    :meth:`candidates` decodes every flip set at once from the list of
-    weight-k syndromes of the example vectors (:func:`_weight_syndromes`),
-    built afresh per call after every vector's length is checked against
-    ``n``; :meth:`run` is its flip budget 0.
+    :meth:`candidates` decodes every flip set at once from the weight-k
+    syndromes of the example vectors, walked afresh per call a chunk at a
+    time (:func:`~sparseparity.gf2.subset_chunks`) after every vector's
+    length is checked against ``n``; :meth:`run` is its flip budget 0.
     """
 
     def __init__(self, n: int, k: int):
@@ -290,12 +265,18 @@ class MitmInner:
         Each vector comes from one F, so sorting by (|F|, indices of F)
         gives the flip-set loop's first-occurrence order.
 
-        One pass over the syndromes, in the order of
-        ``combinations(range(n), k)``, marks those near the labels, and
-        the marks pick them and their supports out.  Every copy of a
+        The syndromes are walked in the order of
+        ``combinations(range(n), k)``, one chunk of pair syndromes per
+        (k-2)-prefix.  The labels are XORed into each prefix's syndrome
+        once, one pass over the chunk marks the entries near the labels,
+        and only those hits are kept, as flip masks.  Every copy of a
         syndrome lies at the same distance from the labels, so a
-        ``Counter`` over the near ones alone tells which are owned; no map
-        of all ``C(n, k)`` syndromes is built.
+        ``Counter`` over the hits alone tells which are owned; only the
+        owned hits get their supports, from the marks of their chunk.
+        Besides the pair table and one chunk, a call holds one int per
+        hit and one mark per entry of each chunk that has a hit, never all
+        ``C(n, k)`` syndromes.  At ``k <= 2`` the one chunk is the whole
+        list.
         """
         rows = []
         for ex in examples:
@@ -303,19 +284,27 @@ class MitmInner:
                 raise ValueError(f"example length {ex.a.n} != n={self.n}")
             rows.append(ex.a.value)
         labels = BitVector.from_bits(ex.label for ex in examples).value
-        syndromes = _weight_syndromes(transpose(rows, self.n), self.k)
-        near = [(s ^ labels).bit_count() <= flip_budget for s in syndromes]
-        hits = list(compress(syndromes, near))
-        copies = Counter(hits)
-        supports = compress(combinations(range(self.n), self.k), near)
+        columns = transpose(rows, self.n)
+        copies: Counter[int] = Counter()
+        marked = []
+        for prefix, value, chunk, start in subset_chunks(
+            columns, self.k, xor, 0
+        ):
+            base = value ^ labels
+            near = [(base ^ s).bit_count() <= flip_budget for s in chunk]
+            hits = [base ^ s for s in compress(chunk, near)]
+            if hits:
+                copies.update(hits)
+                marked.append((prefix, start, near, hits))
         found = []
-        for syndrome, support in zip(hits, supports):
-            if copies[syndrome] == 1:
-                flips = syndrome ^ labels
-                flip_set = tuple(
-                    i for i in range(len(examples)) if (flips >> i) & 1
-                )
-                found.append((len(flip_set), flip_set, support))
+        for prefix, start, near, hits in marked:
+            tails = combinations(range(start, self.n), min(self.k, 2))
+            for flips, tail in zip(hits, compress(tails, near)):
+                if copies[flips] == 1:
+                    flip_set = tuple(
+                        i for i in range(len(examples)) if (flips >> i) & 1
+                    )
+                    found.append((len(flip_set), flip_set, prefix + tail))
         found.sort()
         return [
             BitVector.from_support(self.n, support) for _, _, support in found

@@ -5,9 +5,13 @@
   gate 5 holds ``MitmInner`` to.
 * :func:`join_owners` builds the syndrome map by meeting left-half and
   right-half supports, the oracle for :func:`syndrome_owners`.
-* :func:`syndrome_owners` builds the same map from the library's list of
-  weight-k syndromes (``noisy._weight_syndromes``), so checking it against
-  :func:`join_owners` checks that list.
+* :func:`weight_syndromes` lists every weight-k syndrome at once, the list
+  the library decoded from before it walked the syndromes a chunk at a
+  time; :func:`syndrome_owners` builds the same map from it, so checking
+  that against :func:`join_owners` checks the list.
+* :func:`list_candidates` is the list decode ``MitmInner.candidates`` ran
+  on that list, the oracle for the chunked decode: it holds every weight-k
+  syndrome and a flag per syndrome at once.
 * :class:`MitmLookup` answers one stream by looking its labels up in that
   map, kept across relabelings, the flip-set loop's ``run`` for the
   meet-in-the-middle inner learner.
@@ -17,10 +21,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from operator import itemgetter, xor
 from typing import Sequence
 
 from sparseparity.gf2 import BitVector, transpose
-from sparseparity.noisy import _weight_syndromes
 from sparseparity.sources import LabeledExample
 
 from bit_reference import dot
@@ -114,6 +118,68 @@ def join_owners(
     return owner
 
 
+# -- the list of every weight-k syndrome, and its decode -------------------
+
+
+def weight_syndromes(columns: Sequence[int], k: int) -> list[int]:
+    """The syndrome of every k-subset of ``columns``, in the order of
+    ``itertools.combinations(range(len(columns)), k)``.
+
+    The pair syndromes come from one ``starmap(xor, ...)`` over
+    ``combinations(columns, 2)``.  In that lexicographic order the pairs
+    whose smaller index exceeds j form one suffix, so each (k-2)-subset's
+    syndrome is XORed onto the suffix past its last index with one
+    ``map``: one XOR per support, all at C speed.
+    """
+    if k < 2:
+        return [0] if k == 0 else list(columns)
+    pairs = list(itertools.starmap(xor, itertools.combinations(columns, 2)))
+    if k == 2:
+        return pairs
+    n = len(columns)
+    lasts = map(itemgetter(-1), itertools.combinations(range(n), k - 2))
+    syndromes: list[int] = []
+    for prefix, last in zip(weight_syndromes(columns, k - 2), lasts):
+        # (last + 1) * (2n - 2 - last) / 2 pairs have smaller index <= last
+        tail = pairs[(last + 1) * (2 * n - 2 - last) // 2 :]
+        syndromes.extend(map(xor, itertools.repeat(prefix, len(tail)), tail))
+    return syndromes
+
+
+def list_candidates(
+    examples: Sequence[LabeledExample], n: int, k: int, flip_budget: int
+) -> list[BitVector]:
+    """``MitmInner(n, k).candidates(examples, flip_budget)`` from the whole
+    list of weight-k syndromes.
+
+    One pass over the list marks the syndromes within ``flip_budget`` of
+    the labels, the marks pick them and their supports out, and a
+    ``Counter`` over the near ones tells which are owned.  The owned ones
+    are sorted by (|F|, indices of F).
+    """
+    rows = []
+    for ex in examples:
+        if ex.a.n != n:
+            raise ValueError(f"example length {ex.a.n} != n={n}")
+        rows.append(ex.a.value)
+    labels = BitVector.from_bits(ex.label for ex in examples).value
+    syndromes = weight_syndromes(transpose(rows, n), k)
+    near = [(s ^ labels).bit_count() <= flip_budget for s in syndromes]
+    hits = list(itertools.compress(syndromes, near))
+    copies = Counter(hits)
+    supports = itertools.compress(itertools.combinations(range(n), k), near)
+    found = []
+    for syndrome, support in zip(hits, supports):
+        if copies[syndrome] == 1:
+            flips = syndrome ^ labels
+            flip_set = tuple(
+                i for i in range(len(examples)) if (flips >> i) & 1
+            )
+            found.append((len(flip_set), flip_set, support))
+    found.sort()
+    return [BitVector.from_support(n, support) for _, _, support in found]
+
+
 # -- syndrome lookup, one map per set of vectors --------------------------
 
 
@@ -125,14 +191,14 @@ def syndrome_owners(
     ``rows`` holds the vectors' packed values, each below ``2**n`` (one
     at or above raises ValueError).  A syndrome maps to its only weight-k
     support, or to None when two or more supports share it.  The columns
-    come from :func:`~sparseparity.gf2.transpose`, ``_weight_syndromes``
+    come from :func:`~sparseparity.gf2.transpose`, :func:`weight_syndromes`
     lists every support's syndrome in the order of
     ``combinations(range(n), k)``, and zipping the two gives the map;
     only when the map came out shorter than the list does a ``Counter``
     pass mark the shared syndromes.  No labels are read, so the map
     serves every labeling of the same vectors.
     """
-    syndromes = _weight_syndromes(transpose(rows, n), k)
+    syndromes = weight_syndromes(transpose(rows, n), k)
     owner: dict[int, tuple[int, ...] | None] = dict(
         zip(syndromes, itertools.combinations(range(n), k))
     )

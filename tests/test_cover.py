@@ -1,8 +1,11 @@
 """Tests for covering-family construction and verification."""
 
 import dataclasses
+import itertools
 import logging
 import math
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -323,6 +326,95 @@ class TestVerifyCover:
         assert verify_cover(fam)[1] == (0, 1, 2)
         fam = hand_family(6, 3, 3, 2, [(0, 1, 2, 3, 4), (0, 1, 5), (2, 3, 5)])
         assert verify_cover(fam)[1] == (0, 2, 5)
+
+
+def all_but(T, k, t, alpha, missing):
+    """The hand family of every k-subset of ``range(T)`` but ``missing``,
+    so the lex-first of ``missing`` is the only possible witness."""
+    kept = (c for c in itertools.combinations(range(T), k) if c not in missing)
+    return hand_family(T, k, t, alpha, kept)
+
+
+class TestChunkEdges:
+    """Witnesses at the edges of the walk's chunks, one chunk of pairs per
+    (k-2)-prefix of parts, against the exhaustive reference check."""
+
+    @staticmethod
+    def assert_witness(family, expected):
+        assert verify_cover(family)[1] == expected
+        assert reference_verify_cover(family)[1] == expected
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_first_pair_of_a_chunk(self, k):
+        # (k-2)-prefix (1, 3, ...) and the first pair past its last part;
+        # two later k-subsets are missing too
+        prefix = (1, 3, 4)[: k - 2]
+        start = prefix[-1] + 1 if prefix else 0
+        witness = prefix + (start, start + 1)
+        later = [prefix + (start, start + 2), tuple(range(10 - k, 10))]
+        self.assert_witness(all_but(10, k, 5, 2, [witness, *later]), witness)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_last_pair_of_a_chunk(self, k):
+        prefix = (1, 3, 4)[: k - 2]
+        witness = prefix + (8, 9)
+        later = [tuple(range(10 - k, 10))]
+        self.assert_witness(all_but(10, k, 5, 2, [witness, *later]), witness)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_a_prefix_whose_own_and_is_zero(self, k):
+        # No subset holds all of parts 0..k-3, so the first prefix's AND
+        # is 0 and its first completion is the witness.
+        dead = set(range(k - 2))
+        subsets = [
+            c
+            for c in itertools.combinations(range(10), k)
+            if not dead <= set(c)
+        ]
+        family = hand_family(10, k, 5, 2, subsets)
+        self.assert_witness(family, tuple(range(k)))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_no_subsets(self, k):
+        self.assert_witness(hand_family(10, k, 5, 2, []), tuple(range(k)))
+
+    @pytest.mark.parametrize("T,k", [(4, 2), (6, 3), (8, 4), (10, 5)])
+    def test_k_at_half_the_parts(self, T, k):
+        complete = hand_family(T, k, k, 2, [tuple(range(T))])
+        self.assert_witness(complete, None)
+        last = tuple(range(T - k, T))
+        self.assert_witness(all_but(T, k, k, 2, [last]), last)
+
+    @pytest.mark.parametrize(
+        "n,k,t,alpha,seed,cut,witness",
+        [
+            (64, 3, 12, 2, 32, 952, (7, 10, 22)),
+            (32, 4, 8, 3, 31, 212, (2, 7, 8, 20)),
+        ],
+    )
+    def test_gate_two_shapes_fail_inside_a_later_chunk(
+        self, n, k, t, alpha, seed, cut, witness
+    ):
+        family = sample_family(CoverParams(n=n, k=k, t=t, alpha=alpha), seed)
+        cut_short = dataclasses.replace(family, subsets=family.subsets[:cut])
+        self.assert_witness(cut_short, witness)
+
+    def test_the_walk_holds_the_pair_table_and_one_chunk(self):
+        # T = 24, k = 4: the walk holds the C(24, 2) pair ANDs, the 24
+        # holders and one chunk of at most 253 pairs, never the 2 024
+        # triples or the 10 626 k-subsets.
+        family = sample_family(CoverParams(n=32, k=4, t=8, alpha=3), 0)
+        holders = spread_columns(family.incidence, len(family.parts), 1)
+        pairs = [a & b for a, b in itertools.combinations(holders, 2)]
+        table = sys.getsizeof(pairs) + sum(map(sys.getsizeof, pairs))
+        tracemalloc.start()
+        try:
+            certified, witness = verify_cover(family)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert witness is None and certified.verified
+        assert peak < 3 * table // 2
 
 
 def gate_configs():

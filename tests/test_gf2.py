@@ -1,13 +1,18 @@
-"""Tests for word-packed bit vectors and the bit-matrix transpose."""
+"""Tests for word-packed bit vectors, the bit-matrix transpose and the
+chunked k-subset walk."""
 
+import functools
+import gc
+import itertools
 import random
+from operator import and_, or_, xor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparseparity.errors import LengthMismatchError
-from sparseparity.gf2 import BitVector, transpose
+from sparseparity.gf2 import BitVector, subset_chunks, transpose
 
 from bit_reference import dot, from01
 
@@ -149,6 +154,80 @@ class TestTranspose:
     def test_rows_that_do_not_fit_raise(self, rows, width):
         with pytest.raises(ValueError):
             transpose(rows, width)
+
+
+# -- subset_chunks -----------------------------------------------------
+
+
+def flat_walk(columns, k, op, unit):
+    """Every (k-subset, value) that the chunks of ``subset_chunks`` give,
+    in the order they give them."""
+    walked = []
+    for prefix, value, chunk, start in subset_chunks(columns, k, op, unit):
+        tails = itertools.combinations(range(start, len(columns)), min(k, 2))
+        walked += [
+            (prefix + tail, op(value, entry))
+            for tail, entry in zip(tails, chunk, strict=True)
+        ]
+    return walked
+
+
+class TestSubsetChunks:
+    """The chunks give every k-subset once, in lexicographic order, with
+    ``unit`` and its columns folded by ``op``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=255), max_size=9),
+        st.integers(min_value=0, max_value=7),
+        st.sampled_from([(xor, 0), (and_, 255), (or_, 0)]),
+    )
+    def test_every_k_subset_in_lex_order(self, columns, k, op_unit):
+        op, unit = op_unit
+        expected = [
+            (c, functools.reduce(op, (columns[i] for i in c), unit))
+            for c in itertools.combinations(range(len(columns)), k)
+        ]
+        assert flat_walk(columns, k, op, unit) == expected
+
+    def test_one_chunk_below_three(self):
+        columns = [0b0011, 0b0101, 0b0110]
+        assert list(subset_chunks(columns, 0, xor, 0)) == [((), 0, [0], 0)]
+        ((prefix, value, chunk, start),) = subset_chunks(columns, 1, xor, 0)
+        assert (prefix, value, start) == ((), 0, 0) and chunk is columns
+        assert list(subset_chunks(columns, 2, and_, 0b1111)) == [
+            ((), 0b1111, [0b0001, 0b0010, 0b0100], 0)
+        ]
+
+    def test_a_chunk_is_the_pairs_past_the_prefix(self):
+        columns = [1 << i for i in range(5)]
+        chunks = list(subset_chunks(columns, 3, xor, 0))
+        assert [(p, v, s) for p, v, _, s in chunks] == [
+            ((i,), 1 << i, i + 1) for i in range(5)
+        ]
+        assert chunks[1][2] == [0b01100, 0b10100, 0b11000]
+        assert [len(c) for _, _, c, _ in chunks] == [6, 3, 1, 0, 0]
+
+    def test_k_past_the_columns_gives_no_subsets(self):
+        assert flat_walk([3, 5, 6], 5, xor, 0) == []
+        assert flat_walk([], 2, xor, 0) == []
+
+    def test_a_walk_leaves_no_reference_cycle(self):
+        # A cycle per call would hold each pair table until the cyclic
+        # collector ran, whose pauses doubled gate 6's tail latency.
+        gc.collect()
+        gc.disable()
+        try:
+            for k in range(6):
+                for _ in subset_chunks([1, 2, 3, 4, 5, 6, 7], k, xor, 0):
+                    pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_a_negative_size_raises(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            subset_chunks([1, 2], -1, xor, 0)
 
 
 # -- randomized properties ---------------------------------------------

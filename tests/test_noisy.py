@@ -4,6 +4,7 @@ import functools
 import itertools
 import logging
 import math
+import tracemalloc
 import weakref
 from dataclasses import asdict
 from fractions import Fraction
@@ -41,6 +42,7 @@ from baseline_reference import (
     brute_force_candidates,
     brute_force_owners,
     join_owners,
+    list_candidates,
     syndrome_owners,
 )
 from bit_reference import bits, dot, from01, list_disagreements
@@ -796,7 +798,7 @@ def test_mitm_inner_rejects_a_wrong_length_stream_every_time(method):
 
 
 def test_mitm_inner_keeps_no_state_between_calls(monkeypatch):
-    # each call lists its own syndromes, so a listing cut short leaves
+    # each call walks its own syndromes, so a walk cut short leaves
     # nothing behind and the inner holds only n and k
     hidden = BitVector.from_support(8, (1, 4))
     first = take(UniformSource(hidden, seed=3, eta=0.0), 20)
@@ -805,11 +807,11 @@ def test_mitm_inner_keeps_no_state_between_calls(monkeypatch):
     assert inner.run(first) == hidden
     assert inner.candidates(first, 2)
 
-    def interrupted(columns, k):
+    def interrupted(columns, k, op, unit):
         raise MemoryError
 
     with monkeypatch.context() as patch:
-        patch.setattr(noisy, "_weight_syndromes", interrupted)
+        patch.setattr(noisy, "subset_chunks", interrupted)
         with pytest.raises(MemoryError):
             inner.run(second)
     assert inner.run(second) == hidden
@@ -964,6 +966,83 @@ def test_mitm_candidates_at_budget_zero_are_one_run(n, k):
             got = inner.candidates(primary, 0)
             assert got == ([] if x is None else [x])
             assert inner.run(primary) == x
+
+
+@st.composite
+def decode_cases(draw):
+    """(n, k, examples, budget): n from 10 to 70 with C(n, k) at most
+    30 000, or n below k; labels near a hidden weight-k vector's, so that
+    budgets above 0 find candidates, and some rows repeated."""
+    k = draw(st.integers(min_value=0, max_value=6))
+    if draw(st.booleans()) and k:
+        n = draw(st.integers(min_value=0, max_value=k - 1))
+    else:
+        n = draw(st.integers(min_value=10, max_value=70))
+        while math.comb(n, k) > 30_000:
+            n -= 1
+    s_prime = draw(st.integers(min_value=0, max_value=40))
+    seed = draw(st.integers(min_value=0, max_value=2**64 - 1))
+    examples = _primary(n, min(k, n), s_prime, seed)
+    repeats = draw(st.lists(st.integers(0, max(s_prime - 1, 0)), max_size=4))
+    examples += [examples[i] for i in repeats if examples]
+    budget = draw(st.sampled_from((0, 1, 2, len(examples))))
+    return n, k, examples, budget
+
+
+@settings(deadline=None, max_examples=80)
+@given(decode_cases())
+@example((10, 0, _primary(10, 0, 5, 1), 0))
+@example((3, 5, _primary(3, 3, 6, 2), 6))
+@example((40, 3, _primary(40, 3, 30, 3), 2))
+@example((70, 2, _primary(70, 2, 40, 4), 3))
+def test_mitm_candidates_match_the_list_decode(case):
+    n, k, examples, budget = case
+    assert MitmInner(n, k).candidates(examples, budget) == list_candidates(
+        examples, n, k, budget
+    )
+
+
+def test_mitm_decode_holds_one_chunk_not_every_syndrome():
+    # The list decode holds all C(40, 4) = 91 390 syndromes and a flag per
+    # syndrome, about 4.3 MiB; one small int per syndrome alone would be
+    # 2.4 MiB.  The chunked walk holds 780 pair syndromes, one chunk of at
+    # most 741 entries and the hits.
+    n, k = 40, 4
+    hidden = BitVector.from_support(n, (3, 17, 18, 36))
+    primary = take(UniformSource(hidden, seed=9, eta=0.0), 40)
+    inner = MitmInner(n, k)
+    tracemalloc.start()
+    try:
+        found = inner.candidates(primary, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == [hidden] == list_candidates(primary, n, k, 2)
+    assert peak < math.comb(n, k) * 28 // 16
+
+
+def test_mitm_decode_where_most_syndromes_are_hits_holds_less_than_the_list():
+    # Four examples at flip budget 2 put 11 of every 16 syndromes near the
+    # labels.  The decode then keeps a flip mask per hit and the marks of
+    # every chunk, but builds no support for a hit it does not own, so it
+    # still peaks below the list decode (one syndrome and one flag per
+    # support, plus the hits).
+    n, k = 30, 4
+    hidden = BitVector.from_support(n, (2, 11, 12, 25))
+    primary = take(UniformSource(hidden, seed=9, eta=0.0), 4)
+    peaks = []
+    for decode in (
+        lambda: MitmInner(n, k).candidates(primary, 2),
+        lambda: list_candidates(primary, n, k, 2),
+    ):
+        tracemalloc.start()
+        try:
+            found = decode()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert found == []
+    assert peaks[0] < peaks[1]
 
 
 @pytest.mark.parametrize(
