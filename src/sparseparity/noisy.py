@@ -30,13 +30,15 @@ from __future__ import annotations
 import functools
 import logging
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations, compress, repeat
 from operator import xor
 from typing import Sequence
 
+from . import cover
 from .errors import (
     BudgetExceededError,
     BudgetExhaustedError,
@@ -46,7 +48,7 @@ from .errors import (
 )
 from .gf2 import BitVector, subset_chunks, transpose
 from .online import new_learner
-from .pac import PacParams, pac_learn
+from .pac import PacParams, pac_learn, survival_threshold
 from .sources import LabeledExample
 
 logger = logging.getLogger(__name__)
@@ -356,11 +358,33 @@ class PacOnlineInner:
         certifies a vector of another weight gives no candidate.  Its
         budget is the examples left in the list, so a replay never draws
         past the end.
+
+        A replay also stops, with no candidate, once it can no longer
+        certify a weight-k vector.  Whatever it certifies is a point of a
+        live chart or the pinned vector, so it agrees with every label
+        the replay has stepped; F's horizon, the longest prefix of F's
+        stream that some weight-k vector satisfies
+        (:func:`_horizons`), bounds how far a replay that still yields a
+        candidate can step.  :class:`_ForkingReplay` applies it, so the
+        list is the same as without it.  With ``C(n, k)`` over
+        ``cover.ENUMERATION_BUDGET``, or an example whose length is not
+        ``n`` (which the learner raises on only if a replay steps it),
+        no horizon is built and every replay runs to its end.
         """
         found: list[tuple[int, tuple[int, ...], BitVector]] = []
+        n = self._start.n
+        horizon = None
+        if math.comb(n, self.k) <= cover.ENUMERATION_BUDGET and all(
+            ex.a.n == n for ex in examples
+        ):
+            horizon = _horizons(examples, n, self.k)
+        threshold = survival_threshold(self.mistake_bound, self.delta)
 
         def visit(learner, flips):
-            source = _ForkingReplay(examples, flips, flip_budget, learner, visit)
+            source = _ForkingReplay(
+                examples, flips, flip_budget, learner, visit,
+                horizon(flips) if horizon else math.inf, threshold,
+            )
             pac_params = PacParams(self.delta, len(examples) - source.start)
             try:
                 x = pac_learn(learner, source, pac_params)
@@ -377,6 +401,45 @@ class PacOnlineInner:
         return list(distinct.values())
 
 
+def _horizons(examples: Sequence[LabeledExample], n: int, k: int):
+    """F's horizon, as a function of the flip set F: the longest prefix of
+    the stream with F's labels flipped that some weight-k vector over
+    ``n`` coordinates satisfies, or -1 when ``C(n, k)`` is 0.
+
+    Weight-k vector v satisfies the first L labels of F's stream exactly
+    when its syndrome ``s_v`` (bit i is ``<a_i, v>``) agrees with the
+    labels XOR F's mask on bits ``0 .. L-1``.  With every mask read
+    backwards, from bit ``s' - 1`` down, that is a common leading prefix
+    of ``L`` bits, so the horizon is the longest common prefix of the
+    reversed ``labels ^ F`` with the sorted reversed syndromes; the
+    longest is with one of its two neighbours in that order.  The
+    reversed syndromes come from the reversed rows, whose transpose holds
+    each column backwards, walked by
+    :func:`~sparseparity.gf2.subset_chunks`.
+    """
+    s_prime = len(examples)
+    top = s_prime - 1
+    backwards = examples[::-1]
+    labels = BitVector.from_bits(ex.label for ex in backwards).value
+    keys: list[int] = []
+    for _, value, chunk, _ in subset_chunks(
+        transpose([ex.a.value for ex in backwards], n), k, xor, 0
+    ):
+        # below k = 3 the one prefix value is 0, and the chunk is the keys
+        keys += map(xor, repeat(value), chunk) if value else chunk
+    keys.sort()
+
+    def horizon(flips: tuple[int, ...]) -> int:
+        mask = labels ^ sum(1 << (top - i) for i in flips)
+        at = bisect_left(keys, mask)
+        near = keys[max(at - 1, 0) : at + 1]
+        if not near:
+            return -1
+        return s_prime - min((mask ^ key).bit_length() for key in near)
+
+    return horizon
+
+
 class _ForkingReplay:
     """The source of one flip set's replay, from its last flip on.
 
@@ -386,19 +449,43 @@ class _ForkingReplay:
     the set has flips to spare, every draw of a later example ``i``
     first runs ``branch`` on a fork of the learner for ``flips + (i,)``;
     the fork carries the learner's survival run over.
+
+    ``end`` is the set's horizon: no weight-k vector satisfies the first
+    ``end + 1`` labels of its stream.  A draw of example ``i`` raises
+    BudgetExhaustedError instead once no replay that steps it can yield
+    a candidate.  With flips to spare, that is ``i > end``, since every
+    later fork shares the first ``i`` labels.  Without, the replay must
+    step at least ``max(1, min(threshold - run_length, least_dim))``
+    more examples before it certifies: the driver asks for a draw only
+    while the learner is unsure, the run grows by at most 1 a round, and
+    :meth:`~sparseparity.online.LearnerState.identified` needs a live
+    chart at dimension 0.  So the replay stops once that reach passes
+    ``end``.
     """
 
-    def __init__(self, examples, flips, flip_budget, learner, branch):
+    def __init__(
+        self, examples, flips, flip_budget, learner, branch, end, threshold
+    ):
         self.examples = examples
         self.flips = flips
         self.start = flips[-1] if flips else 0
         self.spare = len(flips) < flip_budget
         self.learner = learner
         self.branch = branch
+        self.end = end
+        self.threshold = threshold
         self.draws = 0
 
     def next_example(self) -> LabeledExample:
         i = self.start + self.draws
+        if self.spare:
+            doomed = i > self.end
+        else:
+            learner = self.learner
+            reach = min(self.threshold - learner.run_length, learner.least_dim)
+            doomed = i + max(1, reach) > self.end
+        if doomed:
+            raise BudgetExhaustedError(self.draws)
         ex = self.examples[i]
         if self.flips and not self.draws:
             ex = LabeledExample(ex.a, ex.label ^ 1)

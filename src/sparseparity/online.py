@@ -176,6 +176,16 @@ class LearnerState:
         return BitVector(self.n, value)
 
     @property
+    def least_dim(self) -> int:
+        """The smallest dimension of a live chart, 0 with none live.
+
+        A round takes at most one dimension from a chart, so
+        :meth:`identified` returns None for at least this many rounds.
+        """
+        dims = self._dims
+        return dims[0][0] if dims else 0
+
+    @property
     def mistake_bound(self) -> int:
         initial = self.initial_mass
         return initial.bit_length() - 1 if initial > 0 else 0

@@ -15,6 +15,9 @@
 * :class:`MitmLookup` answers one stream by looking its labels up in that
   map, kept across relabelings, the flip-set loop's ``run`` for the
   meet-in-the-middle inner learner.
+* :func:`brute_force_horizon` tries every weight-k vector against a flip
+  set's stream label by label, the oracle for the horizons that stop the
+  chart learner's hopeless replays.
 """
 
 from __future__ import annotations
@@ -31,6 +34,25 @@ from bit_reference import dot
 
 
 # -- brute-force syndrome decoding ----------------------------------------
+
+
+def brute_force_horizon(
+    examples: Sequence[LabeledExample], n: int, k: int, flips
+) -> int:
+    """The longest prefix of the stream with the labels at ``flips``
+    inverted that some weight-k vector over ``n`` coordinates satisfies,
+    or -1 when there is no weight-k vector."""
+    best = -1
+    for support in itertools.combinations(range(n), k):
+        x = BitVector.from_support(n, support)
+        length = 0
+        for i, ex in enumerate(examples):
+            if dot(ex.a, x) != ex.label ^ (i in flips):
+                break
+            length += 1
+        best = max(best, length)
+    return best
+
 
 
 def syndrome_of(examples: Sequence[LabeledExample], x: BitVector) -> int:

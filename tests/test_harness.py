@@ -601,6 +601,10 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "data"
           "--delta", "0.2", "--s-prime", "30", "--trials", "4",
           "--seed", "23"],
          "wall_ns", "golden_learn_noisy_mitm_n70.csv"),
+        (["learn-noisy", "--n", "24", "--k", "3", "--eta", "0.1",
+          "--delta", "0.2", "--s-prime", "20", "--inner", "pac-online",
+          "--t", "6", "--alpha", "2", "--trials", "3", "--seed", "29"],
+         "wall_ns", "golden_learn_noisy_pac_online_k3.csv"),
     ],
 )
 def test_reports_match_golden_output(tmp_path, argv, wall_column, golden):
@@ -615,8 +619,11 @@ def test_reports_match_golden_output(tmp_path, argv, wall_column, golden):
     written by the chart layout that packed charts back to back, before
     they moved to one padded stride; the two-word (``n = 70``)
     meet-in-the-middle report was written while the primaries were still
-    drawn one ``next_example`` call at a time.  A report without a wall-clock
-    column is compared whole; a JSON report drops it from every record.
+    drawn one ``next_example`` call at a time; the weight-3 chart-learner
+    report, at flip budget 3, was written while every replay still ran to
+    its end, before horizons stopped the hopeless ones.  A report without
+    a wall-clock column is compared whole; a JSON report drops it from
+    every record.
     """
     code, text = run_cli(tmp_path, argv)
     assert code == 0

@@ -40,6 +40,7 @@ from sparseparity.sources import LabeledExample, UniformSource, gen_hidden
 from baseline_reference import (
     MitmLookup,
     brute_force_candidates,
+    brute_force_horizon,
     brute_force_owners,
     join_owners,
     list_candidates,
@@ -1186,6 +1187,18 @@ STREAM_KINDS = ("noisy", "contradictory", "wrong-weight", "zero", "honest")
     st.sampled_from((0.01, 0.25)),
     st.integers(min_value=0, max_value=2**64 - 1),
 )
+# Replays that certify at the edge of their horizon.  The leaves (2,) and
+# (4,) are identified before their survival runs complete: a leaf rule
+# without the smallest-dim term, or with >=, loses both, and a rule with
+# >= for the root, which has flips to spare, loses (4,).
+@example(16, 1, 13, 1, "zero", 0.01, 540)
+# At budget 2, (2,) forks (2, 16), which certifies 1544: the leaf rule
+# applied to (2,) stops it before that fork.
+@example(16, 3, 22, 2, "noisy", 0.25, 679)
+# The leaf (0, 6) certifies 530 by its survival run while its charts still
+# have more dimensions than the run lacks: a reach of threshold + run_length
+# stops it first.
+@example(15, 3, 21, 2, "zero", 0.25, 596)
 def test_chart_candidates_match_the_flip_set_loop(
     n, k, s_prime, budget, kind, delta, seed
 ):
@@ -1349,3 +1362,184 @@ def test_gate7_reports_match_on_both_paths():
         assert hook.inner_invocations == loop.inner_invocations == 68
         assert hook.samples_drawn == loop.samples_drawn == draws[0]
     assert runs == []
+
+
+# ---------------------------------------------------------------------------
+# chart-learner inner: horizons that stop hopeless replays
+
+
+@st.composite
+def horizon_cases(draw):
+    """A stream of up to 30 examples over n <= 14 coordinates, k in 0-4
+    (above n/2 and above n included), and flip sets of up to 3 indices,
+    the empty one first."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    k = draw(st.integers(min_value=0, max_value=4))
+    s_prime = draw(st.integers(min_value=0, max_value=30))
+    rows = draw(st.lists(
+        st.integers(min_value=0, max_value=2**n - 1),
+        min_size=s_prime, max_size=s_prime,
+    ))
+    labels = draw(st.lists(
+        st.integers(min_value=0, max_value=1),
+        min_size=s_prime, max_size=s_prime,
+    ))
+    examples = [LabeledExample(BitVector(n, a), y) for a, y in zip(rows, labels)]
+    indices = st.integers(min_value=0, max_value=max(s_prime - 1, 0))
+    flip_sets = draw(st.lists(
+        st.sets(indices, max_size=3 if s_prime else 0), max_size=6,
+    ))
+    return n, k, examples, [()] + [tuple(sorted(f)) for f in flip_sets]
+
+
+@settings(deadline=None, max_examples=150)
+@given(horizon_cases())
+# no weight-4 vector over 3 coordinates: every horizon is -1
+@example((3, 4, [LabeledExample(BitVector(3, 5), 1)] * 2, [(), (1,)]))
+def test_horizon_matches_brute_force(case):
+    n, k, examples, flip_sets = case
+    horizon = noisy._horizons(examples, n, k)
+    for flips in flip_sets:
+        assert horizon(flips) == brute_force_horizon(examples, n, k, flips)
+
+
+# Three examples over three coordinates and a fourth holding all of them:
+# the weight-1 syndromes, read backwards, are 0b1001, 0b0101 and 0b0011.
+_EDGE_ROWS = (0b001, 0b010, 0b100, 0b111)
+
+
+@pytest.mark.parametrize(
+    "labels,flips,expected",
+    [
+        # 0b0000 lies below every syndrome: its one neighbour is 0b0011
+        ((0, 0, 0, 0), (), 2),
+        # 0b1111 lies above every syndrome: its one neighbour is 0b1001
+        ((1, 1, 1, 1), (), 1),
+        # equal to 0b0101 once example 3 is flipped: the whole stream
+        ((0, 1, 0, 0), (3,), 4),
+        ((0, 1, 0, 1), (), 4),
+        # between 0b0101 and 0b1001, nearer the lower one
+        ((0, 1, 1, 0), (), 2),
+        # between 0b0011 and 0b0101, nearer the upper one
+        ((0, 1, 0, 0), (), 3),
+    ],
+)
+def test_horizon_at_the_ends_of_the_sorted_syndromes(labels, flips, expected):
+    examples = [
+        LabeledExample(BitVector(3, a), y) for a, y in zip(_EDGE_ROWS, labels)
+    ]
+    assert brute_force_horizon(examples, 3, 1, flips) == expected
+    assert noisy._horizons(examples, 3, 1)(flips) == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(min_value=8, max_value=16),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=24),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from(STREAM_KINDS),
+    st.sampled_from((0.01, 0.25)),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+# A chart pinned at dimension 0 but not identified leaves a reach of 0:
+# a stop rule without max(1, ...) draws the horizon's own example.
+@example(11, 2, 10, 0, "zero", 0.01, 190)
+def test_chart_replays_never_draw_past_their_horizon(
+    n, k, s_prime, budget, kind, delta, seed
+):
+    # a leaf must still be able to certify after each draw; a replay with
+    # flips to spare may draw its horizon's example, to fork there
+    budget = min(budget, s_prime)
+    inner = _chart_inner(n, k, delta)
+    primary = _stream(kind, n, k, s_prime, seed)
+    drawn = {}
+    draw = noisy._ForkingReplay.next_example
+
+    def recorded(self):
+        ex = draw(self)
+        drawn.setdefault(self.flips, []).append(self.start + self.draws - 1)
+        return ex
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(noisy._ForkingReplay, "next_example", recorded)
+        inner.candidates(primary, budget)
+    for flips, indices in drawn.items():
+        horizon = brute_force_horizon(primary, n, k, flips)
+        assert max(indices) < horizon + (len(flips) < budget)
+
+
+def _steps(monkeypatch):
+    """A counter of ``LearnerState.step`` calls, from now on."""
+    count = [0]
+    step = LearnerState.step
+
+    def counted(self, a, y):
+        count[0] += 1
+        return step(self, a, y)
+
+    monkeypatch.setattr(LearnerState, "step", counted)
+    return count
+
+
+def test_chart_horizon_is_built_up_to_the_enumeration_budget(monkeypatch):
+    # C(12, 2) = 66 syndromes: a budget of 66 builds the horizon, 65 runs
+    # every replay to its end, with the same candidates
+    inner = _chart_inner(12, 2, 0.25)
+    primary = _stream("noisy", 12, 2, 20, 5)
+    count = _steps(monkeypatch)
+    rounds = {}
+    lists = {}
+    for budget in (66, 65):
+        monkeypatch.setattr("sparseparity.cover.ENUMERATION_BUDGET", budget)
+        count[0] = 0
+        lists[budget] = inner.candidates(primary, 2)
+        rounds[budget] = count[0]
+    assert lists[66] == lists[65]
+    assert rounds[66] < rounds[65]
+
+
+def test_chart_candidates_with_a_wrong_length_example():
+    # a 17-bit example among 16-bit ones builds no horizon: a replay that
+    # steps it raises, and one past every replay's stop leaves the list of
+    # the clean stream; by example 15 every replay has stopped at budget 2
+    inner = PacOnlineInner(16, 2, t=4, alpha=2, delta=0.25, rng_seed=162)
+    clean = UniformSource(gen_hidden(16, 2, 5), seed=11, eta=0.05).examples(40)
+    lists = ([1536], [1536, 24, 32800], [1536, 24, 32800, 320])
+    for budget in range(3):
+        assert [x.value for x in inner.candidates(clean, budget)] == lists[budget]
+    for position in (0, 11, 15, 27, 39):
+        primary = list(clean)
+        primary[position] = LabeledExample(BitVector(17, 1 << 16 | 3), 1)
+        for budget in range(3):
+            if position < 15:
+                with pytest.raises(ValueError, match="length 17"):
+                    inner.candidates(primary, budget)
+            else:
+                got = inner.candidates(primary, budget)
+                assert [x.value for x in got] == lists[budget]
+
+
+def test_gate7_horizon_halves_the_rounds(monkeypatch):
+    # the ten trials of test_gate7_reports_match_on_both_paths, with and
+    # without the horizon: the same reports from at most 60% of the rounds
+    params = NoisyParams.from_counts(eta=0.01, delta=0.25, s_prime=67)
+    inner = PacOnlineInner(48, 2, t=12, alpha=2, delta=0.01, rng_seed=7700)
+    count = _steps(monkeypatch)
+    reports, rounds = [], []
+    for budget in (math.comb(48, 2), math.comb(48, 2) - 1):
+        monkeypatch.setattr("sparseparity.cover.ENUMERATION_BUDGET", budget)
+        count[0] = 0
+        master = SplitMix64(7)
+        outcomes = []
+        for _ in range(10):
+            hidden = gen_hidden(48, 2, master.next_u64())
+            source = UniformSource(hidden, seed=master.next_u64(), eta=0.01)
+            try:
+                outcomes.append(noisy_learn_report(inner, source, params))
+            except NoCandidatesError:
+                outcomes.append(None)
+        reports.append(outcomes)
+        rounds.append(count[0])
+    assert reports[0] == reports[1]
+    assert rounds[0] <= 0.6 * rounds[1]

@@ -301,6 +301,7 @@ class TestLearnerUpdate:
             learner_update(state, V("101"), 1)
         assert decode_charts(state) == []
         assert state.mass == 0
+        assert state.least_dim == 0
 
     def test_hidden_vector_stays_in_union(self):
         state = new_learner(12, 2, 4, 2, rng_seed=3)
@@ -408,7 +409,9 @@ class TestOracleEquivalence:
 class TestChartInvariants:
     def test_live_charts_and_ranks_stay_bounded(self):
         """Before and after every step: live charts never increase and stay
-        at most m, and every chart is in canonical generator form."""
+        at most m, every chart is in canonical generator form, and
+        ``least_dim`` is the smallest live chart's dimension (every chart
+        starts at dimension 8)."""
         for flip in (0, 1):
             state = new_learner(16, 2, 4, 2, rng_seed=2)
             src = UniformSource(gen_hidden(16, 2, 6), seed=9)
@@ -418,6 +421,10 @@ class TestChartInvariants:
                 live = len(decode_charts(state))
                 for chart in decode_charts(state):
                     assert_canonical(chart)
+                assert state.least_dim == min(
+                    (len(chart.basis) for chart in decode_charts(state)),
+                    default=0,
+                )
                 if not decode_charts(state) or state.identified() is not None:
                     break
                 ex = src.next_example()
